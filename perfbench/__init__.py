@@ -1,0 +1,5 @@
+"""Benchmark for the levytree package: workloads, output checks, tracing and comparison.
+
+Run it with ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+from the repository root; see perfbench/README.md.
+"""
