@@ -275,3 +275,7 @@ def main(argv=None):
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -367,44 +367,33 @@ def _run_prune_marginal(cfg, stream, workers):
 
 
 def _subtree_tips(tree):
-    """Highest point at or above each node, by one bottom-up sweep."""
+    """Highest point at or above each node, by pointer doubling: pass k
+    hands each running maximum 2^k generations down; the root takes all."""
     tip = tree.depth.copy()
-    par = tree.parent
-    for i in range(len(tip) - 1, 0, -1):
-        if tip[i] > tip[par[i]]:
-            tip[par[i]] = tip[i]
+    anc = tree.parent.copy()
+    anc[0] = 0
+    while anc.any():
+        np.maximum.at(tip, anc, tip.copy())
+        anc = anc[anc]
+    tip[0] = tip.max()
     return tip
 
 
 def _tall_removed(marked, q, eps, attach_max):
-    """Removed components taller than eps, attached at level <= attach_max."""
+    """Removed components taller than eps > 0, attached at level <= attach_max.
+
+    A closed node sheds all its children as one forest, tip - depth tall.
+    """
     base = marked.base
-    par = base.parent
-    n_nodes = len(par)
-    depth = base.depth
+    _, stubs, stub_lengths, closed = marked.cuts_at(q)
+    tops = np.concatenate([stubs, closed])
+    levels = np.concatenate(
+        [base.depth[base.parent[stubs]] + stub_lengths, base.depth[closed]])
+    low = levels <= attach_max
+    if not low.any():
+        return 0
     tip = _subtree_tips(base)
-    first = np.full(n_nodes, np.inf)
-    live = marked.times <= q
-    np.minimum.at(first, marked.edge_ids[live], marked.offsets[live])
-    node_marked = np.zeros(n_nodes, dtype=bool)
-    node_marked[marked.node_ids[marked.node_times <= q]] = True
-    hit = np.isfinite(first)
-    cut = np.zeros(n_nodes, dtype=bool)
-    count = 0
-    for i in range(1, n_nodes):
-        p = par[i]
-        cut[i] = cut[p] or node_marked[p] or hit[i]
-        if hit[i] and not cut[p] and not node_marked[p]:
-            level = depth[p] + first[i]
-            if level <= attach_max and tip[i] - level > eps:
-                count += 1
-    # node-marked nodes that survive shed all their children as one forest
-    kept_marked = np.flatnonzero(node_marked & ~cut)
-    for p in kept_marked:
-        kids = np.flatnonzero(par == p)
-        if len(kids) and depth[p] <= attach_max and tip[kids].max() - depth[p] > eps:
-            count += 1
-    return count
+    return int(np.count_nonzero(tip[tops[low]] - levels[low] > eps))
 
 
 def _run_special_markov(cfg, stream, workers):
@@ -603,19 +592,13 @@ def _spine_line(fam, h, rng, n):
     return FiniteTree(parent, length, kind, delta, np.zeros(count + 2), 1.0 / n)
 
 
-def _first_cut(tree, marked, q):
+def _first_cut(marked, q):
     """Lowest mark level active at q; inf when the window never cuts."""
-    depth = tree.depth
-    best = math.inf
+    depth = marked.base.depth
     live = marked.times <= q
-    for e, off in zip(marked.edge_ids[live], marked.offsets[live]):
-        level = depth[tree.parent[e]] + off
-        if level < best:
-            best = level
-    marked_nodes = marked.node_ids[marked.node_times <= q]
-    if len(marked_nodes):
-        best = min(best, float(depth[marked_nodes].min()))
-    return best
+    levels = depth[marked.base.parent[marked.edge_ids[live]]] + marked.offsets[live]
+    nodes = depth[marked.node_ids[marked.node_times <= q]]
+    return float(min(levels.min(initial=math.inf), nodes.min(initial=math.inf)))
 
 
 def _exact_spine_cut(fam, q, b_q, rng, n):
@@ -624,7 +607,7 @@ def _exact_spine_cut(fam, q, b_q, rng, n):
     base = 0.0
     while True:
         line = _spine_line(fam, seg, rng, n)
-        cut = _first_cut(line, generate_marks(line, fam, (0.0, q), rng), q)
+        cut = _first_cut(generate_marks(line, fam, (0.0, q), rng), q)
         if math.isfinite(cut):
             return base + cut
         base += seg
@@ -666,6 +649,12 @@ def _run_size_bias(cfg, stream, workers):
         )
     qs = tuple(float(q) for q in (cfg.q_grid or (1.0,)))
     lams = tuple(float(l) for l in (cfg.lambda_grid or (2.0,)))
+    for q in qs:
+        # the spine arm grows in segments of 4/b_q until a skeleton mark cuts it
+        if not fam.psi_at(q).dpsi(0.0) > 0.0:
+            raise ConfigError(f"size_bias needs psi_q subcritical; q={q:g} is not")
+        if not fam.alpha(0.0, q) > 0.0:
+            raise ConfigError(f"size_bias needs alpha(0, q) > 0 to cut the spine; q={q:g}")
     oracles = {
         (q, lam): laws.size_bias_identity(fam, q, lam) for q in qs for lam in lams
     }
@@ -722,7 +711,7 @@ def _run_spine_exponential(cfg, stream, workers):
             for i in range(size):
                 line = _spine_line(fam, cap, rng, cfg.resolution)
                 marked = generate_marks(line, fam, (0.0, q), rng)
-                out[i] = _first_cut(line, marked, q)
+                out[i] = _first_cut(marked, q)
             return out
 
         vals = _map_batches(stream.child(j), sizes, workers, fn)

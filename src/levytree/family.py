@@ -830,10 +830,6 @@ def _window_in(pair):
     return (lo, hi)
 
 
-def family_to_dict(fam):
-    return fam.to_dict()
-
-
 def family_from_dict(d):
     kind = d.get("type")
     if kind == "shift":
@@ -859,7 +855,7 @@ def family_from_dict(d):
 
 
 def family_to_json(fam):
-    return json.dumps(family_to_dict(fam), sort_keys=True)
+    return json.dumps(fam.to_dict(), sort_keys=True)
 
 
 def family_from_json(text):

@@ -52,6 +52,16 @@ class NumericError(RuntimeError):
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
 
 
+def _over_x(fn, x):
+    """fn(x) / x for fn = math.expm1 or math.log1p, continued to 1 at x = 0.
+
+    Near 0 both are x + O(x^2) to full relative precision, subnormals
+    included, so only the x = 0 that a product with a tiny drift can
+    underflow to needs the series.
+    """
+    return fn(x) / x if x else 1.0
+
+
 def _quad(f, lo, hi):
     val, err = integrate.quad(f, lo, hi, **_QUAD_OPTS)
     if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
@@ -97,10 +107,6 @@ class PointMass:
     def unit_first_moment(self):
         return self.z
 
-    @property
-    def unit_second_moment(self):
-        return self.z * self.z
-
     def scaled(self, factor):
         return PointMass(self.z, self.w * factor)
 
@@ -113,9 +119,6 @@ class PointMass:
 
     def gw_quantile(self, n, q):
         return int(stats.poisson.ppf(q, n * self.z))
-
-    def sample_sizes(self, rng, size):
-        return np.full(size, self.z)
 
     def sample_sizes_biased(self, rng, size):
         return np.full(size, self.z)
@@ -166,10 +169,6 @@ class GammaDensity:
     def unit_first_moment(self):
         return self.k / self.rho
 
-    @property
-    def unit_second_moment(self):
-        return self.k * (self.k + 1) / self.rho**2
-
     def scaled(self, factor):
         return GammaDensity(self.k, self.rho, self.w * factor)
 
@@ -188,9 +187,6 @@ class GammaDensity:
 
     def gw_quantile(self, n, q):
         return int(stats.nbinom.ppf(q, self.k, self.rho / (self.rho + n)))
-
-    def sample_sizes(self, rng, size):
-        return rng.gamma(self.k, 1.0 / self.rho, size)
 
     def sample_sizes_biased(self, rng, size):
         # z-weighted gamma density is again gamma with shape k+1
@@ -242,9 +238,6 @@ class Mechanism:
         for p in self.m:
             out = out + p.d2term(lam)
         return out
-
-    def derivatives(self, lam):
-        return self.psi(lam), self.dpsi(lam), self.d2psi(lam)
 
     def _psi_x2(self, x):
         # x^2 * psi(1/x) on the 1/r chart; smooth down to x = 0 (value c)
@@ -345,24 +338,18 @@ class Mechanism:
         if power == 1 and not self.m:
             if v <= self.eta:
                 raise DomainError(f"tail integral needs v > eta = {self.eta}")
-            if self.b == 0.0:
-                return 1.0 / (self.c * v)
-            return math.log1p(self.b / (self.c * v)) / self.b
+            cv = self.c * v  # log1p(b/(c v)) / b
+            return _over_x(math.log1p, self.b / cv) / cv
         return _tail_time_quad(self, v, power)
 
     def _invert_tail(self, target):
-        # solve tail_time(v) = target for v > eta on the log chart s = ln(v-eta)
-        eta = self.eta
+        # solve tail_time(v) = target for v > eta on the log chart s = ln(v-eta),
+        # bracketed by the quadratic closed form b / (c expm1(target b))
+        proxy = 1.0 / (self.c * target * _over_x(math.expm1, target * self.b))
         if not self.m:
-            if self.b == 0.0:
-                return 1.0 / (self.c * target)
-            return self.b / (self.c * math.expm1(target * self.b))
+            return proxy
+        eta = self.eta
         f = lambda s: self.tail_time(eta + math.exp(s)) - target
-        proxy = (
-            1.0 / (self.c * target)
-            if self.b == 0
-            else abs(self.b / (self.c * math.expm1(target * self.b)))
-        )
         s = math.log(max(proxy - eta, proxy * 1e-3, 1e-290))
         lo = hi = s
         flo = fhi = f(s)
@@ -411,11 +398,9 @@ class Mechanism:
         if lam == 0.0 or abs(lam - eta) < 1e-12 * max(1.0, eta):
             return float(lam) if lam == 0.0 else eta
         if not self.m:
-            b, c = self.b, self.c
-            if b == 0.0:
-                return lam / (1.0 + c * a * lam)
-            # e^{ab}(b + c lam) - c lam, written without the cancelling pair
-            return lam * b / (b * math.exp(a * b) + c * lam * math.expm1(a * b))
+            ab = a * self.b
+            # lam b / (e^{ab}(b + c lam) - c lam), without the cancelling pair
+            return lam / (math.exp(ab) + self.c * a * lam * _over_x(math.expm1, ab))
         if lam > eta:
             return self._invert_tail(a + self.tail_time(lam))
         return self._u_below_root(a, lam)

@@ -9,6 +9,12 @@ below them on the root path, so the root always survives, a marked node
 stays (childless) while everything above it goes, and a marked edge is
 cut at its lowest mark.
 
+The whole rule lives in one array, `MarkedTree.kill_times`: node i is
+removed at the earliest time of a mark on an edge of its root path or a
+node mark on one of its strict ancestors, and survives pruning at q iff
+kill_times[i] > q.  The array is a minimum along root paths, taken by
+pointer jumping over `parent`, so it matches a node-by-node sweep exactly.
+
 Binary nodes never receive node marks: their mass is 2/n under the
 discretization and the mark probability vanishes in the limit, so only
 nodes of three or more children participate.
@@ -18,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .mechanism import DomainError
-from .tree import INFINITE, LEAF, FiniteTree
+from .tree import INFINITE, FiniteTree
 
 
 @dataclass(frozen=True)
@@ -54,47 +61,48 @@ class MarkedTree:
     def __len__(self):
         return len(self.edge_ids)
 
-    def pruned_at(self, q):
+    @cached_property
+    def kill_times(self):
+        """Earliest q at which pruning removes each node; inf for the root."""
+        par = self.base.parent
+        kill = np.full(len(par), np.inf)
+        node = np.full(len(par), np.inf)
+        np.minimum.at(kill, self.edge_ids, self.times)
+        np.minimum.at(node, self.node_ids, self.node_times)
+        kill[1:] = np.minimum(kill[1:], node[par[1:]])
+        kill[0] = np.inf
+        if kill.min() < np.inf:
+            anc = par.copy()
+            anc[0] = 0
+            while anc.any():
+                kill = np.minimum(kill, kill[anc])
+                anc = anc[anc]
+        kill.flags.writeable = False
+        return kill
+
+    def cuts_at(self, q):
+        """Pruning at q as (keep, stubs, stub_lengths, closed): the surviving
+        nodes, the edges cut stub_lengths above a surviving, unclosed parent,
+        and the surviving nodes whose active node mark drops all children."""
         t, t_max = self.window
         if not t <= q <= t_max:
             raise DomainError(f"q = {q} outside the mark window [{t}, {t_max}]")
-        base = self.base
-        n = len(base)
-        par = base.parent
-
+        par = self.base.parent
+        keep = self.kill_times > q
         live = self.times <= q
-        edge_first = np.full(n, np.inf)
-        if live.any():
-            np.minimum.at(edge_first, self.edge_ids[live], self.offsets[live])
-        kill = edge_first < np.inf
-        marked = np.zeros(n, dtype=bool)
-        marked[self.node_ids[self.node_times <= q]] = True
+        first = np.full(len(par), np.inf)
+        np.minimum.at(first, self.edge_ids[live], self.offsets[live])
+        unclosed = keep.copy()
+        unclosed[self.node_ids[self.node_times <= q]] = False
+        stubs = np.flatnonzero(first[1:] < np.inf) + 1
+        stubs = stubs[unclosed[par[stubs]]]
+        return keep, stubs, first[stubs], np.flatnonzero(keep & ~unclosed)
 
-        if not kill.any() and not marked.any():
-            return base
-        cut = np.zeros(n, dtype=bool)
-        for i in range(1, n):
-            p = par[i]
-            cut[i] = cut[p] or marked[p] or kill[i]
-        if not cut.any():
-            return base
-
-        keep = ~cut
-        remap = np.cumsum(keep) - 1
-        kept = np.flatnonzero(keep)
-        stub = np.zeros(n, dtype=bool)
-        stub[1:] = kill[1:] & keep[par[1:]] & ~marked[par[1:]]
-        stubs = np.flatnonzero(stub)
-
-        parent_out = np.where(kept == 0, -1, remap[np.maximum(par[kept], 0)])
-        parent_out = np.concatenate([parent_out, remap[par[stubs]]])
-        length_out = np.concatenate([base.length[kept], edge_first[stubs]])
-        kind_out = np.concatenate(
-            [base.kind[kept], np.full(len(stubs), LEAF, dtype=np.int8)])
-        delta_out = np.concatenate([base.delta[kept], np.zeros(len(stubs))])
-        mu_out = np.concatenate([base.mu[kept], np.zeros(len(stubs))])
-        return FiniteTree(parent_out, length_out, kind_out, delta_out,
-                          mu_out, base.scale)
+    def pruned_at(self, q):
+        keep, stubs, stub_lengths, _ = self.cuts_at(q)
+        if keep.all():
+            return self.base
+        return self.base.cut(keep, stubs, stub_lengths)
 
     def sigma_path(self, q_grid):
         qs = np.asarray(q_grid, dtype=float)

@@ -84,14 +84,6 @@ class FiniteTree:
         d.flags.writeable = False
         return d
 
-    @cached_property
-    def _child_count(self):
-        counts = np.zeros(len(self.parent), dtype=np.int64)
-        if len(self.parent) > 1:
-            np.add.at(counts, self.parent[1:], 1)
-        counts.flags.writeable = False
-        return counts
-
     def children(self):
         """List of child-index arrays, by node."""
         order = np.argsort(self.parent[1:], kind="stable") + 1
@@ -128,18 +120,26 @@ class FiniteTree:
         keep = d <= a
         if np.all(keep):
             return self
+        par = self.parent
+        cross = np.flatnonzero(~keep & (d[np.maximum(par, 0)] < a) & (par >= 0))
+        return self.cut(keep, cross, a - d[par[cross]])
+
+    def cut(self, keep, stubs, stub_lengths):
+        """The kept nodes (a set closed under parent) plus one massless
+        leaf per stub edge, hanging stub_lengths above the stub's parent."""
         remap = np.cumsum(keep) - 1
         par = self.parent
         kept = np.flatnonzero(keep)
-        new_parent = np.where(kept == 0, -1, remap[np.maximum(par[kept], 0)])
-        cross = np.flatnonzero(~keep & (d[np.maximum(par, 0)] < a) & (par >= 0))
-        stubs = len(cross)
-        parent_out = np.concatenate([new_parent, remap[par[cross]]])
-        length_out = np.concatenate([self.length[kept], a - d[par[cross]]])
-        kind_out = np.concatenate([self.kind[kept], np.full(stubs, LEAF, dtype=np.int8)])
-        delta_out = np.concatenate([self.delta[kept], np.zeros(stubs)])
-        mu_out = np.concatenate([self.mu[kept], np.zeros(stubs)])
-        return FiniteTree(parent_out, length_out, kind_out, delta_out, mu_out, self.scale)
+        n_stubs = len(stubs)
+        return FiniteTree(
+            np.concatenate([np.where(kept == 0, -1, remap[np.maximum(par[kept], 0)]),
+                            remap[par[stubs]]]),
+            np.concatenate([self.length[kept], stub_lengths]),
+            np.concatenate([self.kind[kept], np.full(n_stubs, LEAF, dtype=np.int8)]),
+            np.concatenate([self.delta[kept], np.zeros(n_stubs)]),
+            np.concatenate([self.mu[kept], np.zeros(n_stubs)]),
+            self.scale,
+        )
 
     def subtrees_above(self, a):
         """Components strictly above level a, with their attach points below.

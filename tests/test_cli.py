@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import runpy
+import sys
+import warnings
 
 import pytest
 
@@ -110,6 +113,37 @@ def test_bad_configs_exit_two(tmp_path, capsys):
     bad.write_text("{not json")
     assert run(["verify", "height_law", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_size_bias_without_spine_cuts_exits_two(tmp_path, capsys):
+    # jump-free shift family at q = 0: no mark can ever cut the spine
+    fam = {
+        "type": "shift",
+        "window": [-0.25, 3.0],
+        "left_closed": True,
+        "base": {"b": 0.5, "c": 1.0, "m": []},
+    }
+    cfg = write_config(tmp_path, family=fam, seed=7, replicates=100, q_grid=[0.0])
+    assert run(["verify", "size_bias", "--config", cfg]) == 2
+    assert "alpha(0, q) > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["levytree", "levytree.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path, monkeypatch, capsys):
+    def run_module(*argv):
+        monkeypatch.setattr(sys, "argv", [module, *argv])
+        with warnings.catch_warnings():
+            # levytree.cli is already imported by this test module
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module(module, run_name="__main__")
+        return stop.value.code
+
+    assert run_module("list", "--json") == 0
+    assert len(json.loads(capsys.readouterr().out)) == 12
+    cfg = write_config(tmp_path, seed=7)
+    assert run_module("verify", "nosuch", "--config", cfg) == 2
+    assert "unknown experiment" in capsys.readouterr().err
 
 
 def test_numeric_failure_exits_three(tmp_path, monkeypatch, capsys):

@@ -6,16 +6,24 @@ are deterministic; the heavy sweeps live in the acceptance module.
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levytree.experiments import (
     ConfigError,
     ExperimentConfig,
+    _first_cut,
+    _spine_line,
+    _subtree_tips,
+    _tall_removed,
     list_experiments,
     run_experiment,
 )
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import Mechanism, PointMass
+from levytree.prune import generate_marks
+from levytree.sampler import GwScheme, RngStream, gw_tree
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
@@ -162,6 +170,20 @@ def test_two_step_needs_forward_q():
 def test_cond_sigma_rejects_jump_families():
     with pytest.raises(ConfigError):
         run_experiment(cfg_for("cond_sigma", family=SHIFT))
+
+
+def test_size_bias_rejects_a_spine_that_is_never_cut():
+    # no jumps and alpha(0, 0) = 0: no mark ever lands on the spine
+    fam = ShiftFamily(Mechanism(0.5, 1.0), (-0.25, 3.0))
+    with pytest.raises(ConfigError):
+        run_experiment(cfg_for("size_bias", family=fam, q_grid=(0.0,)))
+
+
+def test_size_bias_rejects_a_critical_target():
+    fam = ShiftFamily(Mechanism(-2.0, 1.0), (-0.25, 3.0))
+    assert fam.psi_at(1.0).dpsi(0.0) == 0.0
+    with pytest.raises(ConfigError):
+        run_experiment(cfg_for("size_bias", family=fam, q_grid=(1.0,)))
 
 
 def test_size_bias_rejects_jump_families():
@@ -356,3 +378,95 @@ def test_mz_cocycle_rows_are_exact():
     assert all(math.isnan(r.z) for r in rows)
     assert all(r.stderr == 0.0 for r in rows)
     assert all(r.passed for r in rows)
+
+
+# ------------------------------------- cut helpers against node-by-node sweeps
+
+JUMPY = ShiftFamily(Mechanism(0.0, 0.2, (PointMass(1.0, 4.0),)), (-0.5, 3.0))
+
+
+def subtree_tips_reference(tree):
+    tip = tree.depth.copy()
+    par = tree.parent
+    for i in range(len(tip) - 1, 0, -1):
+        if tip[i] > tip[par[i]]:
+            tip[par[i]] = tip[i]
+    return tip
+
+
+def tall_removed_reference(marked, q, eps, attach_max):
+    base = marked.base
+    par = base.parent
+    n_nodes = len(par)
+    depth = base.depth
+    tip = subtree_tips_reference(base)
+    first = np.full(n_nodes, np.inf)
+    live = marked.times <= q
+    np.minimum.at(first, marked.edge_ids[live], marked.offsets[live])
+    node_marked = np.zeros(n_nodes, dtype=bool)
+    node_marked[marked.node_ids[marked.node_times <= q]] = True
+    hit = np.isfinite(first)
+    cut = np.zeros(n_nodes, dtype=bool)
+    count = 0
+    for i in range(1, n_nodes):
+        p = par[i]
+        cut[i] = cut[p] or node_marked[p] or hit[i]
+        if hit[i] and not cut[p] and not node_marked[p]:
+            level = depth[p] + first[i]
+            if level <= attach_max and tip[i] - level > eps:
+                count += 1
+    for p in np.flatnonzero(node_marked & ~cut):
+        kids = np.flatnonzero(par == p)
+        if len(kids) and depth[p] <= attach_max and tip[kids].max() - depth[p] > eps:
+            count += 1
+    return count
+
+
+def first_cut_reference(tree, marked, q):
+    depth = tree.depth
+    best = math.inf
+    live = marked.times <= q
+    for e, off in zip(marked.edge_ids[live], marked.offsets[live]):
+        level = depth[tree.parent[e]] + off
+        if level < best:
+            best = level
+    marked_nodes = marked.node_ids[marked.node_times <= q]
+    if len(marked_nodes):
+        best = min(best, float(depth[marked_nodes].min()))
+    return best
+
+
+def marked_gw_tree(fam, seed, min_nodes=30):
+    sch = GwScheme.build(fam.psi_at(0.0), 40, height_cap=1.0)
+    rng = RngStream(seed).replicate(0)
+    for _ in range(50):
+        tree = gw_tree(sch, rng)
+        if len(tree) >= min_nodes:
+            break
+    return generate_marks(tree, fam, (0.0, 2.0), rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, SHIFT, JUMPY]))
+def test_cut_helpers_match_the_node_sweeps(seed, fam):
+    marked = marked_gw_tree(fam, seed)
+    tree = marked.base
+    np.testing.assert_array_equal(_subtree_tips(tree), subtree_tips_reference(tree))
+    rng = np.random.default_rng(seed)
+    own = np.concatenate([marked.times, marked.node_times])[:4]
+    for q in np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 2), own]):
+        assert _first_cut(marked, q) == first_cut_reference(tree, marked, q)
+        for eps, attach_max in ((0.05, 1.0), (0.2, 0.5), (1e-9, 2.0)):
+            assert _tall_removed(marked, q, eps, attach_max) == tall_removed_reference(
+                marked, q, eps, attach_max
+            )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, JUMPY]))
+def test_first_cut_on_the_spine_matches_the_sweep(seed, fam):
+    rng = RngStream(seed).replicate(0)
+    line = _spine_line(fam, 2.0, rng, 100)
+    marked = generate_marks(line, fam, (0.0, 1.0), rng)
+    for q in (0.0, 0.5, 1.0):
+        assert _first_cut(marked, q) == first_cut_reference(line, marked, q)

@@ -92,6 +92,19 @@ def test_psi_values_and_derivatives():
     assert MIXED.dpsi(0.0) == pytest.approx(MIXED.b, rel=1e-12)
 
 
+def test_subnormal_drift_takes_the_critical_limit():
+    # a*b underflows to 0 here; the closed forms used to divide by it
+    tiny = Mechanism(b=5e-324, c=1.0)
+    assert tiny.v_of(0.5) == pytest.approx(SQ.v_of(0.5), rel=1e-15)
+    assert tiny.u_of(0.5, 2.0) == pytest.approx(1.0, rel=1e-15)
+    assert tiny.tail_time(3.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    for b in (1e-10, -1e-10, 1e-300):
+        near = Mechanism(b=b, c=1.0)
+        assert near.v_of(0.5) == pytest.approx(2.0, rel=1e-9)
+        assert near.tail_time(near.v_of(0.5)) == pytest.approx(0.5, rel=1e-12)
+        assert near.u_of(0.5, 2.0) == pytest.approx(1.0, rel=1e-9)
+
+
 def test_psi_small_lambda_cancellation():
     # term is O(lam^2) near 0; naive evaluation loses all digits
     lam = 1e-8

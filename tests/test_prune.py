@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import DomainError, Mechanism, PointMass
@@ -14,6 +15,8 @@ from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.5, 3.0))
+# heavy jumps and little Brownian branching: many-child nodes, so node marks
+JUMPY = ShiftFamily(Mechanism(0.0, 0.2, (PointMass(1.0, 4.0),)), (-0.5, 3.0))
 
 
 def build(parents, lengths, kinds, deltas=None, mus=None, scale=1.0):
@@ -145,6 +148,103 @@ def test_pruned_trees_nest_along_the_grid():
         assert np.all(np.diff(path.height) <= 1e-15)
         sizes = [len(mt.pruned_at(q)) for q in path.q_grid]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
+
+
+# -- kill times against the node-by-node sweep ------------------------------------
+
+
+def cut_reference(mt, q):
+    """Nodes pruning at q removes, by one top-down sweep over the nodes."""
+    par = mt.base.parent
+    hit = np.zeros(len(par), dtype=bool)
+    hit[mt.edge_ids[mt.times <= q]] = True
+    marked_node = np.zeros(len(par), dtype=bool)
+    marked_node[mt.node_ids[mt.node_times <= q]] = True
+    cut = np.zeros(len(par), dtype=bool)
+    for i in range(1, len(par)):
+        p = par[i]
+        cut[i] = cut[p] or marked_node[p] or hit[i]
+    return cut, hit, marked_node
+
+
+def pruned_at_reference(mt, q):
+    """Pruning at q from the sweep's cut mask, stubs at the lowest live mark."""
+    base = mt.base
+    par = base.parent
+    cut, hit, marked_node = cut_reference(mt, q)
+    if not cut.any():
+        return base
+    live = mt.times <= q
+    edge_first = np.full(len(par), np.inf)
+    np.minimum.at(edge_first, mt.edge_ids[live], mt.offsets[live])
+    keep = ~cut
+    remap = np.cumsum(keep) - 1
+    kept = np.flatnonzero(keep)
+    stub = np.zeros(len(par), dtype=bool)
+    stub[1:] = hit[1:] & keep[par[1:]] & ~marked_node[par[1:]]
+    stubs = np.flatnonzero(stub)
+    return FiniteTree(
+        np.concatenate([np.where(kept == 0, -1, remap[np.maximum(par[kept], 0)]),
+                        remap[par[stubs]]]),
+        np.concatenate([base.length[kept], edge_first[stubs]]),
+        np.concatenate([base.kind[kept], np.full(len(stubs), LEAF, dtype=np.int8)]),
+        np.concatenate([base.delta[kept], np.zeros(len(stubs))]),
+        np.concatenate([base.mu[kept], np.zeros(len(stubs))]),
+        base.scale,
+    )
+
+
+def random_marked_tree(fam, seed, q_max=2.0, min_nodes=30):
+    """A marked GW tree of psi_0 with at least min_nodes nodes (first of
+    50 draws that has them); node marks appear for jump families."""
+    sch = GwScheme.build(fam.psi_at(0.0), 40, height_cap=1.0)
+    rng = RngStream(seed).replicate(0)
+    for _ in range(50):
+        tree = gw_tree(sch, rng)
+        if len(tree) >= min_nodes:
+            break
+    return generate_marks(tree, fam, (0.0, q_max), rng)
+
+
+def probe_times(mt, rng):
+    """Window ends, points inside, and the mark times themselves (ties)."""
+    t, t_max = mt.window
+    inside = rng.uniform(t, t_max, 3)
+    own = np.concatenate([mt.times, mt.node_times])
+    return np.concatenate([[t, t_max], inside, own[:6]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, SHIFT, JUMPY]))
+def test_pruned_at_matches_the_node_sweep(seed, fam):
+    mt = random_marked_tree(fam, seed)
+    for q in probe_times(mt, np.random.default_rng(seed)):
+        got = mt.pruned_at(q)
+        want = pruned_at_reference(mt, q)
+        for name in ("parent", "length", "kind", "delta", "mu"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert (got is mt.base) == (want is mt.base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, SHIFT, JUMPY]))
+def test_kill_times_are_the_first_pruning_time(seed, fam):
+    mt = random_marked_tree(fam, seed)
+    assert mt.kill_times[0] == math.inf
+    for q in probe_times(mt, np.random.default_rng(seed)):
+        np.testing.assert_array_equal(mt.kill_times <= q, cut_reference(mt, q)[0])
+
+
+def test_kill_times_on_a_hand_marked_tree():
+    # root - 1 (infinite) - {2, 3, 4}; node 3 carries an edge mark
+    t = build(
+        [-1, 0, 1, 1, 1],
+        [0.0, 1.0, 0.5, 0.5, 0.5],
+        [ROOT, INFINITE, LEAF, LEAF, LEAF],
+        deltas=[0.0, 2.0, 0.0, 0.0, 0.0],
+    )
+    mt = marked(t, (0.0, 1.0), edges=[(3, 0.25, 0.3), (1, 0.5, 0.9)], nodes=[(1, 0.6)])
+    np.testing.assert_array_equal(mt.kill_times, [math.inf, 0.9, 0.6, 0.3, 0.6])
 
 
 # -- mark-law marginals -----------------------------------------------------------
