@@ -26,11 +26,9 @@ from .prune import generate_marks, two_step_consistency
 from .sampler import (
     GwScheme,
     RngStream,
-    cap_crossings,
     exact_sigma_quadratic,
     gw_tree,
     population_run,
-    supercritical_window,
 )
 from .tree import INFINITE, LEAF, ROOT, FiniteTree
 
@@ -190,42 +188,22 @@ def _need_cap(cfg):
     return float(cfg.height_cap)
 
 
-def _sigma_draws(mech, n, stream, sizes, workers, height_cap=None):
-    """Per-excursion sigma-hat draws, engine-backed where the mechanism allows."""
-    if not mech.m:
+def _sigma_draws(mech, n, stream, sizes, workers):
+    """Per-excursion sigma-hat draws from the counts engine."""
+    scheme = GwScheme.build(mech, n)
 
-        def fn(rng, size):
-            return population_run(
-                mech, n, rng, size, height_cap=height_cap
-            ).sigma()
-
-    else:
-        scheme = GwScheme.build(mech, n, height_cap=height_cap)
-
-        def fn(rng, size):
-            out = np.empty(size)
-            for i in range(size):
-                out[i] = gw_tree(scheme, rng).total_mass()
-            return out
+    def fn(rng, size):
+        return population_run(scheme, rng, size).sigma()
 
     return _map_batches(stream, sizes, workers, fn)
 
 
 def _alive_draws(mech, n, a, stream, sizes, workers):
     """Indicator draws of one excursion crossing level a."""
-    if not mech.m:
+    scheme = GwScheme.build(mech, n, height_cap=a)
 
-        def fn(rng, size):
-            return population_run(mech, n, rng, size, levels=[a]).alive_at(a)
-
-    else:
-        scheme = GwScheme.build(mech, n, height_cap=a)
-
-        def fn(rng, size):
-            out = np.empty(size)
-            for i in range(size):
-                out[i] = 1.0 if cap_crossings(gw_tree(scheme, rng), a) > 0.0 else 0.0
-            return out
+    def fn(rng, size):
+        return population_run(scheme, rng, size, levels=[a]).alive_at(a)
 
     return _map_batches(stream, sizes, workers, fn).astype(float)
 
@@ -266,11 +244,12 @@ def _run_sigma_laplace(cfg, stream, workers):
     sizes = _batch_sizes(cfg.replicates)
     rows = []
     for j, (q, mech) in enumerate(zip(qs, mechs)):
+        sigs = [
+            (n, _sigma_draws(mech, n, stream.child(j, arm), sizes, workers))
+            for arm, n in enumerate(_arm_resolutions(cfg))
+        ]
         for lam in lams:
-            arms = []
-            for arm, n in enumerate(_arm_resolutions(cfg)):
-                sig = _sigma_draws(mech, n, stream.child(j, arm), sizes, workers)
-                arms.append(_mean_se(n * -np.expm1(-lam * sig)))
+            arms = [_mean_se(n * -np.expm1(-lam * sig)) for n, sig in sigs]
             rows.append(
                 _banded_row(cfg, f"q={q:g},lam={lam:g}", oracles[q, lam], *arms)
             )
@@ -502,34 +481,44 @@ def _run_cond_sigma(cfg, stream, workers):
     return rows
 
 
-def _run_ascension_tail(cfg, stream, workers):
-    fam = cfg.family
+def _conjugate_window_rows(cfg, stream, workers, oracle, reading):
+    """Banded rows of n * mean(reading(psi_q, a, run)) against oracle(psi_q, a).
+
+    For each supercritical q, the replicates are counts of the conjugate of
+    psi_q at eta_q, run to the level a = height_cap.
+    """
     a = _need_cap(cfg)
     qs = tuple(float(q) for q in (cfg.q_grid or (-1.0,)))
-    oracles = []
+    mechs = []
     for q in qs:
-        mech_q = fam.psi_at(q)
+        mech_q = cfg.family.psi_at(q)
         if not mech_q.eta > 0.0:
-            raise ConfigError("ascension_tail samples the supercritical window; q must have eta_q > 0")
-        oracles.append(mech_q.v_of(a))
+            raise ConfigError(f"{cfg.experiment} reweights at eta_q > 0; pick supercritical q")
+        mechs.append(mech_q)
+    oracles = [oracle(mech_q, a) for mech_q in mechs]
     sizes = _batch_sizes(cfg.replicates)
     rows = []
-    for j, (q, oracle) in enumerate(zip(qs, oracles)):
+    for j, (q, mech_q, want) in enumerate(zip(qs, mechs, oracles)):
+        conj = mech_q.conjugate(mech_q.eta)
         arms = []
         for arm, n in enumerate(_arm_resolutions(cfg)):
+            scheme = GwScheme.build(conj, n, height_cap=a)
 
             def fn(rng, size):
-                out = np.empty(size)
-                for i in range(size):
-                    sample = supercritical_window(fam, q, a, rng, n)
-                    alive = cap_crossings(sample.tree, a) > 0.0
-                    out[i] = n * sample.weight if alive else 0.0
-                return out
+                return n * reading(mech_q, a, population_run(scheme, rng, size, levels=[a]))
 
-            vals = _map_batches(stream.child(j, arm), sizes, workers, fn)
-            arms.append(_mean_se(vals))
-        rows.append(_banded_row(cfg, f"q={q:g},a={a:g}", oracle, *arms))
+            arms.append(_mean_se(_map_batches(stream.child(j, arm), sizes, workers, fn)))
+        rows.append(_banded_row(cfg, f"q={q:g},a={a:g}", want, *arms))
     return rows
+
+
+def _run_ascension_tail(cfg, stream, workers):
+    # the supercritical window: surviving conjugate draws weighted by exp(eta Z_a)
+    def reading(mech_q, a, run):
+        return np.where(run.alive_at(a), np.exp(mech_q.eta * run.z_at(a)), 0.0)
+
+    return _conjugate_window_rows(
+        cfg, stream, workers, lambda mech_q, a: mech_q.v_of(a), reading)
 
 
 def _run_exit_tail(cfg, stream, workers):
@@ -613,7 +602,7 @@ def _exact_spine_cut(fam, q, b_q, rng, n):
         base += seg
 
 
-def _star_mass_draws(fam, q, b_q, n, rng, size):
+def _star_mass_draws(fam, q, b_q, scheme, rng, size):
     """Pruned masses of the spine tree, grafts thinned through the engine.
 
     Killing an edge when any mark in the window lands on it is Bernoulli with
@@ -622,18 +611,17 @@ def _star_mass_draws(fam, q, b_q, n, rng, size):
     per-graft python trees.  The spine cut itself still runs through the real
     mark pipeline, with no height cap anywhere.
     """
-    mech0 = fam.psi_at(0.0)
-    gamma = mech0.b + 2.0 * mech0.c * n
-    survival = math.exp(-fam.alpha(0.0, q) / gamma)
+    n = scheme.n
+    survival = math.exp(-fam.alpha(0.0, q) / scheme.gamma)
     cuts = np.array([_exact_spine_cut(fam, q, b_q, rng, n) for _ in range(size)])
-    counts = rng.poisson(2.0 * mech0.c * n * cuts)
+    counts = rng.poisson(2.0 * scheme.mech.c * n * cuts)
     total = int(counts.sum())
     if total == 0:
         return np.zeros(size)
     # thinned runs die at rate b_q; the engine still wants a cap for the
     # critical mechanism, so give one far past any reachable height
     masses = population_run(
-        mech0, n, rng, total, height_cap=80.0 / b_q, edge_survival=survival
+        scheme, rng, total, height_cap=80.0 / b_q, edge_survival=survival
     ).sigma()
     out = np.zeros(size)
     np.add.at(out, np.repeat(np.arange(size), counts), masses)
@@ -666,11 +654,12 @@ def _run_size_bias(cfg, stream, workers):
         direct_arms, star_arms = [], []
         for arm, n in enumerate(_arm_resolutions(cfg)):
             sig = _sigma_draws(mech_q, n, stream.child(j, arm, 0), sizes, workers)
+            scheme0 = GwScheme.build(fam.psi_at(0.0), n)
             star_sig = _map_batches(
                 stream.child(j, arm, 1),
                 sizes,
                 workers,
-                lambda rng, size: _star_mass_draws(fam, q, b_q, n, rng, size),
+                lambda rng, size: _star_mass_draws(fam, q, b_q, scheme0, rng, size),
             )
             direct_arms.append(sig)
             star_arms.append(star_sig)
@@ -737,45 +726,12 @@ def _run_spine_exponential(cfg, stream, workers):
 
 
 def _run_girsanov(cfg, stream, workers):
-    fam = cfg.family
-    a = _need_cap(cfg)
-    qs = tuple(float(q) for q in (cfg.q_grid or (-1.0,)))
-    plan = []
-    for q in qs:
-        mech_q = fam.psi_at(q)
+    def reading(mech_q, a, run):
         theta = mech_q.eta
-        if not theta > 0.0:
-            raise ConfigError("girsanov_gir2 reweights at eta_q > 0; pick supercritical q")
-        plan.append((q, theta, mech_q.conjugate(theta), float(mech_q.psi(theta))))
-    sizes = _batch_sizes(cfg.replicates)
-    rows = []
-    for j, (q, theta, conj, psi_theta) in enumerate(plan):
-        arms = []
-        for arm, n in enumerate(_arm_resolutions(cfg)):
-            if not conj.m:
+        return -np.expm1(theta * run.z_at(a) + float(mech_q.psi(theta)) * run.sigma())
 
-                def fn(rng, size):
-                    run = population_run(
-                        conj, n, rng, size, levels=[a], height_cap=a
-                    )
-                    return n * -np.expm1(theta * run.z_at(a) + psi_theta * run.sigma())
-
-            else:
-                scheme = GwScheme.build(conj, n, height_cap=a)
-
-                def fn(rng, size):
-                    out = np.empty(size)
-                    for i in range(size):
-                        t = gw_tree(scheme, rng)
-                        out[i] = n * -math.expm1(
-                            theta * cap_crossings(t, a) + psi_theta * t.total_mass()
-                        )
-                    return out
-
-            vals = _map_batches(stream.child(j, arm), sizes, workers, fn)
-            arms.append(_mean_se(vals))
-        rows.append(_banded_row(cfg, f"q={q:g},a={a:g}", -theta, *arms))
-    return rows
+    return _conjugate_window_rows(
+        cfg, stream, workers, lambda mech_q, a: -mech_q.eta, reading)
 
 
 def _run_mz_cocycle(cfg, stream, workers):

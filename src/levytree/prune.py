@@ -88,8 +88,11 @@ class MarkedTree:
         if not t <= q <= t_max:
             raise DomainError(f"q = {q} outside the mark window [{t}, {t_max}]")
         par = self.base.parent
-        keep = self.kill_times > q
         live = self.times <= q
+        if not (live.any() or (self.node_times <= q).any()):
+            none = np.zeros(0, dtype=np.int64)
+            return np.ones(len(par), dtype=bool), none, np.zeros(0), none
+        keep = self.kill_times > q
         first = np.full(len(par), np.inf)
         np.minimum.at(first, self.edge_ids[live], self.offsets[live])
         unclosed = keep.copy()

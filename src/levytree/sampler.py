@@ -21,16 +21,17 @@ experiments:
   leaf atoms (each individual's mass rides down first-child edges to
   the leaf that ends the chain).
 
-`population_run` evolves only the generation counts of the quadratic
-scheme.  It is distributionally identical to the tree samplers for
-level and mass functionals and is what the large-replicate experiments
-use.
+`population_run` is the counts-only mode of the same scheme, for every
+offspring law: it evolves the generation sizes of many replicates at once
+and builds no tree, so level and mass functionals (heights, Z_a, sigma)
+come from it; experiments that mark and prune keep `gw_tree`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,10 +147,37 @@ class GwScheme:
         return np.minimum(np.searchsorted(self._cum, u, side="right"),
                           len(self.probs) - 1)
 
+    @cached_property
+    def _binary_p2(self):
+        """The s^2 coefficient c*n/gamma of g(s) when the law lives on
+        {0, 2} (quadratic at the minimal rate), else None."""
+        b, c, n = self.mech.b, self.mech.c, self.n
+        if self.mech.m or self.gamma != b + 2.0 * c * n:
+            return None
+        return c * n / self.gamma
+
+    def offspring_totals(self, rng, counts):
+        """Total offspring of groups of counts[i] > 0 individuals each.
+
+        A law on {0, 2} takes one binomial per group; any other law draws
+        every individual, in group order, as `_grow` does.
+        """
+        p2 = self._binary_p2
+        if p2 is not None:
+            return 2 * rng.binomial(counts, p2)
+        ks = self.sample_offspring(rng, int(counts.sum()))
+        return np.add.reduceat(ks, np.cumsum(counts) - counts)
+
+
+# individuals one growth may hold: over 20x the largest tree (about 1.1
+# million individuals) that the acceptance configs grow
+NODE_BUDGET = 25_000_000
+
 
 def _grow(scheme, rng, n_roots, height_cap):
     """Generation-major growth.  Returns (parents, offspring counts,
-    generation start offsets); parents of generation 0 are -1."""
+    generation start offsets); parents of generation 0 are -1.  Raises
+    NumericError once the individuals grown pass NODE_BUDGET."""
     gamma = scheme.gamma
     max_children_gen = math.inf
     if height_cap is not None:
@@ -171,6 +199,9 @@ def _grow(scheme, rng, n_roots, height_cap):
         kids = int(ks.sum())
         if kids == 0:
             break
+        if offsets[-1] + kids > NODE_BUDGET:
+            raise NumericError(
+                f"tree growth passed the node budget of {NODE_BUDGET} individuals")
         ids = np.arange(offsets[-2], offsets[-1], dtype=np.int64)
         par_blocks.append(np.repeat(ids, ks))
         cur = kids
@@ -345,7 +376,7 @@ def supercritical_window(fam, q, height_cap, rng, n):
 
 @dataclass(frozen=True)
 class PopulationRun:
-    """Generation counts of the quadratic scheme, no trees materialized."""
+    """Generation counts of a scheme, no trees materialized."""
 
     n: int
     gamma: float
@@ -370,34 +401,43 @@ def _level_generation(gamma, a):
     return int(math.ceil(x - 1e-9)) - 1
 
 
-def population_run(mech, n, rng, replicates, levels=(), init=None,
+def population_run(scheme, rng, replicates, levels=(), init=None,
                    height_cap=None, edge_survival=1.0):
-    """Evolve replicate generation counts for a quadratic mechanism.
+    """Evolve the generation counts of many replicates of one scheme.
 
     init = None starts one ancestor per replicate (excursion sampling);
     init = r starts Poisson(r*n) ancestors.  edge_survival < 1 thins
     every edge independently, which realizes skeleton pruning.  Totals
-    accumulate up to extinction, the height cap, or for critical runs
-    without a cap the last recorded level.
+    accumulate up to extinction, the height cap (the scheme's unless one
+    is given), or for critical runs without a cap the last recorded level.
+
+    Each generation draws the offspring of all live replicates in one
+    `GwScheme.offspring_totals` call, and the counts are those of the tree
+    samplers:
+
+    * a law on {0, 2} (quadratic at the minimal rate) draws
+      2 * Binomial(z, c*n/gamma) per replicate;
+    * any other law draws its individuals in replicate order, so with
+      init = None and edge_survival = 1 the counts by replicate equal the
+      counts by root of the `_grow(scheme, rng, replicates, cap)` forest
+      on the same generator;
+    * both stop at generation `_level_generation(gamma, cap)`, which is
+      `_grow`'s `max_children_gen`;
+    * for a tree grown to cap a, `cap_crossings(tree, a) > 0` exactly when
+      generation `_level_generation(gamma, a)` is nonempty, and
+      `total_mass()` is the individual count times `mass_unit`.
     """
-    if mech.m:
-        raise DomainError("population counts cover the quadratic case only")
-    if mech.criticality() == "supercritical":
-        raise DomainError("population counts need b >= 0")
-    if not mech.is_grey:
-        raise DomainError("population counts need c > 0")
     if not 0.0 < edge_survival <= 1.0:
         raise DomainError(f"edge survival must be in (0, 1], got {edge_survival}")
-    b, c = mech.b, mech.c
-    gamma = b + 2.0 * c * n
-    p2 = c * n / gamma
+    n, gamma = scheme.n, scheme.gamma
+    cap = scheme.height_cap if height_cap is None else height_cap
 
     level_gens = [_level_generation(gamma, a) for a in levels]
     if any(g < 0 for g in level_gens):
         raise DomainError("levels must be positive")
-    if height_cap is not None:
-        last_gen = _level_generation(gamma, height_cap)
-    elif b == 0.0:
+    if cap is not None:
+        last_gen = _level_generation(gamma, cap)
+    elif scheme.mech.criticality() == "critical":
         if not levels:
             raise DomainError("critical run needs a height cap or levels")
         last_gen = max(level_gens)
@@ -424,8 +464,7 @@ def population_run(mech, n, rng, replicates, levels=(), init=None,
                 z_counts[j, idx] = z
         if last_gen is not None and g >= last_gen:
             break
-        births = rng.binomial(z, p2)
-        kids = births * 2
+        kids = scheme.offspring_totals(rng, z)
         if edge_survival < 1.0:
             kids = rng.binomial(kids, edge_survival)
         totals[idx] += kids

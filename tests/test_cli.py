@@ -157,6 +157,16 @@ def test_numeric_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_growth_over_the_node_budget_exits_three(tmp_path, monkeypatch, capsys):
+    from levytree import sampler
+
+    monkeypatch.setattr(sampler, "NODE_BUDGET", 20)
+    cfg = write_config(tmp_path, seed=7, replicates=100, resolution=100,
+                       height_cap=0.5, q_grid=[1.0])
+    assert run(["verify", "prune_marginal", "--config", cfg]) == 3
+    assert "node budget of 20" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- list
 
 

@@ -470,3 +470,12 @@ def test_first_cut_on_the_spine_matches_the_sweep(seed, fam):
     marked = generate_marks(line, fam, (0.0, 1.0), rng)
     for q in (0.0, 0.5, 1.0):
         assert _first_cut(marked, q) == first_cut_reference(line, marked, q)
+
+
+def test_girsanov_small_jump_family():
+    # the counts engine on a jump law, through the conjugate of psi_{-0.2}
+    rows = run_experiment(
+        cfg_for("girsanov_gir2", family=SHIFT, height_cap=0.4, q_grid=(-0.2,))
+    )
+    assert rows[0].oracle == pytest.approx(-SHIFT.psi_at(-0.2).eta, rel=1e-12)
+    assert rows[0].passed

@@ -247,6 +247,39 @@ def test_kill_times_on_a_hand_marked_tree():
     np.testing.assert_array_equal(mt.kill_times, [math.inf, 0.9, 0.6, 0.3, 0.6])
 
 
+@pytest.mark.parametrize("edges, nodes, first", [
+    ([(3, 0.25, 0.3)], [(1, 0.6)], 3),
+    ([(3, 0.25, 0.6)], [(1, 0.3)], 2),
+])
+def test_cuts_before_the_first_active_mark_keep_the_tree(edges, nodes, first):
+    # before any mark is active, cuts_at keeps everything without kill times
+    t = build(
+        [-1, 0, 1, 1, 1],
+        [0.0, 1.0, 0.5, 0.5, 0.5],
+        [ROOT, INFINITE, LEAF, LEAF, LEAF],
+        deltas=[0.0, 2.0, 0.0, 0.0, 0.0],
+    )
+    mt = marked(t, (0.0, 1.0), edges=edges, nodes=nodes)
+    for q in (0.0, 0.1, np.nextafter(0.3, 0.0)):
+        keep, stubs, stub_lengths, closed = mt.cuts_at(q)
+        np.testing.assert_array_equal(keep, np.ones(5, dtype=bool))
+        assert stubs.dtype == closed.dtype == np.int64
+        assert len(stubs) == len(stub_lengths) == len(closed) == 0
+        assert mt.pruned_at(q) is mt.base
+        assert "kill_times" not in mt.__dict__
+    # the first active mark, on an edge or a node, switches to the full rule
+    assert not mt.cuts_at(0.3)[0][first]
+    for q in (-0.1, 1.5):
+        with pytest.raises(DomainError):
+            mt.cuts_at(q)
+        with pytest.raises(DomainError):
+            mt.pruned_at(q)
+    bare = marked(single_edge(), (0.0, 2.0))
+    assert bare.pruned_at(2.0) is bare.base
+    with pytest.raises(DomainError):
+        bare.pruned_at(2.5)
+
+
 # -- mark-law marginals -----------------------------------------------------------
 
 

@@ -14,11 +14,16 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from levytree import sampler
 from levytree.family import LinearDriftFamily, ShiftFamily
-from levytree.mechanism import DomainError, GammaDensity, Mechanism, PointMass
+from levytree.mechanism import DomainError, GammaDensity, Mechanism, NumericError, PointMass
 from levytree.sampler import (
     GwScheme,
     RngStream,
+    _grow,
+    _level_generation,
+    _tree_from_growth,
+    cap_crossings,
     exact_sigma_quadratic,
     forest_under_Pr,
     gw_tree,
@@ -169,7 +174,7 @@ def test_tree_and_population_height_laws_agree():
         gw_tree(sch, rng, height_cap=1.0).level_mass(a) > 0
         for _ in range(reps))
     p_tree = hits / reps
-    run = population_run(QUAD, n, RngStream(13).replicate(1), reps, levels=(a,))
+    run = population_run(sch, RngStream(13).replicate(1), reps, levels=(a,))
     p_pop = run.alive_at(a).mean()
     se = math.sqrt(p_tree * (1 - p_tree) / reps + p_pop * (1 - p_pop) / reps)
     assert abs(p_tree - p_pop) < 4 * se
@@ -178,7 +183,7 @@ def test_tree_and_population_height_laws_agree():
 def test_height_law_approaches_tail_inverse():
     # n * P(H > a) -> v(a) = 1/a for the critical quadratic mechanism
     n, reps, a = 300, 30000, 1.0
-    run = population_run(QUAD, n, RngStream(41).replicate(0), reps, levels=(a,))
+    run = population_run(GwScheme.build(QUAD, n), RngStream(41).replicate(0), reps, levels=(a,))
     p = run.alive_at(a).mean()
     est = n * p
     se = n * math.sqrt(p * (1 - p) / reps)
@@ -215,7 +220,7 @@ def test_forest_mass_mean():
 
 def test_forest_mass_laplace_transform():
     n, reps, r, lam = 400, 20000, 0.8, 1.0
-    run = population_run(SUB, n, RngStream(29).replicate(0), reps, init=r)
+    run = population_run(GwScheme.build(SUB, n), RngStream(29).replicate(0), reps, init=r)
     vals = 1.0 - np.exp(-lam * run.sigma())
     target = 1.0 - math.exp(-r * SUB.psi_inverse(lam))
     se = vals.std() / math.sqrt(reps)
@@ -224,7 +229,7 @@ def test_forest_mass_laplace_transform():
 
 def test_population_sigma_matches_exact_law():
     n, reps, r = 600, 3000, 1.0
-    run = population_run(SUB, n, RngStream(37).replicate(0), reps, init=r)
+    run = population_run(GwScheme.build(SUB, n), RngStream(37).replicate(0), reps, init=r)
     exact = exact_sigma_quadratic(1.0, 1.0, r, RngStream(37).replicate(1), reps)
     ks = sps.ks_2samp(run.sigma(), exact)
     assert ks.pvalue > 0.01
@@ -340,7 +345,7 @@ def test_supercritical_tail_estimate():
     target = 1.0 / (1.0 - math.exp(-a))  # tail inverse of lam^2 - lam
     n, reps = 150, 30000
     conj = fam.psi_at(-1.0).conjugate(1.0)
-    run = population_run(conj, n, RngStream(73).replicate(0), reps, levels=(a,))
+    run = population_run(GwScheme.build(conj, n), RngStream(73).replicate(0), reps, levels=(a,))
     vals = np.exp(run.z_at(a)) * run.alive_at(a)
     est = n * vals.mean()
     se = n * vals.std() / math.sqrt(reps)
@@ -357,29 +362,149 @@ def test_supercritical_window_requires_finite_cap():
 
 
 def test_population_thinning_reduces_mass():
-    full = population_run(SUB, 50, RngStream(81).replicate(0), 4000)
+    sch = GwScheme.build(SUB, 50)
+    full = population_run(sch, RngStream(81).replicate(0), 4000)
     thin = population_run(
-        SUB, 50, RngStream(81).replicate(0), 4000, edge_survival=0.5)
+        sch, RngStream(81).replicate(0), 4000, edge_survival=0.5)
     assert thin.totals.sum() < full.totals.sum()
     assert thin.totals.max() <= full.totals.max() * 2  # sanity, same seed scale
 
 
 def test_population_critical_needs_cap_or_levels():
     with pytest.raises(DomainError):
-        population_run(QUAD, 50, RngStream(1).replicate(0), 10)
+        population_run(GwScheme.build(QUAD, 50), RngStream(1).replicate(0), 10)
 
 
-def test_population_rejects_jumps_and_supercritical():
-    with pytest.raises(DomainError):
-        population_run(MIXED, 50, RngStream(1).replicate(0), 10)
-    with pytest.raises(DomainError):
-        population_run(Mechanism(-1.0, 1.0), 50, RngStream(1).replicate(0), 10)
+def test_population_takes_jumps_and_rejects_supercritical():
+    run = population_run(GwScheme.build(MIXED, 50), RngStream(1).replicate(0), 10)
+    assert run.totals.shape == (10,)
+    assert np.all(run.totals >= 1)
+    for mech in (Mechanism(-1.0, 1.0), Mechanism(1.0, 0.0, (PointMass(1.0, 1.0),))):
+        with pytest.raises(DomainError):
+            population_run(GwScheme.build(mech, 50), RngStream(1).replicate(0), 10)
 
 
 def test_population_deterministic():
-    one = population_run(SUB, 40, RngStream(91).replicate(2), 500)
-    two = population_run(SUB, 40, RngStream(91).replicate(2), 500)
+    sch = GwScheme.build(SUB, 40)
+    one = population_run(sch, RngStream(91).replicate(2), 500)
+    two = population_run(sch, RngStream(91).replicate(2), 500)
     np.testing.assert_array_equal(one.totals, two.totals)
+
+
+def _reference_quadratic_run(mech, n, rng, replicates, levels=(), init=None,
+                             height_cap=None, edge_survival=1.0):
+    """The mechanism-based generation loop the engine replaced, kept as the
+    reference for the quadratic law: (totals, z_counts)."""
+    b, c = mech.b, mech.c
+    gamma = b + 2.0 * c * n
+    p2 = c * n / gamma
+    level_gens = [_level_generation(gamma, a) for a in levels]
+    if height_cap is not None:
+        last_gen = _level_generation(gamma, height_cap)
+    elif b == 0.0:
+        last_gen = max(level_gens)
+    else:
+        last_gen = None
+    if init is None:
+        z = np.ones(replicates, dtype=np.int64)
+    else:
+        z = rng.poisson(init * n, replicates).astype(np.int64)
+    if edge_survival < 1.0:
+        z = rng.binomial(z, edge_survival)
+    totals = z.copy()
+    z_counts = np.zeros((len(levels), replicates), dtype=np.int64)
+    idx = np.flatnonzero(z > 0)
+    z = z[idx]
+    g = 0
+    while len(idx) > 0:
+        for j, ga in enumerate(level_gens):
+            if ga == g:
+                z_counts[j, idx] = z
+        if last_gen is not None and g >= last_gen:
+            break
+        kids = rng.binomial(z, p2) * 2
+        if edge_survival < 1.0:
+            kids = rng.binomial(kids, edge_survival)
+        totals[idx] += kids
+        keep = kids > 0
+        idx = idx[keep]
+        z = kids[keep]
+        g += 1
+    return totals, z_counts
+
+
+@pytest.mark.parametrize("init", [None, 0.5])
+@pytest.mark.parametrize("edge_survival", [1.0, 0.6])
+@pytest.mark.parametrize("mech, levels, cap", [
+    (QUAD, (0.3, 0.8), None),
+    (QUAD, (0.5,), 1.0),
+    (SUB, (), None),
+    (SUB, (0.4,), 0.7),
+    (Mechanism(0.3, 0.7), (0.25,), None),
+])
+def test_population_quadratic_matches_reference_loop(mech, levels, cap, init, edge_survival):
+    n, reps = 50, 300
+    run = population_run(GwScheme.build(mech, n), RngStream(95).replicate(0), reps,
+                         levels=levels, init=init, height_cap=cap,
+                         edge_survival=edge_survival)
+    totals, z_counts = _reference_quadratic_run(
+        mech, n, RngStream(95).replicate(0), reps, levels=levels, init=init,
+        height_cap=cap, edge_survival=edge_survival)
+    np.testing.assert_array_equal(run.totals, totals)
+    np.testing.assert_array_equal(run.z_counts, z_counts)
+    assert run.gamma == mech.b + 2.0 * mech.c * n
+
+
+def _forest_counts_by_root(par, offsets, n_roots, gen):
+    """Individuals, and generation `gen`'s individuals, below each root."""
+    root = np.arange(len(par))
+    for lo, hi in zip(offsets[1:-1], offsets[2:]):
+        root[lo:hi] = root[par[lo:hi]]
+    at_gen = np.zeros(n_roots, dtype=np.int64)
+    if gen + 1 < len(offsets):
+        at_gen = np.bincount(root[offsets[gen]:offsets[gen + 1]], minlength=n_roots)
+    return np.bincount(root, minlength=n_roots), at_gen
+
+
+JUMP_SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("mech, gamma, cap", [
+    (JUMP_SHIFT.psi_at(0.5), None, None),
+    (JUMP_SHIFT.psi_at(0.5), None, 0.3),
+    (JUMP_SHIFT.psi_at(0.0), None, 0.3),
+    (JUMP_SHIFT.psi_at(0.0), None, "aligned"),
+    (QUAD, 50.0, 0.3),  # above the minimal rate: a one-child term, not {0, 2}
+])
+def test_population_counts_match_grown_forest(seed, mech, gamma, cap):
+    n, reps, level = 20, 200, 0.2
+    sch = GwScheme.build(mech, n, gamma=gamma)
+    if cap == "aligned":
+        cap = 9 / sch.gamma  # an exact generation boundary
+    run = population_run(sch, RngStream(seed).replicate(1), reps,
+                         levels=(level,), height_cap=cap)
+    par, ks, offsets = _grow(sch, RngStream(seed).replicate(1), reps, cap)
+    totals, at_level = _forest_counts_by_root(
+        par, offsets, reps, _level_generation(sch.gamma, level))
+    np.testing.assert_array_equal(run.totals, totals)
+    np.testing.assert_array_equal(run.z_counts[0], at_level)
+    if cap is not None:
+        # the tree readings the experiments used before the engine
+        forest = _tree_from_growth(sch, par, ks, offsets)
+        _, at_cap = _forest_counts_by_root(
+            par, offsets, reps, _level_generation(sch.gamma, cap))
+        assert round(cap_crossings(forest, cap) * n) == at_cap.sum()
+        assert forest.total_mass() == pytest.approx(totals.sum() * sch.mass_unit, rel=1e-12)
+
+
+def test_growth_node_budget_raises(monkeypatch):
+    monkeypatch.setattr(sampler, "NODE_BUDGET", 50)
+    sch = GwScheme.build(QUAD, 50)
+    with pytest.raises(NumericError, match="node budget of 50"):
+        forest_under_Pr(sch, 5.0, RngStream(3).replicate(0), height_cap=1.0)
+    # a tree under the budget still grows
+    assert len(gw_tree(sch, RngStream(3).replicate(0), height_cap=0.01)) <= 51
 
 
 def test_cap_crossings_survives_aligned_depth_roundoff():
