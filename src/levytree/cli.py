@@ -160,15 +160,11 @@ def _summary_line(results):
 
 
 def _cmd_verify(args):
-    blob = _load_blob(args.config, "config")
-    blob = dict(blob)
-    blob["experiment"] = args.experiment
-    params = dict(blob.get("params", {}))
-    for key in ("seed", "replicates", "resolution"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    blob["params"] = params
+    blob = dict(_load_blob(args.config, "config"), experiment=args.experiment)
+    params = blob.get("params", {})
+    if isinstance(params, dict):  # from_dict rejects any other kind
+        flags = {key: getattr(args, key) for key in ("seed", "replicates", "resolution")}
+        blob["params"] = {**params, **{k: v for k, v in flags.items() if v is not None}}
     cfg = ExperimentConfig.from_dict(blob)
     results = run_experiment(cfg, workers=args.workers)
     text = _csv_text(results)
@@ -272,7 +268,7 @@ def main(argv=None):
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except NumericError as err:
+    except (NumericError, ArithmeticError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -23,7 +23,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 from .mechanism import (
     DomainError,
@@ -31,7 +31,8 @@ from .mechanism import (
     Mechanism,
     NumericError,
     PointMass,
-    primitive_from_dict,
+    brentq,
+    parsed,
 )
 
 _QBAR_GRID = np.linspace(0.1, 10.0, 100)
@@ -199,7 +200,7 @@ class AdmissibleFamily(ABC):
             if hi >= t1 or hi - t > 1e9:
                 return math.inf
             hi = min(t1, t + 2.0 * (hi - t))
-        return optimize.brentq(
+        return brentq(
             lambda s: self.node_survival(t, s, delta) - target, t, hi, xtol=1e-14
         )
 
@@ -260,7 +261,7 @@ class AdmissibleFamily(ABC):
             if hi >= t1 or hi > 1e12:
                 return None
             hi = min(t1, 2.0 * hi)
-        qb = optimize.brentq(lambda s: self.b_at(s) - target, 0.0, hi, xtol=1e-14)
+        qb = brentq(lambda s: self.b_at(s) - target, 0.0, hi, xtol=1e-14)
         return self._verify_qbar(qb, mech, eta)
 
     def _verify_qbar(self, qb, mech, eta):
@@ -831,6 +832,10 @@ def _window_in(pair):
 
 
 def family_from_dict(d):
+    return parsed(_family, d, "family")
+
+
+def _family(d):
     kind = d.get("type")
     if kind == "shift":
         return ShiftFamily(

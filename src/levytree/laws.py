@@ -207,6 +207,27 @@ def girsanov_weight(mech, theta, z0, za, int_z):
     return math.exp(theta * (z0 - za) - mech.psi(theta) * int_z)
 
 
+def girsanov_defect(mech, a):
+    """N~[1 - e^{eta Z_a + psi(eta) sigma_a}] = -eta, psi~ being psi conjugated
+    at its largest root eta: the Laplace flow u~(a, -eta) of the Girsanov
+    weight stays at -eta, a zero of psi~, at every level a > 0.
+    """
+    if not a > 0.0:
+        raise DomainError(f"need a positive level, got {a}")
+    return -mech.eta
+
+
+def spine_cut_mean(fam, q, h):
+    """E[min(xi, h)] for the first pruning cut xi on the spine of T*: with
+    psi_0 critical, marks land on the spine at rate psi_q'(0), so xi is
+    Exponential(psi_q'(0)).
+    """
+    b_q = fam.psi_at(q).dpsi(0.0)
+    if not b_q > 0.0:
+        raise DomainError("the spine cut needs psi_q subcritical")
+    return -math.expm1(-b_q * h) / b_q
+
+
 def special_markov_intensity(fam, t, q, eps):
     """Rate of removed components taller than eps, per unit retained mass.
 

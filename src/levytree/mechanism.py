@@ -62,6 +62,16 @@ def _over_x(fn, x):
     return fn(x) / x if x else 1.0
 
 
+def brentq(f, lo, hi, **tol):
+    """optimize.brentq, its bracket and convergence failures raised as NumericError."""
+    try:
+        return optimize.brentq(f, lo, hi, **tol)
+    except (DomainError, NumericError):
+        raise
+    except (ValueError, RuntimeError) as err:
+        raise NumericError(f"root finding on [{lo}, {hi}] failed: {err}") from err
+
+
 def _quad(f, lo, hi):
     val, err = integrate.quad(f, lo, hi, **_QUAD_OPTS)
     if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
@@ -196,8 +206,20 @@ class GammaDensity:
         return {"type": "gamma", "k": self.k, "rho": self.rho, "w": self.w}
 
 
+def parsed(build, d, what):
+    """build(d) for a JSON object d; malformed input raises DomainError."""
+    if not isinstance(d, dict):
+        raise DomainError(f"{what} must be a JSON object, got {d!r}")
+    try:
+        return build(d)
+    except DomainError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise DomainError(f"bad {what} ({type(err).__name__}: {err})") from err
+
+
 def primitive_from_dict(d):
-    kind = d.get("type")
+    kind = d["type"]
     if kind == "point":
         return PointMass(float(d["z"]), float(d["w"]))
     if kind == "gamma":
@@ -282,7 +304,7 @@ class Mechanism:
         lo = hi * 1e-12
         if self.psi(lo) >= 0:  # pragma: no cover - b < 0 forces psi(lo) < 0
             raise NumericError("failed to bracket the largest root")
-        root = optimize.brentq(self.psi, lo, hi, xtol=1e-300, rtol=8.9e-16)
+        root = brentq(self.psi, lo, hi, xtol=1e-300, rtol=8.9e-16)
         for _ in range(2):
             d = self.dpsi(root)
             if d > 0:
@@ -309,7 +331,7 @@ class Mechanism:
             hi *= 2.0
         else:
             raise DomainError(f"psi never reaches {y}")
-        lam = optimize.brentq(
+        lam = brentq(
             lambda x: self.psi(x) - y, eta, hi, xtol=1e-300, rtol=8.9e-16
         )
         for _ in range(2):
@@ -321,11 +343,11 @@ class Mechanism:
         if self.b >= 0:
             raise DomainError(f"psi >= 0 on [0, inf): no solution of psi = {y}")
         eta = self.eta
-        lam_min = optimize.brentq(self.dpsi, 0.0, eta, xtol=1e-300, rtol=8.9e-16)
+        lam_min = brentq(self.dpsi, 0.0, eta, xtol=1e-300, rtol=8.9e-16)
         if y < self.psi(lam_min):
             raise DomainError(f"{y} below the minimum {self.psi(lam_min)} of psi")
         return float(
-            optimize.brentq(
+            brentq(
                 lambda x: self.psi(x) - y, lam_min, eta, xtol=1e-300, rtol=8.9e-16
             )
         )
@@ -365,7 +387,7 @@ class Mechanism:
             fhi = f(hi)
         if not (flo > 0 > fhi):
             raise NumericError("failed to bracket the tail-time inverse")
-        s = optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        s = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
         v = eta + math.exp(s)
         for _ in range(3):
             step = (self.tail_time(v) - target) * self.psi(v)
@@ -422,7 +444,7 @@ class Mechanism:
             lo -= 1.0
         else:
             raise NumericError("failed to bracket u below the root")
-        t = optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        t = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
         u = eta - math.exp(t)
         for _ in range(3):
             h = _quad(g, math.log(eta - u), t_lam) - a
@@ -460,11 +482,11 @@ class Mechanism:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
+        return parsed(lambda d: cls(
             b=float(d["b"]),
             c=float(d["c"]),
             m=tuple(primitive_from_dict(p) for p in d.get("m", [])),
-        )
+        ), d, "mechanism")
 
     def to_json(self):
         return json.dumps(self.to_dict())

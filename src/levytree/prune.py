@@ -107,6 +107,29 @@ class MarkedTree:
             return self.base
         return self.base.cut(keep, stubs, stub_lengths)
 
+    def first_cut(self, q):
+        """Lowest mark level active at q; inf when the window never cuts."""
+        depth = self.base.depth
+        live = self.times <= q
+        levels = depth[self.base.parent[self.edge_ids[live]]] + self.offsets[live]
+        nodes = depth[self.node_ids[self.node_times <= q]]
+        return float(min(levels.min(initial=math.inf), nodes.min(initial=math.inf)))
+
+    def tall_removed(self, q, eps, attach_max):
+        """Components removed at q that are taller than eps > 0 and attached at
+        level <= attach_max.  A closed node sheds all its children as one
+        forest, tip - depth tall."""
+        base = self.base
+        _, stubs, stub_lengths, closed = self.cuts_at(q)
+        tops = np.concatenate([stubs, closed])
+        levels = np.concatenate(
+            [base.depth[base.parent[stubs]] + stub_lengths, base.depth[closed]])
+        low = levels <= attach_max
+        if not low.any():
+            return 0
+        tip = base.subtree_tips()
+        return int(np.count_nonzero(tip[tops[low]] - levels[low] > eps))
+
     def sigma_path(self, q_grid):
         qs = np.asarray(q_grid, dtype=float)
         if len(qs) == 0 or np.any(np.diff(qs) < 0):

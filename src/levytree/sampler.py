@@ -292,6 +292,38 @@ def exact_sigma_quadratic(b, c, r, rng, size=None):
     return rng.wald(r / b, shape, size)
 
 
+def _spine_jumps(mech0, h, rng):
+    """Jump nodes on a spine of length h: Poisson positions (unsorted) at
+    rate integral(z m_0(dz)), each with a size-biased initial mass."""
+    rates = np.array([p.w * p.unit_first_moment for p in mech0.m])
+    total = float(rates.sum())
+    count = int(rng.poisson(total * h)) if total > 0 else 0
+    pos = rng.uniform(0.0, h, count)
+    if not count:
+        return pos, np.zeros(0)
+    pick = rng.choice(len(rates), p=rates / total, size=count)
+    return pos, np.array([float(mech0.m[i].sample_sizes_biased(rng, 1)[0]) for i in pick])
+
+
+def _spine_tree(pos, kind, delta, h, n):
+    """The segment [0, h] with nodes of the given kinds at sorted positions."""
+    parent = np.arange(-1, len(pos) + 1, dtype=np.int64)
+    length = np.concatenate([[0.0], np.diff(np.concatenate([[0.0], pos, [h]]))])
+    kind = np.concatenate([[ROOT], kind, [LEAF]]).astype(np.int8)
+    delta = np.concatenate([[0.0], delta, [0.0]])
+    return FiniteTree(parent, length, kind, delta, np.zeros(len(pos) + 2), 1.0 / n)
+
+
+def spine_line(mech0, h, rng, n):
+    """The spine of length h with its jump nodes, grafts left out.
+
+    A pruning cut of the spine only feels marks on the spine itself, so the
+    grafts (the expensive part of `infinite_crt`) never matter for it.
+    """
+    pos, sizes = _spine_jumps(mech0, h, rng)
+    return _spine_tree(np.sort(pos), np.full(len(pos), INFINITE), sizes, h, n)
+
+
 def infinite_crt(fam, height_cap, rng, n):
     """The immortal-spine tree truncated at height_cap.
 
@@ -313,37 +345,19 @@ def infinite_crt(fam, height_cap, rng, n):
 
     n1 = int(rng.poisson(2.0 * mech0.c * n * h))
     x1 = rng.uniform(0.0, h, n1)
-    jump_rates = np.array([p.w * p.unit_first_moment for p in mech0.m])
-    lam2 = float(jump_rates.sum())
-    n2 = int(rng.poisson(lam2 * h)) if lam2 > 0 else 0
-    x2 = rng.uniform(0.0, h, n2)
-    if n2 > 0:
-        pick = rng.choice(len(jump_rates), p=jump_rates / lam2, size=n2)
-        sizes = np.array([
-            float(mech0.m[i].sample_sizes_biased(rng, 1)[0]) for i in pick])
-    else:
-        sizes = np.zeros(0)
+    x2, sizes = _spine_jumps(mech0, h, rng)
 
     pos = np.concatenate([x1, x2])
-    is_jump = np.concatenate([np.zeros(n1, bool), np.ones(n2, bool)])
+    is_jump = np.concatenate([np.zeros(n1, bool), np.ones(len(x2), bool)])
     size_at = np.concatenate([np.zeros(n1), sizes])
     order = np.argsort(pos)
     pos, is_jump, size_at = pos[order], is_jump[order], size_at[order]
     if len(pos) and not (pos[0] > 0 and pos[-1] < h and np.all(np.diff(pos) > 0)):
         raise NumericError("coincident spine graft positions")
-
-    m = len(pos)
-    parent = np.arange(-1, m + 1, dtype=np.int64)
-    length = np.diff(np.concatenate([[0.0], pos, [h]]))
-    length = np.concatenate([[0.0], length])
-    kind = np.concatenate(
-        [[ROOT], np.where(is_jump, INFINITE, BINARY), [LEAF]]).astype(np.int8)
-    delta = np.concatenate([[0.0], size_at, [0.0]])
-    mu = np.zeros(m + 2)
-    spine = FiniteTree(parent, length, kind, delta, mu, 1.0 / n)
+    spine = _spine_tree(pos, np.where(is_jump, INFINITE, BINARY), size_at, h, n)
 
     grafts = []
-    for j in range(m):
+    for j in range(len(pos)):
         rest = h - pos[j]
         if is_jump[j]:
             sub = forest_under_Pr(scheme, size_at[j], rng, height_cap=rest)

@@ -1,6 +1,8 @@
 """CLI exit codes, CSV shape and determinism, calculator subcommands."""
 
+import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -9,8 +11,9 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from levytree import cli
+from levytree import cli, experiments
 from levytree.mechanism import NumericError
 
 LD_FAM = {
@@ -178,6 +181,28 @@ def test_list_json(capsys):
     assert any(e["name"] == "girsanov_gir2" for e in catalog)
 
 
+def resolve(dotted):
+    """Import the longest module prefix of a dotted name, then getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ImportError(dotted)
+
+
+def test_list_json_oracles_resolve_to_the_spec_callables(capsys):
+    assert run(["list", "--json"]) == 0
+    catalog = json.loads(capsys.readouterr().out)
+    assert len(catalog) == 12
+    for entry in catalog:
+        assert resolve(entry["oracle"]) is experiments._SPECS[entry["name"]].oracle
+
+
 def test_list_human(capsys):
     assert run(["list"]) == 0
     text = capsys.readouterr().out
@@ -241,3 +266,116 @@ def test_family_check(capsys):
     assert run(["family", "check", "--family", LD_JSON]) == 0
     text = capsys.readouterr().out
     assert "overall: admissible" in text
+
+
+SHIFT_NO_BASE = {"type": "shift", "window": [-0.25, 3.0]}
+ONE_END_WINDOW = dict(LD_FAM, window=[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "mz_cocycle", "--config", json.dumps({"family": LD_FAM, "params": p})]
+    for p in ({"seed": 1, "tolerance_sigmas": "3"}, {"seed": 1, "height_cap": "x"},
+              {"seed": 1, "q_grid": 5}, {"seed": 1, "q_grid": ["a"]},
+              {"seed": 1, "lambda_grid": [None]}, [1, 2])
+] + [
+    ["verify", "mz_cocycle", "--config", json.dumps({"family": fam, "params": {"seed": 1}})]
+    for fam in ([1], SHIFT_NO_BASE, ONE_END_WINDOW)
+] + [
+    ["mech", "eval", "--mech", '{"b": "x", "c": 1}', "1"],
+    ["mech", "eval", "--mech", '{"c": 1}', "1"],
+    ["family", "table", "--family", json.dumps(SHIFT_NO_BASE)],
+])
+def test_malformed_json_exits_two(argv, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_numeric_edge_cases_exit_three(capsys):
+    # a subnormal drift: brentq runs out of iterations inverting psi
+    mech = json.dumps({"b": 1.1125369292536007e-308, "c": 1.17,
+                       "m": [{"type": "point", "w": 5e-324, "z": 1.93}]})
+    assert run(["mech", "invert", "--mech", mech, "--", "1.1125369292536007e-308"]) == 3
+    assert "root finding" in capsys.readouterr().err
+    # e^{a b} overflows in the quadratic Laplace flow
+    assert run(["mech", "u", "--mech", json.dumps({"b": 8.0, "c": 1.0}), "3e5", "1"]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- exit-code contract
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(-2, 2), max_size=2),
+    st.floats(-1e3, 1e3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+def corrupted(valid):
+    """Valid objects half the time, else one key dropped or set to junk, or junk."""
+
+    def spoil(d):
+        keys = st.sampled_from(sorted(d))
+        return st.one_of(
+            keys.map(lambda k: {x: v for x, v in d.items() if x != k}),
+            st.tuples(keys, JUNK).map(lambda kv: {**d, kv[0]: kv[1]}),
+        )
+
+    return st.sampled_from([valid, valid, valid.flatmap(spoil), JUNK]).flatmap(lambda s: s)
+
+
+POINT = st.fixed_dictionaries({"type": st.just("point"), "z": num(0.05, 3.0), "w": num(0.0, 3.0)})
+GAMMA = st.fixed_dictionaries(
+    {"type": st.just("gamma"), "k": num(0.2, 3.0), "rho": num(0.2, 3.0), "w": num(0.0, 3.0)})
+
+
+def mechanisms(prims):
+    return corrupted(st.fixed_dictionaries(
+        {"b": num(-3.0, 3.0), "c": num(0.0, 3.0), "m": st.lists(corrupted(prims), max_size=2)}))
+
+
+WINDOWS = st.tuples(num(-2.0, 0.0), num(0.1, 3.0)).map(list)
+SPOILED_WINDOWS = st.sampled_from(
+    [WINDOWS, WINDOWS, WINDOWS.map(lambda w: w[:1]), JUNK]).flatmap(lambda s: s)
+FAMILIES = corrupted(st.one_of(
+    st.fixed_dictionaries({"type": st.just("shift"), "window": SPOILED_WINDOWS,
+                           "base": mechanisms(POINT)}),
+    st.fixed_dictionaries({"type": st.just("lineardrift"), "window": SPOILED_WINDOWS,
+                           "b_rate": num(0.1, 3.0), "c": num(0.1, 3.0)}),
+    st.fixed_dictionaries({"type": st.just("truncation"), "window": WINDOWS,
+                           "base": mechanisms(POINT), "h0": num(0.1, 3.0),
+                           "slope": num(-1.0, 1.0), "g_rate": num(0.0, 2.0)}),
+    st.fixed_dictionaries({"type": st.just("reflected"), "negative": st.fixed_dictionaries(
+        {"type": st.just("lineardrift"), "window": st.just([-1.0, 0.0]),
+         "b_rate": num(0.1, 3.0), "c": num(0.1, 3.0)})}),
+))
+PARAMS = corrupted(st.fixed_dictionaries({
+    "seed": st.integers(0, 9), "replicates": st.just(100), "resolution": st.just(100),
+    "q_grid": st.lists(num(-1.0, 1.0), max_size=2),
+    "lambda_grid": st.lists(num(0.0, 3.0), max_size=2),
+    "tolerance_sigmas": num(0.5, 5.0), "height_cap": num(0.1, 2.0),
+}))
+ARGS = st.lists(num(-1.0, 5.0).map("{:.6f}".format), min_size=2, max_size=2)
+
+COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["eval", "invert", "v"]), mechanisms(st.one_of(POINT, GAMMA)),
+              ARGS).map(lambda c: ["mech", c[0], "--mech", json.dumps(c[1]), c[2][0]]),
+    st.tuples(mechanisms(st.one_of(POINT, GAMMA)), ARGS).map(
+        lambda c: ["mech", "u", "--mech", json.dumps(c[0]), *c[1]]),
+    st.tuples(st.sampled_from(["table", "check"]), FAMILIES).map(
+        lambda c: ["family", c[0], "--family", json.dumps(c[1])]),
+    st.tuples(st.sampled_from(["mz_cocycle", "cond_sigma"]), FAMILIES, PARAMS).map(
+        lambda c: ["verify", c[0], "--config", json.dumps({"family": c[1], "params": c[2]})]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=COMMANDS)
+def test_every_input_exits_with_a_contract_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = run(argv)
+        except SystemExit as stop:  # argparse usage errors exit 2 by design
+            code = stop.code
+    assert code in (0, 1, 2, 3)

@@ -10,20 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levytree import experiments, laws
 from levytree.experiments import (
     ConfigError,
     ExperimentConfig,
-    _first_cut,
-    _spine_line,
-    _subtree_tips,
-    _tall_removed,
     list_experiments,
     run_experiment,
 )
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import Mechanism, PointMass
 from levytree.prune import generate_marks
-from levytree.sampler import GwScheme, RngStream, gw_tree
+from levytree.sampler import GwScheme, RngStream, gw_tree, spine_line
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
@@ -167,6 +164,15 @@ def test_two_step_needs_forward_q():
         run_experiment(cfg_for("two_step_markov", height_cap=1.0, q_grid=(0.0,)))
 
 
+def test_configs_are_rejected_before_any_sampling(monkeypatch):
+    grown = []
+    monkeypatch.setattr(experiments, "gw_tree", lambda *args, **kw: grown.append(args))
+    for name in ("prune_marginal", "two_step_markov"):
+        with pytest.raises(ConfigError, match="q > 0"):
+            run_experiment(cfg_for(name, family=SHIFT, height_cap=0.5, q_grid=(1.0, -1.0)))
+    assert grown == []
+
+
 def test_cond_sigma_rejects_jump_families():
     with pytest.raises(ConfigError):
         run_experiment(cfg_for("cond_sigma", family=SHIFT))
@@ -223,6 +229,12 @@ def test_mz_cocycle_needs_room_above_zero():
 # ---------------------------------------------------------------- catalog
 
 
+def test_runner_calls_the_oracle_bound_at_its_catalog_name(monkeypatch):
+    monkeypatch.setattr(laws, "sigma_laplace", lambda mech, lam: 42.0)
+    cfg = cfg_for("sigma_laplace", replicates=100, q_grid=(1.0,), lambda_grid=(1.0,))
+    assert [r.oracle for r in run_experiment(cfg)] == [42.0]
+
+
 def test_catalog_lists_every_experiment_once():
     infos = list_experiments()
     names = [e.name for e in infos]
@@ -241,8 +253,9 @@ def test_worker_count_never_changes_results():
 
 
 def test_worker_count_jump_family():
+    # per-tree draws on a jump family, batched through the worker pool
     cfg = cfg_for(
-        "two_step_markov", family=SHIFT, height_cap=1.0, replicates=400, q_grid=(1.0,)
+        "special_markov_intensity", family=SHIFT, height_cap=1.0, replicates=400, q_grid=(1.0,)
     )
     assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=3)
 
@@ -451,13 +464,13 @@ def marked_gw_tree(fam, seed, min_nodes=30):
 def test_cut_helpers_match_the_node_sweeps(seed, fam):
     marked = marked_gw_tree(fam, seed)
     tree = marked.base
-    np.testing.assert_array_equal(_subtree_tips(tree), subtree_tips_reference(tree))
+    np.testing.assert_array_equal(tree.subtree_tips(), subtree_tips_reference(tree))
     rng = np.random.default_rng(seed)
     own = np.concatenate([marked.times, marked.node_times])[:4]
     for q in np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 2), own]):
-        assert _first_cut(marked, q) == first_cut_reference(tree, marked, q)
+        assert marked.first_cut(q) == first_cut_reference(tree, marked, q)
         for eps, attach_max in ((0.05, 1.0), (0.2, 0.5), (1e-9, 2.0)):
-            assert _tall_removed(marked, q, eps, attach_max) == tall_removed_reference(
+            assert marked.tall_removed(q, eps, attach_max) == tall_removed_reference(
                 marked, q, eps, attach_max
             )
 
@@ -466,10 +479,10 @@ def test_cut_helpers_match_the_node_sweeps(seed, fam):
 @given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, JUMPY]))
 def test_first_cut_on_the_spine_matches_the_sweep(seed, fam):
     rng = RngStream(seed).replicate(0)
-    line = _spine_line(fam, 2.0, rng, 100)
+    line = spine_line(fam.psi_at(0.0), 2.0, rng, 100)
     marked = generate_marks(line, fam, (0.0, 1.0), rng)
     for q in (0.0, 0.5, 1.0):
-        assert _first_cut(marked, q) == first_cut_reference(line, marked, q)
+        assert marked.first_cut(q) == first_cut_reference(line, marked, q)
 
 
 def test_girsanov_small_jump_family():
