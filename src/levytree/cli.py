@@ -166,7 +166,7 @@ def _cmd_verify(args):
         flags = {key: getattr(args, key) for key in ("seed", "replicates", "resolution")}
         blob["params"] = {**params, **{k: v for k, v in flags.items() if v is not None}}
     cfg = ExperimentConfig.from_dict(blob)
-    results = run_experiment(cfg, workers=args.workers)
+    results = run_experiment(cfg)
     text = _csv_text(results)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -247,7 +247,8 @@ def build_parser():
     verify.add_argument("--seed", type=int, help="overrides params.seed")
     verify.add_argument("--replicates", type=int, help="overrides params.replicates")
     verify.add_argument("--resolution", type=int, help="overrides params.resolution")
-    verify.add_argument("--workers", type=int, default=1, help="batch worker threads")
+    verify.add_argument("--workers", type=int,
+                        help="accepted and ignored: batches run in one thread")
     verify.add_argument("--out", help="CSV output path (default: stdout)")
     verify.set_defaults(fn=_cmd_verify)
 

@@ -20,8 +20,8 @@ two_step_markov (paired at one resolution in `prune.two_step_consistency`)
 and the deterministic mz_cocycle keep their own row code.
 
 Replicates are split into a fixed number of batches, each with its own seeded
-generator, and batch results are concatenated in batch order.  The worker pool
-size therefore never changes an estimate, only how batches are scheduled.
+generator, and batch results are concatenated in batch order, so an estimate
+depends on (seed, path, replicate count) alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import functools
 import math
 import numbers
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
@@ -70,7 +69,7 @@ class ExperimentConfig:
     tolerance_sigmas: float = 3.0
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if not isinstance(self.resolution, int) or self.resolution < 100:
             raise ConfigError(f"resolution must be an integer >= 100, got {self.resolution}")
@@ -137,18 +136,10 @@ def _batch_sizes(total):
     return [s for s in sizes if s > 0]
 
 
-def _map_batches(stream, sizes, workers, fn):
+def _map_batches(stream, sizes, fn):
     """Concatenate fn(generator_k, size_k) over batches, in batch order."""
-
-    def one(k):
-        return np.asarray(fn(stream.replicate(k), sizes[k]))
-
-    if workers <= 1:
-        parts = [one(k) for k in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(len(sizes))))
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(
+        [np.asarray(fn(stream.replicate(k), size)) for k, size in enumerate(sizes)], axis=0)
 
 
 def _mean_se(values):
@@ -203,7 +194,7 @@ class Group(NamedTuple):
     points: list
 
 
-def _arm_rows(cfg, layout, group, stream, workers):
+def _arm_rows(cfg, layout, group, stream):
     """The rows of one sample group under the banded, paired or plain layout."""
     sizes = _batch_sizes(cfg.replicates)
     plain = layout == "plain"
@@ -212,7 +203,7 @@ def _arm_rows(cfg, layout, group, stream, workers):
         path = group.path if plain else group.path + (arm,)
         sides = [
             _map_batches(stream.child(*path, *([side] if len(group.draws) > 1 else [])),
-                         sizes, workers, functools.partial(draw, n))
+                         sizes, functools.partial(draw, n))
             for side, draw in enumerate(group.draws)
         ]
         arms.append((n, sides))
@@ -400,10 +391,10 @@ def _run_two_step(cfg, consistency, stream):
     rows = []
     for j, q in enumerate(qs):
         base = gw_tree(scheme, stream.child(j, 0).generator())
-        report = consistency(
+        stats = consistency(
             base, fam, 0.0, q / 2.0, q, stream.child(j, 1).generator(), cfg.replicates)
         rows += [_row(cfg, f"q={q:g},{name}", one, se, two)
-                 for name, (one, two, se, _) in report.stats.items()]
+                 for name, (one, two, se, _) in stats.items()]
     return rows
 
 
@@ -534,6 +525,11 @@ def _size_bias(cfg, identity):
             raise ConfigError(f"size_bias needs psi_q subcritical; q={q:g} is not")
         if not fam.alpha(0.0, q) > 0.0:
             raise ConfigError(f"size_bias needs alpha(0, q) > 0 to cut the spine; q={q:g}")
+        # the star spine is cut at rate alpha(0, q) and the size-biased psi_q
+        # spine ends at rate b_q = b_0 + alpha(0, q): they agree for b_0 = 0 only
+        if fam.psi_at(0.0).criticality() != "critical":
+            raise ConfigError("size_bias needs psi_0 critical: the star arm grows the "
+                              "immortal spine of psi_0")
         points = []
         for lam in cfg.lambda_grid or (2.0,):
             want = identity(fam, q, lam)
@@ -633,12 +629,9 @@ def list_experiments():
     ]
 
 
-def run_experiment(cfg, workers=1):
-    """All point results for one configured experiment.
-
-    Oracles are evaluated before any sampling starts; the worker count only
-    schedules batches and never changes a result.
-    """
+def run_experiment(cfg):
+    """All point results for one configured experiment; oracles are
+    evaluated before any sampling starts."""
     if cfg.experiment not in _SPECS:
         raise ConfigError(f"unknown experiment '{cfg.experiment}'")
     spec = _SPECS[cfg.experiment]
@@ -646,5 +639,4 @@ def run_experiment(cfg, workers=1):
     if spec.layout is None:
         return spec.plan(cfg, oracle, stream)
     groups = spec.plan(cfg, oracle)
-    workers = max(1, int(workers))
-    return [row for g in groups for row in _arm_rows(cfg, spec.layout, g, stream, workers)]
+    return [row for g in groups for row in _arm_rows(cfg, spec.layout, g, stream)]

@@ -17,7 +17,6 @@ alpha(t, q) = integral of beta, and the node mark probability
 p(delta) = 1 - survival(t, q, delta) for a branch point of size delta.
 """
 
-import json
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -37,20 +36,6 @@ from .mechanism import (
 
 _QBAR_GRID = np.linspace(0.1, 10.0, 100)
 _QBAR_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PruneParams:
-    """Parameters of the marking functional over a time slice [t, q].
-
-    alpha is the Poisson rate per unit skeleton length; p maps a node size
-    to its mark probability; hazard is the cumulative node-mark measure
-    -ln(survival), infinite once survival hits zero.
-    """
-
-    alpha: float
-    p: object
-    hazard: object
 
 
 class AdmissibleFamily(ABC):
@@ -204,18 +189,6 @@ class AdmissibleFamily(ABC):
             lambda s: self.node_survival(t, s, delta) - target, t, hi, xtol=1e-14
         )
 
-    def prune_parameters(self, t, q):
-        a = self.alpha(t, q)
-
-        def p(delta):
-            return 1.0 - self.node_survival(t, q, delta)
-
-        def hazard(delta):
-            surv = self.node_survival(t, q, delta)
-            return math.inf if surv == 0.0 else -math.log(surv)
-
-        return PruneParams(alpha=a, p=p, hazard=hazard)
-
     def mark_times(self, t, q, rng, size):
         """iid mark times on [t, q] with density beta / alpha(t, q)."""
         self._check_interval(t, q)
@@ -335,6 +308,8 @@ class ShiftFamily(AdmissibleFamily):
         self._check_time(t, "t")
         if not 0.0 < u < 1.0:
             raise DomainError(f"need u in (0, 1), got {u}")
+        if not delta > 0:
+            raise DomainError(f"need node size > 0, got {delta}")
         tm = t - math.log1p(-u) / delta
         return tm if tm <= self.window[1] else math.inf
 
@@ -858,10 +833,3 @@ def _family(d):
         return ReflectedFamily(family_from_dict(d["negative"]))
     raise DomainError(f"unknown family type {kind!r}")
 
-
-def family_to_json(fam):
-    return json.dumps(fam.to_dict(), sort_keys=True)
-
-
-def family_from_json(text):
-    return family_from_dict(json.loads(text))

@@ -32,7 +32,6 @@ singularity.  Quadratic mechanisms (no jump part) take closed forms.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -482,18 +481,16 @@ class Mechanism:
 
     @classmethod
     def from_dict(cls, d):
-        return parsed(lambda d: cls(
-            b=float(d["b"]),
-            c=float(d["c"]),
-            m=tuple(primitive_from_dict(p) for p in d.get("m", [])),
-        ), d, "mechanism")
+        """The mechanism of a JSON object; zero-weight primitives are validated
+        and dropped, since they add nothing to psi and their terms read 0 * inf
+        far out on the negative axis."""
+        def build(d):
+            m = tuple(primitive_from_dict(p) for p in d.get("m", []))
+            for p in m:
+                p.validate()
+            return cls(b=float(d["b"]), c=float(d["c"]), m=tuple(p for p in m if p.w > 0))
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        return parsed(build, d, "mechanism")
 
 
 def _tail_time_quad(mech, v, power=1):

@@ -40,13 +40,6 @@ class PrunePath:
     sigma: np.ndarray
     height: np.ndarray
 
-    def exit_time(self, h):
-        """Largest grid time at which the pruned tree still exceeds h."""
-        above = np.flatnonzero(self.height > h)
-        if len(above) == 0:
-            return None
-        return float(self.q_grid[above[-1]])
-
 
 @dataclass(frozen=True)
 class MarkedTree:
@@ -178,35 +171,13 @@ def generate_marks(tree, fam, window, rng):
                       np.array(node_times, dtype=float))
 
 
-@dataclass(frozen=True)
-class TwoStepReport:
-    """Two-sample comparison of one-pass against two-pass pruning."""
-
-    n: int
-    stats: dict
-
-    @property
-    def max_abs_z(self):
-        return max(abs(z) for _, _, _, z in self.stats.values())
-
-    def passed(self, limit=3.0):
-        return self.max_abs_z < limit
-
-    def summary(self):
-        lines = [
-            f"{name}: one-pass {a:.6g}, two-pass {b:.6g}, z = {z:+.2f}"
-            for name, (a, b, _, z) in self.stats.items()
-        ]
-        lines.append(f"replicates per arm: {self.n}")
-        return "\n".join(lines)
-
-
 def two_step_consistency(tree, fam, t, theta, q, rng, n_rep):
     """Markov check: prune t->q in one pass vs t->theta then theta->q.
 
     Both arms start from the same base tree; the second arm re-marks the
-    theta-pruned tree with fresh randomness.  Reports z-scores for the
-    mass, height, and node count of the final tree.
+    theta-pruned tree with fresh randomness.  Returns, for the mass, height
+    and node count of the final tree, name -> (one-pass mean, two-pass mean,
+    se of their difference, z).
     """
     if not t <= theta <= q:
         raise DomainError(f"need t <= theta <= q, got {t}, {theta}, {q}")
@@ -227,4 +198,4 @@ def two_step_consistency(tree, fam, t, theta, q, rng, n_rep):
         else:
             z = 0.0 if a.mean() == b.mean() else math.inf
         stats[name] = (float(a.mean()), float(b.mean()), float(se), float(z))
-    return TwoStepReport(n_rep, stats)
+    return stats

@@ -44,8 +44,7 @@ class RngStream:
     """Deterministic per-replicate random generators.
 
     Replicate k draws from Philox keyed by (seed, path, k), so the same
-    triple gives the same stream no matter which worker runs it or in
-    what order.
+    triple gives the same stream no matter in what order replicates run.
     """
 
     seed: int

@@ -97,7 +97,7 @@ def test_03_height_law_bulk():
         replicates=100_000,
         q_grid=(0.5, 1.0, 2.0),
     )
-    rows = run_experiment(cfg, workers=4)
+    rows = run_experiment(cfg)
     assert [r.oracle for r in rows] == pytest.approx([2.0, 1.0, 0.5], rel=1e-12)
     _mc_report("height law: n*P(H > a) vs 1/a at n=2000, N=1e5, a in {0.5,1,2}", rows)
 
@@ -112,7 +112,7 @@ def test_04_total_mass_laplace():
         q_grid=(1.0,),
         lambda_grid=(1.0,),
     )
-    rows = run_experiment(cfg, workers=4)
+    rows = run_experiment(cfg)
     assert rows[0].oracle == pytest.approx(0.618034, abs=1e-6)
     _mc_report("total-mass Laplace: n*E[1-exp(-sigma)] vs 0.618034", rows)
 
@@ -128,7 +128,7 @@ def test_05_prune_marginal():
         q_grid=(1.0,),
         lambda_grid=(0.5, 1.0, 2.0),
     )
-    rows = run_experiment(cfg, workers=4)
+    rows = run_experiment(cfg)
     points = [r.point for r in rows]
     assert points == ["q=1,lam=0.5", "q=1,lam=1", "q=1,lam=2", "q=1,a=0.5", "q=1,a=1"]
     _mc_report(
@@ -148,7 +148,7 @@ def test_06_two_step_and_cocycle():
         height_cap=2.0,
         q_grid=(1.0,),
     )
-    rows = run_experiment(cfg, workers=4)
+    rows = run_experiment(cfg)
     worst_split = 0.0
     for delta in (0.5, 1.0, 2.0):
         whole = SHIFT.node_survival(0.0, 2.0, delta)
@@ -176,7 +176,7 @@ def test_07_special_markov_intensity():
             height_cap=1.0,
             q_grid=(1.0,),
         )
-        rows += run_experiment(cfg, workers=4)
+        rows += run_experiment(cfg)
     _mc_report(
         "special Markov property: tall removed components per unit retained "
         "mass, height-truncated, drift and jump families",
@@ -193,7 +193,7 @@ def test_08_conditional_mass_transition():
         q_grid=(0.5, 1.0),
         lambda_grid=(0.5, 1.0, 2.0),
     )
-    rows = run_experiment(cfg, workers=1)
+    rows = run_experiment(cfg)
     _mc_report(
         "conditional mass transition: exact pruned-mass sampler vs "
         "exp(-psi_q(psi_0^{-1}(lam)) sigma_q)",
@@ -212,7 +212,7 @@ def test_09_ascension_tail():
         height_cap=math.log(2.0),
         q_grid=(-1.0,),
     )
-    rows = run_experiment(cfg, workers=4)
+    rows = run_experiment(cfg)
     # v at psi_{-1} of ln 2 is exactly 2
     ok = worst_eta <= 1e-10 and abs(rows[0].oracle - 2.0) <= 1e-9 and all(
         r.passed for r in rows
@@ -235,7 +235,7 @@ def test_10_size_bias_representation():
         q_grid=(1.0,),
         lambda_grid=(2.0,),
     )
-    rows = run_experiment(cfg, workers=4)
+    rows = run_experiment(cfg)
     assert all(r.oracle == pytest.approx(1.0 / 3.0, rel=1e-12) for r in rows)
     spine_cfg = ExperimentConfig(
         family=LD,
@@ -246,7 +246,7 @@ def test_10_size_bias_representation():
         height_cap=3.0,
         q_grid=(1.0,),
     )
-    spine_rows = run_experiment(spine_cfg, workers=4)
+    spine_rows = run_experiment(spine_cfg)
     ok = all(r.passed for r in rows + spine_rows)
     ks_p = next(r.estimate for r in spine_rows if r.point.endswith("ks"))
     _report(
@@ -267,7 +267,7 @@ def test_11_exit_time_remark():
         height_cap=2.0 * math.log(2.0),
         q_grid=(1.0,),
     )
-    rows = run_experiment(cfg, workers=4)
+    rows = run_experiment(cfg)
     oracle_ok = abs(rows[0].oracle - 1.0) <= 1e-9
     law = laws.exit_time_laws(LD, -1.0, -0.5, math.log(2.0))
     frozen_ok = abs(law.beyond - 0.6588830833596719) <= 1e-5

@@ -244,22 +244,6 @@ def test_catalog_lists_every_experiment_once():
     assert all(e.oracle and e.description for e in infos)
 
 
-# ------------------------------------------------------------ determinism
-
-
-def test_worker_count_never_changes_results():
-    cfg = cfg_for("height_law", replicates=1500, q_grid=(0.5, 1.0))
-    assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=4)
-
-
-def test_worker_count_jump_family():
-    # per-tree draws on a jump family, batched through the worker pool
-    cfg = cfg_for(
-        "special_markov_intensity", family=SHIFT, height_cap=1.0, replicates=400, q_grid=(1.0,)
-    )
-    assert run_experiment(cfg, workers=1) == run_experiment(cfg, workers=3)
-
-
 # ------------------------------------------------------- small MC passes
 
 

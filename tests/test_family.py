@@ -24,8 +24,7 @@ from levytree.family import (
     ShiftFamily,
     TruncationFamily,
     check_admissibility,
-    family_from_json,
-    family_to_json,
+    family_from_dict,
 )
 from levytree.mechanism import DomainError, GammaDensity, Mechanism, PointMass
 
@@ -179,6 +178,8 @@ def test_mz_bad_arguments():
         SHIFT.mz(1.0, 0.5, 0)
     with pytest.raises(DomainError):
         SHIFT.mz(0.0, 1.0, 7)
+    with pytest.raises(DomainError):
+        SHIFT.node_mark_time(0.0, -1.0, 0.5)  # would mark before t
 
 
 # -- pruning parameters ----------------------------------------------------------
@@ -186,30 +187,25 @@ def test_mz_bad_arguments():
 
 def test_prune_parameters_linear_drift():
     fam = LinearDriftFamily(1.0, 1.0)
-    pp = fam.prune_parameters(0.0, 3.0)
-    assert pp.alpha == pytest.approx(3.0, rel=1e-14)
-    assert pp.p(0.7) == 0.0
-    assert pp.p(5.0) == 0.0
+    assert fam.alpha(0.0, 3.0) == pytest.approx(3.0, rel=1e-14)
+    assert fam.node_survival(0.0, 3.0, 0.7) == 1.0
+    assert fam.node_survival(0.0, 3.0, 5.0) == 1.0
 
 
 def test_prune_parameters_empty_slice():
-    pp = SHIFT.prune_parameters(1.2, 1.2)
-    assert pp.alpha == 0.0
-    assert pp.p(1.0) == 0.0
+    assert SHIFT.alpha(1.2, 1.2) == 0.0
+    assert SHIFT.node_survival(1.2, 1.2, 1.0) == 1.0
 
 
 def test_shift_node_mark_probability():
     fam = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), window=(0.0, 3.0))
-    pp = fam.prune_parameters(0.0, math.log(2.0))
-    assert pp.p(1.0) == pytest.approx(0.5, rel=1e-13)
-    assert pp.hazard(1.0) == pytest.approx(math.log(2.0), rel=1e-13)
+    assert fam.node_survival(0.0, math.log(2.0), 1.0) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_truncation_hazard_is_infinite_after_drop():
-    pp = TRUNC.prune_parameters(0.0, 1.0)
-    assert pp.p(1.5) == 1.0
-    assert pp.hazard(1.5) == math.inf
-    assert pp.p(0.6) == 0.0
+    # survival 0: a node above the ceiling is marked with certainty
+    assert TRUNC.node_survival(0.0, 1.0, 1.5) == 0.0
+    assert TRUNC.node_survival(0.0, 1.0, 0.6) == 1.0
 
 
 def test_node_survival_nearest_atom_default():
@@ -552,7 +548,7 @@ def test_reflection_needs_critical_origin():
 
 def test_family_json_roundtrip():
     for fam in (SHIFT, LD, LD_FIN, TRUNC, REFL):
-        clone = family_from_json(family_to_json(fam))
+        clone = family_from_dict(json.loads(json.dumps(fam.to_dict())))
         assert clone.to_dict() == fam.to_dict()
         assert clone.window == fam.window
         q = 0.5 * (max(fam.window[0], -2.0) + min(fam.window[1], 2.0))
@@ -560,18 +556,18 @@ def test_family_json_roundtrip():
 
 
 def test_infinite_window_serializes_as_null():
-    blob = json.loads(family_to_json(LD))
+    blob = json.loads(json.dumps(LD.to_dict()))
     assert blob["window"] == [None, None]
 
 
 def test_custom_family_has_no_json_form():
     with pytest.raises(DomainError):
-        family_to_json(CUSTOM_TWIN)
+        CUSTOM_TWIN.to_dict()
 
 
 def test_unknown_family_type_rejected():
     with pytest.raises(DomainError):
-        family_from_json('{"type": "mystery"}')
+        family_from_dict({"type": "mystery"})
 
 
 # -- property tests over random shift families ------------------------------------------------

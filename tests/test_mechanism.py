@@ -347,6 +347,9 @@ def test_serialization_roundtrip():
         assert again == mech
     d = MIXED.to_dict()
     assert d["m"][0]["type"] == "point"
+    assert Mechanism.from_dict({**d, "m": d["m"] + [{"type": "point", "z": 2.0, "w": 0.0}]}) == MIXED
+    with pytest.raises(DomainError):
+        Mechanism.from_dict({**d, "m": [{"type": "point", "z": -1.0, "w": 0.0}]})
     assert d["m"][1]["type"] == "gamma"
 
 
