@@ -149,15 +149,9 @@ class AdmissibleFamily(ABC):
         self._check_interval(t, q)
         return self._alpha(t, q)
 
+    @abstractmethod
     def _alpha(self, t, q):
-        if t == q:
-            return 0.0
-        val, err = integrate.quad(
-            self.beta_at, t, q, epsabs=1e-13, epsrel=1e-12, limit=200
-        )
-        if err > 1e-8 * max(1.0, abs(val)):
-            raise NumericError(f"alpha({t}, {q}) quadrature error {err:.2e}")
-        return val
+        """Integral of beta over [t, q], for t <= q inside the window."""
 
     def node_survival(self, t, q, delta):
         """Survival factor for a branch point of size delta over [t, q].

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .mechanism import DomainError, Mechanism, NumericError
-from .tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree, single_root
+from .tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree, _with_depth, single_root
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,7 @@ class GwScheme:
 
     def sample_offspring(self, rng, size):
         u = rng.random(size)
-        return np.minimum(np.searchsorted(self._cum, u, side="right"),
-                          len(self.probs) - 1)
+        return np.minimum(self._cum.searchsorted(u, "right"), len(self.probs) - 1)
 
     @cached_property
     def _binary_p2(self):
@@ -192,7 +191,7 @@ def _grow(scheme, rng, n_roots, height_cap):
         if g + 1 > max_children_gen:
             ks = np.zeros(cur, dtype=np.int64)
         else:
-            ks = scheme.sample_offspring(rng, cur).astype(np.int64)
+            ks = scheme.sample_offspring(rng, cur).astype(np.int64, copy=False)
         ks_blocks.append(ks)
         offsets.append(offsets[-1] + cur)
         kids = int(ks.sum())
@@ -202,7 +201,7 @@ def _grow(scheme, rng, n_roots, height_cap):
             raise NumericError(
                 f"tree growth passed the node budget of {NODE_BUDGET} individuals")
         ids = np.arange(offsets[-2], offsets[-1], dtype=np.int64)
-        par_blocks.append(np.repeat(ids, ks))
+        par_blocks.append(ids.repeat(ks))
         cur = kids
         g += 1
     return (np.concatenate(par_blocks),
@@ -211,32 +210,56 @@ def _grow(scheme, rng, n_roots, height_cap):
 
 
 def _tree_from_growth(scheme, par, ks, offsets, root_delta=0.0):
+    """The tree of a `_grow` result, node i + 1 for individual i, with its
+    depth handed down: generation g sits at the running sum of g + 1 steps
+    of 1/gamma, the same additions the depth loop makes."""
     total = len(par)
-    n, gamma = scheme.n, scheme.gamma
-    unit = scheme.mass_unit
+    n, step = scheme.n, 1.0 / scheme.gamma
+    size = total + 1
 
-    kind = np.where(ks == 0, LEAF, np.where(ks >= 3, INFINITE, BINARY))
-    delta = np.where(ks >= 3, ks / n, 0.0)
+    parent = np.empty(size, dtype=np.int64)
+    parent[0] = -1
+    np.add(par, 1, out=parent[1:])
+    length = np.full(size, step)
+    length[0] = 0.0
+    kind = np.full(size, BINARY, dtype=np.int8)
+    kind[0] = ROOT
+    leaves = (ks == 0).nonzero()[0]
+    many = (ks >= 3).nonzero()[0]
+    kind[leaves + 1] = LEAF
+    kind[many + 1] = INFINITE
+    delta = np.zeros(size)
+    delta[0] = root_delta
+    delta[many + 1] = ks[many] / n
 
-    # each individual's mass rides down its first-child chain to a leaf
-    is_first = np.empty(total, dtype=bool)
-    n0 = offsets[1]
-    is_first[:n0] = False
-    if total > n0:
-        is_first[n0] = True
-        is_first[n0 + 1:] = par[n0 + 1:] != par[n0:-1]
-    contrib = np.ones(total)
-    for lo, hi in zip(offsets[1:-1], offsets[2:]):
-        block = slice(lo, hi)
-        contrib[block] += np.where(is_first[block], contrib[par[block]], 0.0)
-    mu = np.where(ks == 0, contrib * unit, 0.0)
+    # Each individual's mass rides down its first-child chain to the leaf
+    # that ends it, so a leaf's atom counts the individuals on its chain.
+    # Children sit in parent order from offsets[1] on, so p's first child
+    # is offsets[1] + (children of individuals before p).  The counts come
+    # from Wyllie list ranking over the links from each first child up to
+    # its parent: every round adds the count at the link's far end and
+    # doubles the link, so a chain of length L is done in log2(L) rounds.
+    # The counts are exact integers, so the atoms match a per-generation
+    # running sum bit for bit.
+    count = np.ones(total, dtype=np.int64)
+    up = np.full(total, -1, dtype=np.int64)
+    parents = ks.nonzero()[0]
+    firsts = offsets[1] + (np.cumsum(ks) - ks)[parents]
+    up[firsts] = parents
+    live = firsts
+    while len(live):
+        far = up[live]
+        count[live] += count[far]
+        up[live] = up[far]
+        live = live[up[live] >= 0]
+    mu = np.zeros(size)
+    mu[leaves + 1] = count[leaves] * scheme.mass_unit
 
-    parent = np.concatenate([[-1], par + 1])
-    length = np.concatenate([[0.0], np.full(total, 1.0 / gamma)])
-    kind = np.concatenate([[ROOT], kind]).astype(np.int8)
-    delta = np.concatenate([[root_delta], delta])
-    mu = np.concatenate([[0.0], mu])
-    return FiniteTree(parent, length, kind, delta, mu, 1.0 / n)
+    levels = np.add.accumulate(np.full(len(offsets) - 1, step))
+    depth = np.empty(size)
+    depth[0] = 0.0
+    depth[1:] = levels.repeat(np.diff(offsets))
+    return _with_depth(FiniteTree(parent, length, kind, delta, mu, 1.0 / n), depth)
 
 
 def gw_tree(scheme, rng, height_cap=None):

@@ -9,6 +9,15 @@ samplers set to 1/n.
 Level operations use the crossing convention: an edge (parent at depth
 dp, node at depth dx) covers the half-open band (dp, dx], so level_mass(a)
 counts edges with dp < a <= dx and the root itself never counts.
+
+Depth is defined by the sequential loop d[i] = length[i] + d[parent[i]]
+in node order.  Builders that already know the geometry hand it down
+through `_with_depth` instead: Galton-Watson growth (one running sum per
+generation) and `cut` (kept depths, plus stub lengths over the stub's
+parent depth).  Each node then gets the loop's float addition on the
+loop's operands, so the bits match.  Every other tree (`graft`, spines,
+hand-built trees) runs the loop on first use; a graft cannot inherit its
+parts' depths, since its sums would run in another order.
 """
 
 from dataclasses import dataclass
@@ -46,18 +55,18 @@ class FiniteTree:
             raise DomainError("node 0 must be the root with no parent edge")
         if n > 1:
             idx = np.arange(1, n)
-            if np.any(parent[1:] < 0) or np.any(parent[1:] >= idx):
+            if (parent[1:] < 0).any() or (parent[1:] >= idx).any():
                 raise DomainError("nodes must be topologically ordered (parent < child)")
-            if not np.all(length[1:] > 0.0):
+            if not (length[1:] > 0.0).all():
                 raise DomainError("edge lengths must be positive")
-        if np.any(kind[1:] == ROOT):
+        if (kind[1:] == ROOT).any():
             raise DomainError("more than one root")
         # the root may carry a delta annotation (initial mass of a forest)
-        if np.any((kind == INFINITE) & (delta <= 0.0)):
+        if ((kind == INFINITE) & (delta <= 0.0)).any():
             raise DomainError("infinite nodes need a positive delta")
-        if np.any((delta != 0.0) & (kind != INFINITE) & (kind != ROOT)):
+        if ((delta != 0.0) & (kind != INFINITE) & (kind != ROOT)).any():
             raise DomainError("delta lives on infinite nodes (or the root)")
-        if np.any(mu < 0.0) or np.any(mu[kind != LEAF] != 0.0):
+        if (mu < 0.0).any() or (mu[kind != LEAF] != 0.0).any():
             raise DomainError("mass atoms live on leaves and are nonnegative")
         if not self.scale > 0.0:
             raise DomainError(f"need scale > 0, got {self.scale}")
@@ -72,6 +81,8 @@ class FiniteTree:
 
     @cached_property
     def depth(self):
+        """Distance from the root, read-only.  Grown and cut trees arrive
+        with it set (see the module docstring); others run this loop."""
         d = self.length.copy()
         par = self.parent
         for i in range(1, len(d)):
@@ -117,7 +128,7 @@ class FiniteTree:
             raise DomainError(f"need a >= 0, got {a}")
         d = self.depth
         keep = d <= a
-        if np.all(keep):
+        if keep.all():
             return self
         par = self.parent
         cross = np.flatnonzero(~keep & (d[np.maximum(par, 0)] < a) & (par >= 0))
@@ -125,12 +136,15 @@ class FiniteTree:
 
     def cut(self, keep, stubs, stub_lengths):
         """The kept nodes (a set closed under parent) plus one massless
-        leaf per stub edge, hanging stub_lengths above the stub's parent."""
+        leaf per stub edge, hanging stub_lengths above the stub's parent.
+        The cut tree inherits its depth: kept nodes keep theirs, and a stub
+        sits at its parent's depth plus its length, as the loop adds."""
         remap = np.cumsum(keep) - 1
         par = self.parent
+        d = self.depth
         kept = np.flatnonzero(keep)
         n_stubs = len(stubs)
-        return FiniteTree(
+        return _with_depth(FiniteTree(
             np.concatenate([np.where(kept == 0, -1, remap[np.maximum(par[kept], 0)]),
                             remap[par[stubs]]]),
             np.concatenate([self.length[kept], stub_lengths]),
@@ -138,7 +152,7 @@ class FiniteTree:
             np.concatenate([self.delta[kept], np.zeros(n_stubs)]),
             np.concatenate([self.mu[kept], np.zeros(n_stubs)]),
             self.scale,
-        )
+        ), np.concatenate([d[kept], d[par[stubs]] + stub_lengths]))
 
     # -- grafting -----------------------------------------------------------
 
@@ -162,6 +176,14 @@ class FiniteTree:
                           sub.length[1:], sub.kind[1:], sub.delta[1:], sub.mu[1:]))
             size += len(par)
         return FiniteTree(*(np.concatenate(col) for col in zip(*parts)), self.scale)
+
+
+def _with_depth(tree, depth):
+    """Set tree's depth cache to depth, which must equal the loop's result
+    bit for bit; `cut` and the sampler's growth builder guarantee it."""
+    depth.flags.writeable = False
+    tree.__dict__["depth"] = depth
+    return tree
 
 
 def single_root(scale=1.0):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from levytree.family import (
     AdmissibilityReport,
+    AdmissibleFamily,
     CustomFamily,
     LinearDriftFamily,
     ReflectedFamily,
@@ -254,6 +255,18 @@ def test_alpha_additivity():
         whole = fam.alpha(t, q)
         parts = fam.alpha(t, mid) + fam.alpha(mid, q)
         assert abs(whole - parts) < 1e-12
+
+
+def test_every_family_supplies_alpha_as_the_drift_integral():
+    # the base class has no quadrature fallback, so each family's own
+    # closed form or table is what runs; it must integrate its beta
+    from scipy.integrate import quad
+
+    assert "_alpha" in AdmissibleFamily.__abstractmethods__
+    for fam, (t, q) in [(SHIFT, (-0.2, 2.5)), (LD, (-1.0, 2.0)), (TRUNC, (0.0, 1.0)),
+                        (REFL, (-0.7, 0.65)), (CUSTOM_QUAD, (-0.8, 0.95))]:
+        want, _ = quad(fam.beta_at, t, q, epsabs=1e-12)
+        assert fam.alpha(t, q) == pytest.approx(want, abs=1e-9)
 
 
 def test_custom_alpha_against_closed_form():

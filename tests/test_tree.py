@@ -238,3 +238,24 @@ def test_delta_only_on_infinite_nodes():
         build([-1, 0], [0.0, 1.0], [ROOT, LEAF], deltas=[0.0, 1.0])
     t = build([-1, 0, 1], [0.0, 1.0, 1.0], [ROOT, INFINITE, LEAF], deltas=[0.0, 2.5, 0.0])
     assert t.delta[1] == 2.5
+
+
+@pytest.mark.parametrize("args, message", [
+    (([-1, 0], [0.0], [ROOT, LEAF]), "nonempty and of equal length"),
+    (([], [], []), "nonempty and of equal length"),
+    (([0, 0], [0.0, 1.0], [ROOT, LEAF]), "node 0 must be the root"),
+    (([-1, 0], [0.0, 1.0], [LEAF, LEAF]), "node 0 must be the root"),
+    (([-1, 0], [0.5, 1.0], [ROOT, LEAF]), "node 0 must be the root"),
+    (([-1, 1], [0.0, 1.0], [ROOT, LEAF]), "topologically ordered"),
+    (([-1, -1], [0.0, 1.0], [ROOT, LEAF]), "topologically ordered"),
+    (([-1, 0], [0.0, 0.0], [ROOT, LEAF]), "edge lengths must be positive"),
+    (([-1, 0], [0.0, 1.0], [ROOT, ROOT]), "more than one root"),
+    (([-1, 0], [0.0, 1.0], [ROOT, INFINITE]), "infinite nodes need a positive delta"),
+    (([-1, 0], [0.0, 1.0], [ROOT, LEAF], [0.0, 1.0]), "delta lives on infinite nodes"),
+    (([-1, 0], [0.0, 1.0], [ROOT, BINARY], None, [0.0, 1.0]), "mass atoms live on leaves"),
+    (([-1, 0], [0.0, 1.0], [ROOT, LEAF], None, [0.0, -1.0]), "mass atoms live on leaves"),
+    (([-1, 0], [0.0, 1.0], [ROOT, LEAF], None, None, 0.0), "need scale > 0"),
+])
+def test_every_validation_message_has_an_input(args, message):
+    with pytest.raises(DomainError, match=message):
+        build(*args)
