@@ -12,27 +12,30 @@ of a jump carried by primitive i over [t, q] is exactly w_i(q) / w_i(t):
 monotonicity and the cocycle identity hold by construction rather than by
 numerical accident.
 
-Pruning reads off two ingredients from the kernel: the skeleton mark rate
-alpha(t, q) = integral of beta, and the node mark probability
-p(delta) = 1 - survival(t, q, delta) for a branch point of size delta.
+Pruning reads four things from a family: the skeleton mark rate
+alpha(t, q) = integral of beta, the survival factor survival(t, q, delta)
+of a branch point of size delta (its mark probability is 1 - survival),
+the time node_mark_time(t, delta, u) at which that mark falls, and the
+conjugate time qbar(q).
+
+AdmissibleFamily checks every input of these public methods, and of
+mark_times, in one place: t and q finite and inside the window with
+t <= q, delta > 0, u in (0, 1), and q < 0 for qbar.  A family supplies
+only data (b_at, beta_at, weights_at, weight_rates_at, to_dict) and
+formulas: _alpha, and where the defaults do not fit, _node_survival,
+_node_mark_time, _qbar and _mark_times.  The hooks only ever see checked
+input.
 """
 
 import math
+import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate
 
-from .mechanism import (
-    DomainError,
-    GammaDensity,
-    Mechanism,
-    NumericError,
-    PointMass,
-    brentq,
-    parsed,
-)
+from .mechanism import DomainError, Mechanism, NumericError, PointMass, brentq, parsed
 
 _QBAR_GRID = np.linspace(0.1, 10.0, 100)
 _QBAR_TOL = 1e-9
@@ -41,8 +44,8 @@ _QBAR_TOL = 1e-9
 class AdmissibleFamily(ABC):
     """Base class wiring weights and drift into mechanisms and kernels.
 
-    Subclasses provide b_at, beta_at, weights_at and weight_rates_at; the
-    window must contain 0 and c stays constant across the window.
+    Subclasses provide b_at, beta_at, weights_at, weight_rates_at and
+    _alpha; the window must contain 0 and c stays constant across it.
     """
 
     def __init__(self, window, c, shapes, left_closed=None):
@@ -62,6 +65,10 @@ class AdmissibleFamily(ABC):
         if left_closed is None:
             left_closed = math.isfinite(t0)
         self.window = (t0, t1)
+        # the window clipped to finite floats: one chained comparison then
+        # checks membership and finiteness together
+        self._lo = max(t0, -sys.float_info.max)
+        self._hi = min(t1, sys.float_info.max)
         self.left_closed = bool(left_closed) and math.isfinite(t0)
         self.c = float(c)
         self.shapes = tuple(shapes)
@@ -94,14 +101,14 @@ class AdmissibleFamily(ABC):
     # -- validation helpers --------------------------------------------------
 
     def _check_time(self, q, name="q"):
-        t0, t1 = self.window
-        if not (math.isfinite(q) and t0 <= q <= t1):
+        if not self._lo <= q <= self._hi:
+            t0, t1 = self.window
             raise DomainError(f"{name}={q} outside window [{t0}, {t1}]")
 
     def _check_interval(self, t, q):
-        self._check_time(t, "t")
-        self._check_time(q, "q")
-        if t > q:
+        if not self._lo <= t <= q <= self._hi:
+            self._check_time(t, "t")
+            self._check_time(q, "q")
             raise DomainError(f"need t <= q, got t={t} > q={q}")
 
     # -- mechanisms and kernels ----------------------------------------------
@@ -142,57 +149,92 @@ class AdmissibleFamily(ABC):
             raise DomainError(f"primitive {i} is degenerate at t={t} (zero weight)")
         return self.weights_at(q)[i] / wt
 
-    # -- pruning parameters ----------------------------------------------------
+    # -- pruning parameters: checked here, computed by the hooks ---------------
 
     def alpha(self, t, q):
         """Skeleton mark rate: integral of beta over [t, q]."""
         self._check_interval(t, q)
         return self._alpha(t, q)
 
-    @abstractmethod
-    def _alpha(self, t, q):
-        """Integral of beta over [t, q], for t <= q inside the window."""
-
     def node_survival(self, t, q, delta):
-        """Survival factor for a branch point of size delta over [t, q].
-
-        The default keys the ratio off the nearest atom; families whose
-        survival law extends smoothly off the atoms override this.
-        """
+        """Survival factor for a branch point of size delta over [t, q]."""
         self._check_interval(t, q)
         if not delta > 0:
             raise DomainError(f"need node size > 0, got {delta}")
-        if not self._atom_idx:
-            return 1.0
-        i = min(self._atom_idx, key=lambda j: abs(self.shapes[j].z - delta))
-        return self.mz(t, q, i)
+        return self._node_survival(t, q, delta)
 
     def node_mark_time(self, t, delta, u):
         """First time q with 1 - survival(t, q, delta) >= u; inf if never."""
         self._check_time(t, "t")
         if not 0.0 < u < 1.0:
             raise DomainError(f"need u in (0, 1), got {u}")
-        target = 1.0 - u
-        t1 = self.window[1]
-        hi = min(t1, t + 1.0)
-        while self.node_survival(t, hi, delta) > target:
-            if hi >= t1 or hi - t > 1e9:
-                return math.inf
-            hi = min(t1, t + 2.0 * (hi - t))
-        return brentq(
-            lambda s: self.node_survival(t, s, delta) - target, t, hi, xtol=1e-14
-        )
+        if not delta > 0:
+            raise DomainError(f"need node size > 0, got {delta}")
+        return self._node_mark_time(t, delta, u)
 
     def mark_times(self, t, q, rng, size):
         """iid mark times on [t, q] with density beta / alpha(t, q)."""
         self._check_interval(t, q)
-        total = self.alpha(t, q)
+        return self._mark_times(t, q, rng, size)
+
+    def qbar(self, q):
+        """Time with psi_qbar = psi_q(eta_q + .), or None if none exists."""
+        self._check_time(q)
+        if q >= 0:
+            raise DomainError(f"qbar needs q < 0, got {q}")
+        return self._qbar(q)
+
+    @abstractmethod
+    def _alpha(self, t, q):
+        """Integral of beta over [t, q], for t <= q inside the window."""
+
+    def _nearest_atom(self, delta):
+        """Index of the atom whose size is nearest delta; None without atoms."""
+        if not self._atom_idx:
+            return None
+        return min(self._atom_idx, key=lambda j: abs(self.shapes[j].z - delta))
+
+    def _node_survival(self, t, q, delta):
+        # keyed off the nearest atom; families whose survival law extends
+        # smoothly off the atoms override this
+        i = self._nearest_atom(delta)
+        return 1.0 if i is None else self.mz(t, q, i)
+
+    def _node_mark_time(self, t, delta, u):
+        target = 1.0 - u
+        t1 = self.window[1]
+        hi = min(t1, t + 1.0)
+        while self._node_survival(t, hi, delta) > target:
+            if hi >= t1 or hi - t > 1e9:
+                return math.inf
+            hi = min(t1, t + 2.0 * (hi - t))
+        return brentq(lambda s: self._node_survival(t, s, delta) - target, t, hi, xtol=1e-14)
+
+    def _mark_times(self, t, q, rng, size):
+        total = self._alpha(t, q)
         if total <= 0.0:
             raise DomainError(f"alpha({t}, {q}) = {total}: no mark-time density")
         grid = np.linspace(t, q, 1025)
         dens = np.array([self.beta_at(x) for x in grid])
         cum = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
         return np.interp(rng.random(size) * cum[-1], cum, grid)
+
+    def _qbar(self, q):
+        # match the drift coefficient by root-finding, then verify the
+        # conjugacy on a lambda grid
+        self._require_critical_origin()
+        mech = self.psi_at(q)
+        eta = mech.eta
+        target = mech.dpsi(eta)
+        t1 = self.window[1]
+        hi = min(t1, 1.0)
+        while self.b_at(hi) < target:
+            if hi >= t1 or hi > 1e12:
+                return None
+            hi = min(t1, 2.0 * hi)
+        qb = brentq(lambda s: self.b_at(s) - target, 0.0, hi, xtol=1e-14)
+        gap = np.max(np.abs(self.psi_at(qb).psi(_QBAR_GRID) - mech.psi(eta + _QBAR_GRID)))
+        return qb if gap < _QBAR_TOL else None
 
     # -- family-level quantities ----------------------------------------------
 
@@ -208,33 +250,6 @@ class AdmissibleFamily(ABC):
     def _require_critical_origin(self):
         if self.psi_at(0.0).criticality() != "critical":
             raise DomainError("conjugation needs psi_0 critical")
-
-    def qbar(self, q):
-        """Time with psi_qbar = psi_q(eta_q + .), or None if none exists.
-
-        Generic families match the drift coefficient by root-finding and
-        then verify the conjugacy on a lambda grid.
-        """
-        self._check_time(q)
-        if q >= 0:
-            raise DomainError(f"qbar needs q < 0, got {q}")
-        self._require_critical_origin()
-        mech = self.psi_at(q)
-        eta = mech.eta
-        target = mech.dpsi(eta)
-        t1 = self.window[1]
-        hi = min(t1, 1.0)
-        while self.b_at(hi) < target:
-            if hi >= t1 or hi > 1e12:
-                return None
-            hi = min(t1, 2.0 * hi)
-        qb = brentq(lambda s: self.b_at(s) - target, 0.0, hi, xtol=1e-14)
-        return self._verify_qbar(qb, mech, eta)
-
-    def _verify_qbar(self, qb, mech, eta):
-        conj = self.psi_at(qb)
-        gap = np.max(np.abs(conj.psi(_QBAR_GRID) - mech.psi(eta + _QBAR_GRID)))
-        return qb if gap < _QBAR_TOL else None
 
     def gamma_and_U_density(self, t):
         """Ascension rate gamma_t and the conjugate-time density at qbar(t)."""
@@ -258,7 +273,45 @@ class AdmissibleFamily(ABC):
 # -- built-in families ---------------------------------------------------------
 
 
-class ShiftFamily(AdmissibleFamily):
+class _ConstantKernelFamily(AdmissibleFamily):
+    """A family whose kernel drift beta is one constant: alpha is beta times
+    the slice length and mark times are uniform on the slice."""
+
+    def __init__(self, window, c, shapes, left_closed, beta):
+        super().__init__(window, c, shapes, left_closed)
+        self._beta = beta
+
+    def beta_at(self, q):
+        return self._beta
+
+    def _alpha(self, t, q):
+        return self._beta * (q - t)
+
+    def _mark_times(self, t, q, rng, size):
+        if self._beta <= 0.0:
+            raise DomainError(f"alpha({t}, {q}) = 0: no mark-time density")
+        return t + (q - t) * rng.random(size)
+
+    def _to_dict(self, kind, **params):
+        return {"type": kind, "window": _window_out(self.window),
+                "left_closed": self.left_closed, **params}
+
+
+class _AtomicBaseFamily(_ConstantKernelFamily):
+    """A constant-kernel family moving the atoms of a base mechanism given
+    at q = 0; the base jump measure must be purely atomic."""
+
+    def __init__(self, kind, base, window, left_closed, beta):
+        if any(not isinstance(s, PointMass) for s in base.m):
+            raise DomainError(f"{kind} families carry atomic jump measures only")
+        shapes = tuple(PointMass(s.z, 1.0) for s in base.m)
+        super().__init__(window, base.c, shapes, left_closed, beta)
+        self.base = base
+        self._w0 = np.array([s.w for s in base.m], dtype=float)
+        self._z = np.array([s.z for s in base.m], dtype=float)
+
+
+class ShiftFamily(_AtomicBaseFamily):
     """psi_q(lam) = psi(q + lam) - psi(q) for a base mechanism given at q = 0.
 
     The base jump measure must be purely atomic: exponential tilting keeps
@@ -268,20 +321,11 @@ class ShiftFamily(AdmissibleFamily):
     """
 
     def __init__(self, base, window, left_closed=None):
-        if any(not isinstance(s, PointMass) for s in base.m):
-            raise DomainError("shift families carry atomic jump measures only")
-        shapes = tuple(PointMass(s.z, 1.0) for s in base.m)
-        super().__init__(window, base.c, shapes, left_closed)
-        self.base = base
-        self._w0 = np.array([s.w for s in base.m], dtype=float)
-        self._z = np.array([s.z for s in base.m], dtype=float)
+        super().__init__("shift", base, window, left_closed, 2.0 * float(base.c))
 
     def b_at(self, q):
         zq = self._z * q
         return self.base.b + 2.0 * self.c * q + float(np.sum(self._w0 * self._z * -np.expm1(-zq)))
-
-    def beta_at(self, q):
-        return 2.0 * self.c
 
     def weights_at(self, q):
         return self._w0 * np.exp(-self._z * q)
@@ -289,46 +333,23 @@ class ShiftFamily(AdmissibleFamily):
     def weight_rates_at(self, q):
         return self._z * self.weights_at(q)
 
-    def _alpha(self, t, q):
-        return 2.0 * self.c * (q - t)
-
-    def node_survival(self, t, q, delta):
-        self._check_interval(t, q)
-        if not delta > 0:
-            raise DomainError(f"need node size > 0, got {delta}")
+    def _node_survival(self, t, q, delta):
         return math.exp(-delta * (q - t))
 
-    def node_mark_time(self, t, delta, u):
-        self._check_time(t, "t")
-        if not 0.0 < u < 1.0:
-            raise DomainError(f"need u in (0, 1), got {u}")
-        if not delta > 0:
-            raise DomainError(f"need node size > 0, got {delta}")
+    def _node_mark_time(self, t, delta, u):
         tm = t - math.log1p(-u) / delta
         return tm if tm <= self.window[1] else math.inf
 
-    def mark_times(self, t, q, rng, size):
-        self._check_interval(t, q)
-        return t + (q - t) * rng.random(size)
-
-    def qbar(self, q):
-        self._check_time(q)
-        if q >= 0:
-            raise DomainError(f"qbar needs q < 0, got {q}")
+    def _qbar(self, q):
         self._require_critical_origin()
         qb = q + self.eta_at(q)
         return qb if qb <= self.window[1] else None
 
     def to_dict(self):
-        return {
-            "type": "shift",
-            "window": _window_out(self.window),
-            "left_closed": self.left_closed,
-            "base": self.base.to_dict(),
-        }
+        return self._to_dict("shift", base=self.base.to_dict())
 
 
-class LinearDriftFamily(AdmissibleFamily):
+class LinearDriftFamily(_ConstantKernelFamily):
     """psi_q(lam) = q * b_rate * lam + c * lam^2: pure drift kernel, no jumps."""
 
     def __init__(self, b_rate, c, window=(-math.inf, math.inf), left_closed=None):
@@ -336,14 +357,11 @@ class LinearDriftFamily(AdmissibleFamily):
             raise DomainError(f"kernel drift must be positive, got {b_rate}")
         if not c > 0:
             raise DomainError(f"need c > 0, got {c}")
-        super().__init__(window, c, (), left_closed)
-        self.b_rate = float(b_rate)
+        super().__init__(window, c, (), left_closed, float(b_rate))
+        self.b_rate = self._beta
 
     def b_at(self, q):
         return self.b_rate * q
-
-    def beta_at(self, q):
-        return self.b_rate
 
     def weights_at(self, q):
         return np.zeros(0)
@@ -351,37 +369,21 @@ class LinearDriftFamily(AdmissibleFamily):
     def weight_rates_at(self, q):
         return np.zeros(0)
 
-    def _alpha(self, t, q):
-        return self.b_rate * (q - t)
-
     def eta_at(self, q):
         self._check_time(q)
         return -self.b_rate * q / self.c if q < 0 else 0.0
 
-    def node_mark_time(self, t, delta, u):
+    def _node_mark_time(self, t, delta, u):
         return math.inf
 
-    def mark_times(self, t, q, rng, size):
-        self._check_interval(t, q)
-        return t + (q - t) * rng.random(size)
-
-    def qbar(self, q):
-        self._check_time(q)
-        if q >= 0:
-            raise DomainError(f"qbar needs q < 0, got {q}")
+    def _qbar(self, q):
         return -q if -q <= self.window[1] else None
 
     def to_dict(self):
-        return {
-            "type": "lineardrift",
-            "window": _window_out(self.window),
-            "left_closed": self.left_closed,
-            "b_rate": self.b_rate,
-            "c": self.c,
-        }
+        return self._to_dict("lineardrift", b_rate=self.b_rate, c=self.c)
 
 
-class TruncationFamily(AdmissibleFamily):
+class TruncationFamily(_AtomicBaseFamily):
     """Atoms above the moving ceiling h(q) = h0 - slope * q are dropped whole.
 
     With an atomic base the kernel is singular in time: an atom leaves at
@@ -392,26 +394,20 @@ class TruncationFamily(AdmissibleFamily):
     """
 
     def __init__(self, base, h0, slope, g_rate=0.0, window=(-1.0, 1.0), left_closed=None):
-        if any(not isinstance(s, PointMass) for s in base.m):
-            raise DomainError("truncation families carry atomic jump measures only")
+        super().__init__("truncation", base, window, left_closed, float(g_rate))
         if not h0 > 0:
             raise DomainError(f"need a positive ceiling, got h0={h0}")
         if g_rate < 0:
             raise DomainError(f"kernel drift must be nonnegative, got {g_rate}")
-        shapes = tuple(PointMass(s.z, 1.0) for s in base.m)
-        super().__init__(window, base.c, shapes, left_closed)
         for end in self.window:
             if math.isfinite(end):
                 if not h0 - slope * end > 0:
                     raise DomainError(f"ceiling is not positive at window end {end}")
             elif slope != 0.0:
                 raise DomainError("a sloped ceiling needs a finite window")
-        self.base = base
         self.h0 = float(h0)
         self.slope = float(slope)
-        self.g_rate = float(g_rate)
-        self._w0 = np.array([s.w for s in base.m], dtype=float)
-        self._z = np.array([s.z for s in base.m], dtype=float)
+        self.g_rate = self._beta
 
     def ceiling(self, q):
         return self.h0 - self.slope * q
@@ -420,9 +416,6 @@ class TruncationFamily(AdmissibleFamily):
         dropped = self._z > self.ceiling(q)
         return self.base.b + self.g_rate * q + float(np.sum(self._w0[dropped] * self._z[dropped]))
 
-    def beta_at(self, q):
-        return self.g_rate
-
     def weights_at(self, q):
         return self._w0 * (self._z <= self.ceiling(q))
 
@@ -430,17 +423,10 @@ class TruncationFamily(AdmissibleFamily):
         # the true kernel is a time-atom at each drop; the a.c. part is zero
         return np.zeros_like(self._w0)
 
-    def _alpha(self, t, q):
-        return self.g_rate * (q - t)
-
-    def node_survival(self, t, q, delta):
-        self._check_interval(t, q)
-        if not delta > 0:
-            raise DomainError(f"need node size > 0, got {delta}")
+    def _node_survival(self, t, q, delta):
         return 1.0 if delta <= self.ceiling(q) else 0.0
 
-    def node_mark_time(self, t, delta, u):
-        self._check_time(t, "t")
+    def _node_mark_time(self, t, delta, u):
         if self.slope <= 0.0:
             return math.inf
         td = (self.h0 - delta) / self.slope
@@ -448,22 +434,9 @@ class TruncationFamily(AdmissibleFamily):
             return t
         return td if td <= self.window[1] else math.inf
 
-    def mark_times(self, t, q, rng, size):
-        self._check_interval(t, q)
-        if self.g_rate <= 0.0:
-            raise DomainError(f"alpha({t}, {q}) = 0: no mark-time density")
-        return t + (q - t) * rng.random(size)
-
     def to_dict(self):
-        return {
-            "type": "truncation",
-            "window": _window_out(self.window),
-            "left_closed": self.left_closed,
-            "base": self.base.to_dict(),
-            "h0": self.h0,
-            "slope": self.slope,
-            "g_rate": self.g_rate,
-        }
+        return self._to_dict("truncation", base=self.base.to_dict(), h0=self.h0,
+                             slope=self.slope, g_rate=self.g_rate)
 
 
 class ReflectedFamily(AdmissibleFamily):
@@ -536,13 +509,10 @@ class ReflectedFamily(AdmissibleFamily):
         self._check_time(q)
         return self.negative.eta_at(q) if q <= 0 else 0.0
 
-    def node_survival(self, t, q, delta):
-        self._check_interval(t, q)
-        if not delta > 0:
-            raise DomainError(f"need node size > 0, got {delta}")
-        if not self._atom_idx:
+    def _node_survival(self, t, q, delta):
+        i = self._nearest_atom(delta)
+        if i is None:
             return 1.0
-        i = min(self._atom_idx, key=lambda j: abs(self.shapes[j].z - delta))
 
         def factor(s):
             if s <= 0:
@@ -555,10 +525,7 @@ class ReflectedFamily(AdmissibleFamily):
             raise DomainError(f"primitive {i} is degenerate at t={t} (zero weight)")
         return factor(q) / ft
 
-    def qbar(self, q):
-        self._check_time(q)
-        if q >= 0:
-            raise DomainError(f"qbar needs q < 0, got {q}")
+    def _qbar(self, q):
         return -q
 
     def to_dict(self):
@@ -574,18 +541,8 @@ class CustomFamily(AdmissibleFamily):
     alpha is additive to machine precision.  Not serializable.
     """
 
-    def __init__(
-        self,
-        window,
-        c,
-        b0,
-        beta,
-        shapes=(),
-        weights=None,
-        weight_rates=None,
-        node_survival_fn=None,
-        left_closed=True,
-    ):
+    def __init__(self, window, c, b0, beta, shapes=(), weights=None, weight_rates=None,
+                 node_survival_fn=None, left_closed=True):
         super().__init__(window, c, shapes, left_closed)
         t0, t1 = self.window
         if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -631,13 +588,10 @@ class CustomFamily(AdmissibleFamily):
     def _alpha(self, t, q):
         return self._beta_table.between(t, q)
 
-    def node_survival(self, t, q, delta):
+    def _node_survival(self, t, q, delta):
         if self._survival_fn is not None:
-            self._check_interval(t, q)
-            if not delta > 0:
-                raise DomainError(f"need node size > 0, got {delta}")
             return float(self._survival_fn(t, q, delta))
-        return super().node_survival(t, q, delta)
+        return super()._node_survival(t, q, delta)
 
     def to_dict(self):
         raise DomainError("custom families built from callables have no JSON form")
@@ -666,12 +620,8 @@ class _CumTable:
         j1 = max(0, min(j1, len(self.nodes) - 1))
         if j1 < j0:
             return self._simp3(t, q)
-        return (
-            self.cum[j1]
-            - self.cum[j0]
-            + self._simp3(t, self.nodes[j0])
-            + self._simp3(self.nodes[j1], q)
-        )
+        return (self.cum[j1] - self.cum[j0]
+                + self._simp3(t, self.nodes[j0]) + self._simp3(self.nodes[j1], q))
 
 
 # -- admissibility report --------------------------------------------------------
@@ -694,16 +644,7 @@ class AdmissibilityReport:
 
     @property
     def passed(self):
-        return all(
-            c.passed
-            for c in (
-                self.monotone_psi,
-                self.h1_weights,
-                self.h2_cocycle,
-                self.h3_grey,
-                self.kernel_integrals,
-            )
-        )
+        return all(getattr(self, f.name).passed for f in fields(self))
 
     def summary(self):
         rows = [
@@ -723,16 +664,30 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
-def _default_t_grid(fam, n=9):
-    t0, t1 = fam.window
-    lo = t0 if math.isfinite(t0) else -3.0
-    hi = t1 if math.isfinite(t1) else 3.0
-    return np.linspace(lo, hi, n)
+def _cocycle_condition(weights):
+    """H2 over every grid triple i <= j <= k and primitive p: the ratio
+    w_k/w_i against (w_j/w_i)(w_k/w_j), the divisions mz makes; triples
+    with a zero weight at i or j are skipped."""
+    if not weights.size:
+        return Condition(True, 0.0)
+    idx = np.arange(len(weights))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = weights[None, :, :] / weights[:, None, :]  # [i, k, p] = w_k / w_i
+        err = np.abs(ratio[:, None, :, :] - ratio[:, :, None, :] * ratio[None, :, :, :])
+    ordered = (idx[:, None, None] <= idx[None, :, None]) & (idx[None, :, None] <= idx[None, None, :])
+    live = weights != 0.0
+    valid = ordered[..., None] & live[:, None, None, :] & live[None, :, None, :]
+    # NaN errors are dropped, as a running max() from 0.0 drops them
+    worst = float(np.fmax.reduce(err[valid], initial=0.0))
+    return Condition(worst < 1e-12, worst, "" if live.all() else "degenerate triples skipped")
 
 
 def check_admissibility(fam, t_grid=None, lam_grid=None):
     """Grid verification of the defining properties; report-only."""
-    ts = np.sort(np.asarray(t_grid if t_grid is not None else _default_t_grid(fam)))
+    if t_grid is None:
+        t0, t1 = fam.window
+        t_grid = np.linspace(t0 if math.isfinite(t0) else -3.0, t1 if math.isfinite(t1) else 3.0, 9)
+    ts = np.sort(np.asarray(t_grid))
     lams = np.asarray(lam_grid if lam_grid is not None else (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
 
     mechs = [fam.psi_at(t) for t in ts]
@@ -749,33 +704,18 @@ def check_admissibility(fam, t_grid=None, lam_grid=None):
     else:
         h1 = Condition(True, 0.0, "no jump part")
 
-    worst_cocycle = 0.0
-    skipped = False
-    for i in range(len(ts)):
-        for j in range(i, len(ts)):
-            for k in range(j, len(ts)):
-                for p in range(weights.shape[1] if weights.size else 0):
-                    if weights[i, p] == 0.0 or weights[j, p] == 0.0:
-                        skipped = True
-                        continue
-                    err = abs(
-                        fam.mz(ts[i], ts[k], p)
-                        - fam.mz(ts[i], ts[j], p) * fam.mz(ts[j], ts[k], p)
-                    )
-                    worst_cocycle = max(worst_cocycle, err)
-    h2 = Condition(
-        worst_cocycle < 1e-12, worst_cocycle, "degenerate triples skipped" if skipped else ""
-    )
+    h2 = _cocycle_condition(weights)
 
     grey_fail = [t for t, m in zip(ts, mechs) if not m.is_grey]
     h3 = Condition(not grey_fail, float(len(grey_fail)), "" if not grey_fail else f"fails at t={grey_fail[0]:g}")
 
     fm = np.array([s.unit_first_moment for s in fam.shapes])
+    bs = [fam.b_at(t) for t in ts]
     worst_kernel = 0.0
     for i in range(len(ts) - 1):
         for j in range(i + 1, len(ts)):
             t, q = ts[i], ts[j]
-            lhs = fam.b_at(q) - fam.b_at(t)
+            lhs = bs[j] - bs[i]
             jump = float(np.sum(fm * (weights[i] - weights[j]))) if fm.size else 0.0
             rhs = fam.alpha(t, q) + jump
             if not (math.isfinite(lhs) and math.isfinite(rhs)):
@@ -807,22 +747,13 @@ def family_from_dict(d):
 def _family(d):
     kind = d.get("type")
     if kind == "shift":
-        return ShiftFamily(
-            Mechanism.from_dict(d["base"]), _window_in(d["window"]), d.get("left_closed")
-        )
+        return ShiftFamily(Mechanism.from_dict(d["base"]), _window_in(d["window"]),
+                           d.get("left_closed"))
     if kind == "lineardrift":
-        return LinearDriftFamily(
-            d["b_rate"], d["c"], _window_in(d["window"]), d.get("left_closed")
-        )
+        return LinearDriftFamily(d["b_rate"], d["c"], _window_in(d["window"]), d.get("left_closed"))
     if kind == "truncation":
-        return TruncationFamily(
-            Mechanism.from_dict(d["base"]),
-            d["h0"],
-            d["slope"],
-            d.get("g_rate", 0.0),
-            _window_in(d["window"]),
-            d.get("left_closed"),
-        )
+        return TruncationFamily(Mechanism.from_dict(d["base"]), d["h0"], d["slope"],
+                                d.get("g_rate", 0.0), _window_in(d["window"]), d.get("left_closed"))
     if kind == "reflected":
         return ReflectedFamily(family_from_dict(d["negative"]))
     raise DomainError(f"unknown family type {kind!r}")

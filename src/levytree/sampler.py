@@ -30,7 +30,7 @@ come from it; experiments that mark and prune keep `gw_tree`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -76,7 +76,6 @@ class GwScheme:
     gamma: float
     probs: np.ndarray
     height_cap: float | None = None
-    _cum: np.ndarray = field(default=None, repr=False)
 
     @classmethod
     def build(cls, mech, n, height_cap=None, gamma=None):
@@ -130,12 +129,11 @@ class GwScheme:
         if abs(mean - (1.0 - b / gamma)) > 1e-8:
             raise NumericError(f"offspring mean {mean} != 1 - b/gamma")
 
-        return cls(mech, n, float(gamma), probs, height_cap,
-                   _cum=np.cumsum(probs))
+        return cls(mech, n, float(gamma), probs, height_cap)
 
-    def __post_init__(self):
-        if self._cum is None:
-            object.__setattr__(self, "_cum", np.cumsum(self.probs))
+    @cached_property
+    def _cum(self):
+        return np.cumsum(self.probs)
 
     @property
     def mass_unit(self):
@@ -181,7 +179,7 @@ def _grow(scheme, rng, n_roots, height_cap):
     if height_cap is not None:
         # generation g is born at depth g/gamma; only gens born strictly
         # below the cap exist
-        max_children_gen = math.ceil(height_cap * gamma - 1e-9) - 1
+        max_children_gen = _level_generation(gamma, height_cap)
     par_blocks = [np.full(n_roots, -1, dtype=np.int64)]
     ks_blocks = []
     offsets = [0]

@@ -236,6 +236,77 @@ def test_truncation_node_mark_time_is_the_drop_time():
     assert TRUNC.node_mark_time(0.0, 0.6, 0.37) == math.inf  # drops at 1.4 > window end
 
 
+# -- the input contract of the pruning methods ------------------------------------
+
+
+CONTRACT_FAMILIES = {
+    "shift": SHIFT,
+    "lineardrift": LD_FIN,
+    "truncation": TRUNC,
+    "reflected": REFL,
+    "custom": CUSTOM_QUAD,
+}
+
+
+def _bad_calls(fam):
+    """(label, thunk) for every input the public pruning methods must reject;
+    0.0, 0.2 and 0.5 lie inside every contract family's window."""
+    t0, t1 = fam.window
+    nan, inf = math.nan, math.inf
+    rng = np.random.default_rng(0)
+    pairs = [(t0 - 1.0, 0.0), (0.0, t1 + 1.0), (nan, 0.0), (0.0, nan),
+             (-inf, 0.0), (0.0, inf), (0.5, 0.2)]
+    calls = []
+    for t, q in pairs:
+        calls += [
+            (f"alpha({t}, {q})", lambda t=t, q=q: fam.alpha(t, q)),
+            (f"node_survival({t}, {q}, 1)", lambda t=t, q=q: fam.node_survival(t, q, 1.0)),
+            (f"mark_times({t}, {q})", lambda t=t, q=q: fam.mark_times(t, q, rng, 3)),
+        ]
+    for t in (t0 - 1.0, t1 + 1.0, nan, -inf, inf):
+        calls.append((f"node_mark_time({t}, 1, 0.5)", lambda t=t: fam.node_mark_time(t, 1.0, 0.5)))
+    for delta in (0.0, -1.0, nan):
+        calls += [
+            (f"node_survival(0, 0.5, {delta})", lambda d=delta: fam.node_survival(0.0, 0.5, d)),
+            (f"node_mark_time(0, {delta}, 0.5)", lambda d=delta: fam.node_mark_time(0.0, d, 0.5)),
+        ]
+    for u in (0.0, 1.0, -0.5, 7.0, nan):
+        calls.append((f"node_mark_time(0, 1, {u})", lambda u=u: fam.node_mark_time(0.0, 1.0, u)))
+    for q in (t0 - 1.0, nan, -inf, 0.0, 0.5, t1 + 1.0):
+        calls.append((f"qbar({q})", lambda q=q: fam.qbar(q)))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_FAMILIES))
+def test_every_family_rejects_bad_pruning_inputs(name):
+    fam = CONTRACT_FAMILIES[name]
+    accepted = []
+    for label, thunk in _bad_calls(fam):
+        try:
+            thunk()
+        except DomainError:
+            continue
+        accepted.append(label)
+    assert not accepted, f"{name} accepted {accepted}"
+
+
+def test_interval_errors_name_the_first_bad_input():
+    with pytest.raises(DomainError, match=r"^t=nan outside window \[-1.0, 1.2\]$"):
+        TRUNC.alpha(math.nan, 2.0)
+    with pytest.raises(DomainError, match=r"^q=2.0 outside window \[-1.0, 1.2\]$"):
+        TRUNC.node_survival(0.0, 2.0, 1.0)
+    with pytest.raises(DomainError, match=r"^need t <= q, got t=0.5 > q=0.2$"):
+        TRUNC.mark_times(0.5, 0.2, np.random.default_rng(0), 1)
+    with pytest.raises(DomainError, match=r"^t=inf outside window \[-inf, inf\]$"):
+        LD.alpha(math.inf, math.inf)
+    with pytest.raises(DomainError, match=r"^need u in \(0, 1\), got 7.0$"):
+        TRUNC.node_mark_time(0.0, 1.0, 7.0)
+    with pytest.raises(DomainError, match=r"^need node size > 0, got -1.0$"):
+        LD_FIN.node_mark_time(0.5, -1.0, 0.5)
+    with pytest.raises(DomainError, match=r"^qbar needs q < 0, got 0.0$"):
+        REFL.qbar(0.0)
+
+
 # -- alpha ------------------------------------------------------------------------
 
 
@@ -526,6 +597,47 @@ def test_non_grey_family_flagged():
     fam = ShiftFamily(Mechanism(0.0, 0.0, (PointMass(1.0, 1.0),)), window=(-0.5, 0.5))
     report = check_admissibility(fam)
     assert not report.h3_grey.passed
+
+
+def reference_cocycle(fam, ts):
+    """The H2 loop check_admissibility ran before it read its weight table:
+    one mz call per factor, over every i <= j <= k and primitive p."""
+    weights = np.array([fam.weights_at(t) for t in ts])
+    worst, skipped = 0.0, False
+    for i in range(len(ts)):
+        for j in range(i, len(ts)):
+            for k in range(j, len(ts)):
+                for p in range(weights.shape[1] if weights.size else 0):
+                    if weights[i, p] == 0.0 or weights[j, p] == 0.0:
+                        skipped = True
+                        continue
+                    err = abs(fam.mz(ts[i], ts[k], p)
+                              - fam.mz(ts[i], ts[j], p) * fam.mz(ts[j], ts[k], p))
+                    worst = max(worst, err)
+    return worst, "degenerate triples skipped" if skipped else ""
+
+
+COCYCLE_FAMILIES = [
+    SHIFT, LD_FIN, TRUNC, REFL, CUSTOM_TWIN, CUSTOM_QUAD,
+    ShiftFamily(Mechanism(0.0, 0.5, (PointMass(0.7, 0.8), PointMass(2.5, 0.3))), window=(-1.0, 1.0)),
+    # atom z=1.5 drops at q=0.5: zero weights from mid-window on
+    TruncationFamily(TRUNC_BASE, h0=1.0, slope=1.0, window=(-1.0, 0.6)),
+    # rising ceiling: atom z=1.5 is absent until q=0
+    TruncationFamily(TRUNC_BASE, h0=1.5, slope=-1.0, g_rate=0.5, window=(-1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("k", range(len(COCYCLE_FAMILIES)))
+def test_cocycle_condition_equals_the_mz_loop(k):
+    fam = COCYCLE_FAMILIES[k]
+    lo, hi = max(fam.window[0], -3.0), min(fam.window[1], 3.0)
+    rng = np.random.default_rng(800 + k)
+    grids = [np.sort(rng.uniform(lo, hi, size)) for size in (2, 2, 3, 5, 8, 12)]
+    grids += [np.array([lo, hi]), np.linspace(lo, hi, 9)]
+    for ts in grids:
+        h2 = check_admissibility(fam, t_grid=ts).h2_cocycle
+        worst, note = reference_cocycle(fam, ts)
+        assert (h2.worst, h2.note, h2.passed) == (worst, note, worst < 1e-12), ts
 
 
 # -- construction errors --------------------------------------------------------------------
