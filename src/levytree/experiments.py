@@ -21,7 +21,9 @@ and the deterministic mz_cocycle keep their own row code.
 
 Replicates are split into a fixed number of batches, each with its own seeded
 generator, and batch results are concatenated in batch order, so an estimate
-depends on (seed, path, replicate count) alone.
+depends on (seed, path, replicate count) alone.  A batch is one draw: one
+`population_run`, or for the pruning experiments one marked forest read by
+`MarkedTree.read`; only spine_exponential draws replicate by replicate.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from scipy import stats as sp_stats
 from . import laws
 from .family import AdmissibleFamily, family_from_dict
 from .mechanism import DomainError, Mechanism
-from .prune import generate_marks, two_step_consistency
-from .sampler import (GwScheme, PopulationRun, RngStream, exact_sigma_quadratic, gw_tree,
-                      population_run, spine_line)
+from .prune import MarkedTree, generate_marks, two_step_consistency
+from .sampler import (GwScheme, PopulationRun, RngStream, exact_sigma_quadratic, gw_forest,
+                      gw_tree, population_run, spine_line)
 
 N_BATCHES = 64
 
@@ -319,11 +321,6 @@ def _sigma_laplace(cfg, sigma_laplace):
     return groups
 
 
-def _mass_and_tails(tree, heights):
-    h = tree.height()
-    return [tree.total_mass()] + [1.0 if h > a else 0.0 for a in heights]
-
-
 @_experiment("prune_marginal", AdmissibleFamily.psi_at, "paired",
              "pruned psi_0 trees against trees sampled directly from psi_q (their mean in the "
              "oracle column), capped alike; sigma-Laplace at lambda_grid and height tails "
@@ -336,15 +333,20 @@ def _prune_marginal(cfg, psi_at):
         raise ConfigError("prune_marginal needs q > 0")
     heights = (cap / 4.0, cap / 2.0)
     base = _schemes(fam.psi_at(0.0), cap)
+
+    def tails(n, rng, size, schemes, q=None):
+        """Columns mass, 1{height > a} by a, pruned at q unless q is None."""
+        forest, label = gw_forest(schemes(n), rng, size)
+        if q is None:
+            got = MarkedTree.unmarked(forest).read(0.0, label, size)
+        else:
+            got = generate_marks(forest, fam, (0.0, q), rng).read(q, label, size)
+        return np.column_stack([got.mass] + [got.height > a for a in heights])
+
     groups = []
     for j, q in enumerate(qs):
-        target = _schemes(psi_at(fam, q), cap)
-        draws = (
-            _per_replicate(lambda n, rng, q=q: _mass_and_tails(
-                generate_marks(gw_tree(base(n), rng), fam, (0.0, q), rng).pruned_at(q), heights)),
-            _per_replicate(lambda n, rng, target=target: _mass_and_tails(
-                gw_tree(target(n), rng), heights)),
-        )
+        draws = (functools.partial(tails, schemes=base, q=q),
+                 functools.partial(tails, schemes=_schemes(psi_at(fam, q), cap)))
         points = [Point(f"q={q:g},lam={lam:g}", None,
                         lambda n, x, lam=lam: n * -np.expm1(-lam * x[:, 0]))
                   for lam in cfg.lambda_grid or (0.5, 1.0, 2.0)]
@@ -362,17 +364,17 @@ def _special_markov(cfg, intensity):
     eps = cap / 4.0
     schemes = _schemes(fam.psi_at(0.0), cap)
 
-    def removed_and_mass(n, rng, q):
+    def removed_and_mass(n, rng, size, q):
         scheme = schemes(n)
         # keep two generations of slack so a clipped component can still
         # prove it passed eps
         attach_max = cap - eps - 2.0 / scheme.gamma
-        marked = generate_marks(gw_tree(scheme, rng), fam, (0.0, q), rng)
-        return (marked.tall_removed(q, eps, attach_max),
-                marked.pruned_at(q).restrict_below(attach_max).total_mass())
+        forest, label = gw_forest(scheme, rng, size)
+        got = generate_marks(forest, fam, (0.0, q), rng).read(q, label, size, eps, attach_max)
+        return np.column_stack([got.tall, got.low_mass])
 
     return [
-        Group((j,), (_per_replicate(functools.partial(removed_and_mass, q=q)),),
+        Group((j,), (functools.partial(removed_and_mass, q=q),),
               [Point(f"q={q:g},eps={eps:g}", intensity(fam, 0.0, q, eps), stat=_ratio_se)])
         for j, q in enumerate(cfg.q_grid or (1.0,))
     ]
@@ -462,11 +464,12 @@ def _exit_tail(cfg, v_of):
               for k, q in enumerate(qs)]
     schemes = _schemes(fam.psi_at(0.0), cap)
 
-    def exits(n, rng):
-        marked = generate_marks(gw_tree(schemes(n), rng), fam, (0.0, qs[-1]), rng)
-        return n * (marked.sigma_path(qs).height > h)
+    def exits(n, rng, size):
+        forest, label = gw_forest(schemes(n), rng, size)
+        marked = generate_marks(forest, fam, (0.0, qs[-1]), rng)
+        return n * (marked.sigma_path(qs, label, size).height.T > h)
 
-    return [Group((), (_per_replicate(exits),), points)]
+    return [Group((), (exits,), points)]
 
 
 def _exact_spine_cut(fam, q, b_q, rng, n):

@@ -173,8 +173,13 @@ class AdmissibleFamily(ABC):
         return self._node_mark_time(t, delta, u)
 
     def mark_times(self, t, q, rng, size):
-        """iid mark times on [t, q] with density beta / alpha(t, q)."""
+        """iid mark times on [t, q] with density beta / alpha(t, q); size 0
+        gives an empty array, and t == q, with no density, allows no other."""
         self._check_interval(t, q)
+        if size == 0:
+            return np.zeros(0)
+        if t == q:
+            raise DomainError(f"alpha({t}, {q}) = 0: no mark-time density")
         return self._mark_times(t, q, rng, size)
 
     def qbar(self, q):

@@ -14,6 +14,8 @@ removed at the earliest time of a mark on an edge of its root path or a
 node mark on one of its strict ancestors, and survives pruning at q iff
 kill_times[i] > q.  The array is a minimum along root paths, taken by
 pointer jumping over `parent`, so it matches a node-by-node sweep exactly.
+`MarkedTree.read` reduces one pruning per replicate of a forest (see
+`sampler.gw_forest`) over a node -> replicate label.
 
 Binary nodes never receive node marks: their mass is 2/n under the
 discretization and the mark probability vanishes in the limit, so only
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +37,21 @@ from .tree import INFINITE, FiniteTree
 
 @dataclass(frozen=True)
 class PrunePath:
-    """Cache of pruning statistics along a nondecreasing q grid."""
+    """Pruning statistics along a nondecreasing q grid."""
 
     q_grid: np.ndarray
     sigma: np.ndarray
     height: np.ndarray
+
+
+class PruneReading(NamedTuple):
+    """Per-replicate statistics of one pruning; tall and low_mass are None
+    unless an attachment level was given."""
+
+    mass: np.ndarray
+    height: np.ndarray
+    tall: np.ndarray | None
+    low_mass: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -108,32 +121,61 @@ class MarkedTree:
         nodes = depth[self.node_ids[self.node_times <= q]]
         return float(min(levels.min(initial=math.inf), nodes.min(initial=math.inf)))
 
-    def tall_removed(self, q, eps, attach_max):
-        """Components removed at q that are taller than eps > 0 and attached at
-        level <= attach_max.  A closed node sheds all its children as one
-        forest, tip - depth tall."""
+    def read(self, q, label=None, size=1, eps=0.0, attach_max=None):
+        """Pruning at q by replicate: mass and height (over kept depths
+        and stub tops) and, given attach_max, the removed components taller
+        than eps attached at level <= attach_max (a closed node sheds its
+        children as one, tip - depth tall) and the kept mass at depth <=
+        attach_max.  label[i] is node i's replicate, the root's is never
+        read; without labels the tree is replicate 0."""
         base = self.base
-        _, stubs, stub_lengths, closed = self.cuts_at(q)
-        tops = np.concatenate([stubs, closed])
-        levels = np.concatenate(
-            [base.depth[base.parent[stubs]] + stub_lengths, base.depth[closed]])
-        low = levels <= attach_max
-        if not low.any():
-            return 0
-        tip = base.subtree_tips()
-        return int(np.count_nonzero(tip[tops[low]] - levels[low] > eps))
+        depth, par, mu = base.depth, base.parent, base.mu
+        if label is None:
+            label = np.zeros(len(par), dtype=np.int64)
+        keep, stubs, stub_lengths, closed = self.cuts_at(q)
+        kept = np.flatnonzero(keep)[1:]
+        levels = depth[par[stubs]] + stub_lengths
+        height = np.zeros(size)
+        np.maximum.at(height, label[kept], depth[kept])
+        np.maximum.at(height, label[stubs], levels)
+        mass = np.bincount(label[kept], weights=mu[kept], minlength=size)
+        if attach_max is None:
+            return PruneReading(mass, height, None, None)
 
-    def sigma_path(self, q_grid):
+        low = kept[depth[kept] <= attach_max]
+        low_mass = np.bincount(label[low], weights=mu[low], minlength=size)
+        tops = np.concatenate([stubs, closed])
+        levels = np.concatenate([levels, depth[closed]])
+        attached = levels <= attach_max
+        tall = np.zeros(size, dtype=np.int64)
+        if attached.any():
+            tops, levels = tops[attached], levels[attached]
+            tops = tops[base.subtree_tips()[tops] - levels > eps]
+            tall = np.bincount(label[tops], minlength=size)
+        return PruneReading(mass, height, tall, low_mass)
+
+    def tall_removed(self, q, eps, attach_max, label=None, size=1):
+        """`read`'s tall removed components."""
+        return self.read(q, label, size, eps, attach_max).tall
+
+    def sigma_path(self, q_grid, label=None, size=1):
+        """`read`'s mass and height along a nondecreasing q grid, by q (and
+        replicate, given labels)."""
         qs = np.asarray(q_grid, dtype=float)
         if len(qs) == 0 or np.any(np.diff(qs) < 0):
             raise DomainError("q grid must be nonempty and nondecreasing")
-        sig = np.empty(len(qs))
-        hgt = np.empty(len(qs))
-        for j, q in enumerate(qs):
-            tree = self.pruned_at(q)
-            sig[j] = tree.total_mass()
-            hgt[j] = tree.height()
+        reads = [self.read(q, label, size) for q in qs]
+        sig = np.array([r.mass for r in reads])
+        hgt = np.array([r.height for r in reads])
+        if label is None:
+            sig, hgt = sig[:, 0], hgt[:, 0]
         return PrunePath(qs, sig, hgt)
+
+    @classmethod
+    def unmarked(cls, tree):
+        """tree with no marks over the window [0, 0]: pruning keeps it whole."""
+        none = np.zeros(0, dtype=np.int64)
+        return cls(tree, (0.0, 0.0), none, np.zeros(0), np.zeros(0), none, np.zeros(0))
 
 
 def generate_marks(tree, fam, window, rng):

@@ -24,7 +24,9 @@ experiments:
 `population_run` is the counts-only mode of the same scheme, for every
 offspring law: it evolves the generation sizes of many replicates at once
 and builds no tree, so level and mass functionals (heights, Z_a, sigma)
-come from it; experiments that mark and prune keep `gw_tree`.
+come from it.  Experiments that mark and prune grow a batch of replicates
+as one tree with `gw_forest`, whose node -> replicate label lets
+`MarkedTree.read` reduce every replicate at once.
 """
 
 from __future__ import annotations
@@ -180,7 +182,6 @@ def _grow(scheme, rng, n_roots, height_cap):
         # generation g is born at depth g/gamma; only gens born strictly
         # below the cap exist
         max_children_gen = _level_generation(gamma, height_cap)
-    par_blocks = [np.full(n_roots, -1, dtype=np.int64)]
     ks_blocks = []
     offsets = [0]
     g = 0
@@ -198,13 +199,13 @@ def _grow(scheme, rng, n_roots, height_cap):
         if offsets[-1] + kids > NODE_BUDGET:
             raise NumericError(
                 f"tree growth passed the node budget of {NODE_BUDGET} individuals")
-        ids = np.arange(offsets[-2], offsets[-1], dtype=np.int64)
-        par_blocks.append(ids.repeat(ks))
         cur = kids
         g += 1
-    return (np.concatenate(par_blocks),
-            np.concatenate(ks_blocks),
-            offsets)
+    ks = np.concatenate(ks_blocks)
+    # children follow their parents' order, generation after generation
+    par = np.concatenate([np.full(n_roots, -1, dtype=np.int64),
+                          np.arange(len(ks), dtype=np.int64).repeat(ks)])
+    return par, ks, offsets
 
 
 def _tree_from_growth(scheme, par, ks, offsets, root_delta=0.0):
@@ -269,6 +270,23 @@ def gw_tree(scheme, rng, height_cap=None):
     cap = scheme.height_cap if height_cap is None else height_cap
     par, ks, offsets = _grow(scheme, rng, 1, cap)
     return _tree_from_growth(scheme, par, ks, offsets)
+
+
+def gw_forest(scheme, rng, size, height_cap=None):
+    """size excursions under one massless root, and each node's replicate
+    (-1 for the root).  Excursion k is the tree of node k + 1.  The root
+    has no edge and one child per excursion, so it takes no marks: pruning
+    the forest prunes each excursion as it would `gw_tree`'s tree, only
+    the order of the draws differs."""
+    cap = scheme.height_cap if height_cap is None else height_cap
+    par, ks, offsets = _grow(scheme, rng, size, cap)
+    # root individual of each individual by pointer doubling: the roots
+    # point at themselves, and pass k reaches 2^k generations up
+    anc = par.copy()
+    anc[:size] = np.arange(size)
+    for _ in range((len(offsets) - 2).bit_length()):
+        anc = anc[anc]
+    return _tree_from_growth(scheme, par, ks, offsets), np.concatenate([[-1], anc])
 
 
 def forest_under_Pr(scheme, r, rng, height_cap=None):

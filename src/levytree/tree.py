@@ -123,7 +123,9 @@ class FiniteTree:
     # -- level surgery ------------------------------------------------------
 
     def restrict_below(self, a):
-        """Everything above level a removed; cut points become massless leaves."""
+        """Everything above level a removed; cut points become massless
+        leaves, and so do branch points exactly at level a, which lose all
+        their children."""
         if a < 0:
             raise DomainError(f"need a >= 0, got {a}")
         d = self.depth
@@ -132,24 +134,30 @@ class FiniteTree:
             return self
         par = self.parent
         cross = np.flatnonzero(~keep & (d[np.maximum(par, 0)] < a) & (par >= 0))
-        return self.cut(keep, cross, a - d[par[cross]])
+        ends = np.flatnonzero((d == a) & ((self.kind == BINARY) | (self.kind == INFINITE)))
+        return self.cut(keep, cross, a - d[par[cross]], ends)
 
-    def cut(self, keep, stubs, stub_lengths):
+    def cut(self, keep, stubs, stub_lengths, ends=None):
         """The kept nodes (a set closed under parent) plus one massless
-        leaf per stub edge, hanging stub_lengths above the stub's parent.
-        The cut tree inherits its depth: kept nodes keep theirs, and a stub
-        sits at its parent's depth plus its length, as the loop adds."""
+        leaf per stub edge, hanging stub_lengths above the stub's parent;
+        the kept nodes `ends` become massless leaves too.  The cut tree
+        inherits its depth: kept nodes keep theirs, and a stub sits at its
+        parent's depth plus its length, as the loop adds."""
         remap = np.cumsum(keep) - 1
         par = self.parent
         d = self.depth
         kept = np.flatnonzero(keep)
         n_stubs = len(stubs)
+        kind, delta = self.kind[kept], self.delta[kept]
+        if ends is not None:
+            kind[remap[ends]] = LEAF
+            delta[remap[ends]] = 0.0
         return _with_depth(FiniteTree(
             np.concatenate([np.where(kept == 0, -1, remap[np.maximum(par[kept], 0)]),
                             remap[par[stubs]]]),
             np.concatenate([self.length[kept], stub_lengths]),
-            np.concatenate([self.kind[kept], np.full(n_stubs, LEAF, dtype=np.int8)]),
-            np.concatenate([self.delta[kept], np.zeros(n_stubs)]),
+            np.concatenate([kind, np.full(n_stubs, LEAF, dtype=np.int8)]),
+            np.concatenate([delta, np.zeros(n_stubs)]),
             np.concatenate([self.mu[kept], np.zeros(n_stubs)]),
             self.scale,
         ), np.concatenate([d[kept], d[par[stubs]] + stub_lengths]))

@@ -19,8 +19,9 @@ from levytree.experiments import (
 )
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import Mechanism, PointMass
-from levytree.prune import generate_marks
-from levytree.sampler import GwScheme, RngStream, gw_tree, spine_line
+from levytree.prune import MarkedTree, generate_marks
+from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_line
+from levytree.tree import FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
@@ -467,6 +468,97 @@ def test_first_cut_on_the_spine_matches_the_sweep(seed, fam):
     marked = generate_marks(line, fam, (0.0, 1.0), rng)
     for q in (0.0, 0.5, 1.0):
         assert marked.first_cut(q) == first_cut_reference(line, marked, q)
+
+
+# -------------------------- the forest reader against per-tree node sweeps
+
+
+def split_forest(marked, label, k):
+    """Replicate k of a marked forest as its own tree with the same marks;
+    its depth is left to the loop."""
+    forest = marked.base
+    nodes = np.concatenate([[0], np.flatnonzero(label == k)])
+    remap = np.full(len(forest), -1)
+    remap[nodes] = np.arange(len(nodes))
+    tree = FiniteTree(np.where(nodes == 0, -1, remap[forest.parent[nodes]]),
+                      forest.length[nodes], forest.kind[nodes], forest.delta[nodes],
+                      forest.mu[nodes], forest.scale)
+    assert "depth" not in tree.__dict__
+    edges = remap[marked.edge_ids] >= 0
+    at = remap[marked.node_ids] >= 0
+    return MarkedTree(tree, marked.window, remap[marked.edge_ids[edges]],
+                      marked.offsets[edges], marked.times[edges],
+                      remap[marked.node_ids[at]], marked.node_times[at])
+
+
+def pruned_reference(marked, q, attach_max):
+    """(mass, height, kept mass at depth <= attach_max) of pruning at q, by
+    one top-down sweep over the nodes."""
+    base = marked.base
+    par, depth, mu = base.parent, base.depth, base.mu
+    first = np.full(len(par), np.inf)
+    live = marked.times <= q
+    np.minimum.at(first, marked.edge_ids[live], marked.offsets[live])
+    node_marked = np.zeros(len(par), dtype=bool)
+    node_marked[marked.node_ids[marked.node_times <= q]] = True
+    cut = np.zeros(len(par), dtype=bool)
+    mass = low = height = 0.0
+    for i in range(1, len(par)):
+        p = par[i]
+        cut[i] = cut[p] or node_marked[p] or math.isfinite(first[i])
+        if not (cut[p] or node_marked[p]) and math.isfinite(first[i]):
+            height = max(height, depth[p] + first[i])
+        if not cut[i]:
+            height = max(height, depth[i])
+            mass += mu[i]
+            if depth[i] <= attach_max:
+                low += mu[i]
+    return mass, height, low
+
+
+# lattice-aligned caps: cap * gamma is an integer, so the top generation
+# and a level of cap - eps - 2/gamma sit on running sums of 1/gamma
+FOREST_SCHEMES = {
+    "lineardrift": (LD, GwScheme.build(LD.psi_at(0.0), 40, height_cap=0.5)),
+    "jump": (JUMPY, GwScheme.build(JUMPY.psi_at(0.0), 40)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), name=st.sampled_from(sorted(FOREST_SCHEMES)))
+def test_the_forest_reader_matches_per_tree_sweeps(seed, name):
+    fam, scheme = FOREST_SCHEMES[name]
+    gamma = scheme.gamma
+    cap = scheme.height_cap or 24.0 / gamma
+    assert (cap * gamma).is_integer()
+    rng = RngStream(seed).replicate(0)
+    size = 12
+    forest, label = gw_forest(scheme, rng, size, height_cap=cap)
+    marked = generate_marks(forest, fam, (0.0, 2.0), rng)
+    # replicate k is the excursion of root individual k, node k + 1
+    par = forest.parent
+    assert label[0] == -1 and np.array_equal(np.flatnonzero(par == 0), np.arange(1, size + 1))
+    np.testing.assert_array_equal(label[1:size + 1], np.arange(size))
+    np.testing.assert_array_equal(label[size + 1:], label[par[size + 1:]])
+    trees = [split_forest(marked, label, k) for k in range(size)]
+    assert sum(len(t.base) - 1 for t in trees) == len(forest) - 1
+    eps = cap / 4.0
+    own = np.concatenate([marked.times[:3], marked.node_times[:3]])
+    qs = np.sort(np.concatenate([[0.0, 2.0], own, rng.uniform(0.0, 2.0, 2)]))
+    for q in qs:
+        for attach_max in (cap - eps - 2.0 / gamma, cap / 2.0, cap):
+            got = marked.read(q, label, size, eps, attach_max)
+            for k, tree in enumerate(trees):
+                mass, height, low = pruned_reference(tree, q, attach_max)
+                assert got.height[k] == height
+                assert got.mass[k] == pytest.approx(mass, rel=1e-12, abs=1e-300)
+                assert got.low_mass[k] == pytest.approx(low, rel=1e-12, abs=1e-300)
+                assert got.tall[k] == tall_removed_reference(tree, q, eps, attach_max)
+    path = marked.sigma_path(qs, label, size)
+    for k, tree in enumerate(trees):
+        want = [pruned_reference(tree, q, cap) for q in qs]
+        np.testing.assert_array_equal(path.height[:, k], [h for _, h, _ in want])
+        np.testing.assert_allclose(path.sigma[:, k], [m for m, _, _ in want], rtol=1e-12)
 
 
 def test_girsanov_small_jump_family():

@@ -403,6 +403,16 @@ def test_mark_times_need_positive_alpha():
         fam.mark_times(0.0, 1.0, np.random.default_rng(0), 4)
 
 
+@pytest.mark.parametrize("fam", [SHIFT, LD, TRUNC, REFL, CUSTOM_QUAD],
+                         ids=["shift", "lineardrift", "truncation", "reflected", "custom"])
+def test_mark_times_on_a_degenerate_slice(fam):
+    rng = np.random.default_rng(0)
+    empty = fam.mark_times(0.2, 0.2, rng, 0)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    with pytest.raises(DomainError, match=r"^alpha\(0.2, 0.2\) = 0: no mark-time density$"):
+        fam.mark_times(0.2, 0.2, rng, 3)
+
+
 # -- eta, t_infinity, qbar, gamma ----------------------------------------------------
 
 

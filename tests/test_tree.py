@@ -162,9 +162,23 @@ def test_restrict_keeps_node_exactly_at_level():
     assert t.height() == 2.0
     kinds = sorted(int(k) for k in t.kind)
     assert kinds.count(LEAF) == 2
-    # a branch point exactly at the level stays, and nothing above it does
+    # a branch point exactly at the level stays as a massless leaf, and
+    # nothing above it does
     t = cherry().restrict_below(1.0)
-    assert len(t) == 2 and t.kind[1] == BINARY
+    assert len(t) == 2 and t.kind[1] == LEAF
+    assert t.delta[1] == 0.0 and t.mu[1] == 0.0
+
+
+def test_restrict_ends_a_many_child_node_at_the_level():
+    t = build([-1, 0, 1, 1, 1], [0.0, 1.0, 1.0, 1.0, 2.0],
+              [ROOT, INFINITE, LEAF, LEAF, LEAF], deltas=[0.0, 1.5, 0.0, 0.0, 0.0],
+              mus=[0.0, 0.0, 0.5, 0.25, 0.25])
+    out = t.restrict_below(1.0)
+    assert len(out) == 2 and out.kind[1] == LEAF
+    assert out.delta[1] == 0.0 and out.total_mass() == 0.0
+    # one level up the node keeps its children and its size
+    out = t.restrict_below(1.5)
+    assert out.kind[1] == INFINITE and out.delta[1] == 1.5
 
 
 # -- grafting -----------------------------------------------------------------
@@ -200,6 +214,9 @@ def test_graft_rejects_bad_points():
         t.graft([(-1, sub)])
     with pytest.raises(DomainError):
         single_edge().graft([(1, sub)])  # a massless leaf is still a leaf
+    with pytest.raises(DomainError):
+        # the branch point at level 1 has lost its children: no attach point
+        t.restrict_below(1.0).graft([(1, sub)])
 
 
 def test_graft_onto_massive_leaf_rejected():
