@@ -79,6 +79,9 @@ def _family(args):
 def _cmd_mech_eval(args):
     mech = _mechanism(args)
     for lam in args.lam:
+        if not mech.theta_ok(lam):
+            raise DomainError(f"psi is infinite at lam = {lam:g}: a gamma term needs lam > -rho")
+    for lam in args.lam:
         print(_fmt(mech.psi(lam)))
     return EXIT_OK
 

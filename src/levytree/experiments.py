@@ -240,15 +240,15 @@ def _need_cap(cfg):
     return cfg.height_cap
 
 
-def _schemes(mech, cap=None):
-    """GwScheme.build(mech, n, height_cap=cap) by n, built once per resolution."""
-    return functools.cache(lambda n: GwScheme.build(mech, n, height_cap=cap))
+def _schemes(mech):
+    """GwScheme.build(mech, n) by n, built once per resolution."""
+    return functools.cache(lambda n: GwScheme.build(mech, n))
 
 
-def _counts(mech, reading, cap=None, levels=()):
-    """Draws reading(run) of the counts engine, one replicate per excursion."""
-    scheme = _schemes(mech, cap)
-    return lambda n, rng, size: reading(population_run(scheme(n), rng, size, levels=levels))
+def _counts(mech, reading, cap=None):
+    """Draws reading(run) of the counts engine grown to cap, one replicate per excursion."""
+    scheme = _schemes(mech)
+    return lambda n, rng, size: reading(population_run(scheme(n), rng, size, height_cap=cap))
 
 
 # --------------------------------------------------------------- registry
@@ -297,7 +297,7 @@ def _height_law(cfg, v_of):
     if not all(a > 0.0 for a in heights):
         raise ConfigError("height_law needs positive levels in q_grid")
     return [
-        Group((j,), (_counts(mech, lambda run, a=a: run.alive_at(a).astype(float), a, [a]),),
+        Group((j,), (_counts(mech, lambda run: (run.at_cap > 0).astype(float), a),),
               [Point(f"a={a:g}", v_of(mech, a), lambda n, x: n * x)])
         for j, a in enumerate(heights)
     ]
@@ -332,11 +332,11 @@ def _prune_marginal(cfg, psi_at):
     if not all(q > 0.0 for q in qs):
         raise ConfigError("prune_marginal needs q > 0")
     heights = (cap / 4.0, cap / 2.0)
-    base = _schemes(fam.psi_at(0.0), cap)
+    base = _schemes(fam.psi_at(0.0))
 
     def tails(n, rng, size, schemes, q=None):
         """Columns mass, 1{height > a} by a, pruned at q unless q is None."""
-        forest, label = gw_forest(schemes(n), rng, size)
+        forest, label = gw_forest(schemes(n), rng, size, cap)
         if q is None:
             got = MarkedTree.unmarked(forest).read(0.0, label, size)
         else:
@@ -346,7 +346,7 @@ def _prune_marginal(cfg, psi_at):
     groups = []
     for j, q in enumerate(qs):
         draws = (functools.partial(tails, schemes=base, q=q),
-                 functools.partial(tails, schemes=_schemes(psi_at(fam, q), cap)))
+                 functools.partial(tails, schemes=_schemes(psi_at(fam, q))))
         points = [Point(f"q={q:g},lam={lam:g}", None,
                         lambda n, x, lam=lam: n * -np.expm1(-lam * x[:, 0]))
                   for lam in cfg.lambda_grid or (0.5, 1.0, 2.0)]
@@ -362,15 +362,23 @@ def _special_markov(cfg, intensity):
     fam = cfg.family
     cap = _need_cap(cfg)
     eps = cap / 4.0
-    schemes = _schemes(fam.psi_at(0.0), cap)
+    schemes = _schemes(fam.psi_at(0.0))
+
+    def attach_max(scheme):
+        # keep two generations of slack so a clipped component can still
+        # prove it passed eps
+        return cap - eps - 2.0 / scheme.gamma
+
+    coarse = schemes(cfg.resolution)
+    if attach_max(coarse) < 1.0 / coarse.gamma:
+        raise ConfigError(f"height_cap {cap:g} leaves no retained mass at resolution "
+                          f"{cfg.resolution}: no node lies at depth <= {attach_max(coarse):g}")
 
     def removed_and_mass(n, rng, size, q):
         scheme = schemes(n)
-        # keep two generations of slack so a clipped component can still
-        # prove it passed eps
-        attach_max = cap - eps - 2.0 / scheme.gamma
-        forest, label = gw_forest(scheme, rng, size)
-        got = generate_marks(forest, fam, (0.0, q), rng).read(q, label, size, eps, attach_max)
+        forest, label = gw_forest(scheme, rng, size, cap)
+        got = generate_marks(forest, fam, (0.0, q), rng).read(
+            q, label, size, eps, attach_max(scheme))
         return np.column_stack([got.tall, got.low_mass])
 
     return [
@@ -389,10 +397,10 @@ def _run_two_step(cfg, consistency, stream):
     qs = cfg.q_grid or (1.0,)
     if not all(q > 0.0 for q in qs):
         raise ConfigError("two_step_markov needs q > 0")
-    scheme = GwScheme.build(fam.psi_at(0.0), cfg.resolution, height_cap=cap)
+    scheme = GwScheme.build(fam.psi_at(0.0), cfg.resolution)
     rows = []
     for j, q in enumerate(qs):
-        base = gw_tree(scheme, stream.child(j, 0).generator())
+        base = gw_tree(scheme, stream.child(j, 0).generator(), cap)
         stats = consistency(
             base, fam, 0.0, q / 2.0, q, stream.child(j, 1).generator(), cfg.replicates)
         rows += [_row(cfg, f"q={q:g},{name}", one, se, two)
@@ -426,7 +434,7 @@ def _cond_sigma(cfg, sigma_laplace_Pr):
 
 
 def _conjugate_window(cfg, oracle, reading):
-    """Groups of n * mean(reading(psi_q, a, run)) against oracle(psi_q, a), the
+    """Groups of n * mean(reading(psi_q, run)) against oracle(psi_q, a), the
     runs being counts of psi_q conjugated at eta_q > 0 up to a = height_cap."""
     a = _need_cap(cfg)
     groups = []
@@ -434,8 +442,7 @@ def _conjugate_window(cfg, oracle, reading):
         mech_q = cfg.family.psi_at(q)
         if not mech_q.eta > 0.0:
             raise ConfigError(f"{cfg.experiment} reweights at eta_q > 0; pick supercritical q")
-        draw = _counts(mech_q.conjugate(mech_q.eta), functools.partial(reading, mech_q, a),
-                       a, [a])
+        draw = _counts(mech_q.conjugate(mech_q.eta), functools.partial(reading, mech_q), a)
         point = Point(f"q={q:g},a={a:g}", oracle(mech_q, a), lambda n, x: n * x)
         groups.append(Group((j,), (draw,), [point]))
     return groups
@@ -446,8 +453,8 @@ def _conjugate_window(cfg, oracle, reading):
              "exponential weight; weights grow heavy near blow-up heights")
 def _ascension_tail(cfg, v_of):
     # the supercritical window: surviving conjugate draws weighted by exp(eta Z_a)
-    return _conjugate_window(cfg, v_of, lambda mech_q, a, run: np.where(
-        run.alive_at(a), np.exp(mech_q.eta * run.z_at(a)), 0.0))
+    return _conjugate_window(cfg, v_of, lambda mech_q, run: np.where(
+        run.at_cap > 0, np.exp(mech_q.eta * run.z_cap()), 0.0))
 
 
 @_experiment("exit_tail_remark", Mechanism.v_of, "banded",
@@ -462,10 +469,10 @@ def _exit_tail(cfg, v_of):
         raise ConfigError("exit_tail_remark prunes forward from 0; q_grid must be >= 0")
     points = [Point(f"qp={q:g},h={h:g}", v_of(fam.psi_at(q), h), lambda n, x, k=k: x[:, k])
               for k, q in enumerate(qs)]
-    schemes = _schemes(fam.psi_at(0.0), cap)
+    schemes = _schemes(fam.psi_at(0.0))
 
     def exits(n, rng, size):
-        forest, label = gw_forest(schemes(n), rng, size)
+        forest, label = gw_forest(schemes(n), rng, size, cap)
         marked = generate_marks(forest, fam, (0.0, qs[-1]), rng)
         return n * (marked.sigma_path(qs, label, size).height.T > h)
 
@@ -594,8 +601,8 @@ def _spine_exponential(cfg, cut_mean):
 @_experiment("girsanov_gir2", laws.girsanov_defect, "banded",
              "n*E[1-exp(theta Z_a + psi(theta) int Z)] under the conjugate against -eta_q")
 def _girsanov(cfg, defect):
-    return _conjugate_window(cfg, defect, lambda mech_q, a, run: -np.expm1(
-        mech_q.eta * run.z_at(a) + float(mech_q.psi(mech_q.eta)) * run.sigma()))
+    return _conjugate_window(cfg, defect, lambda mech_q, run: -np.expm1(
+        mech_q.eta * run.z_cap() + float(mech_q.psi(mech_q.eta)) * run.sigma()))
 
 
 @_experiment("mz_cocycle", AdmissibleFamily.alpha, None,

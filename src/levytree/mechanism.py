@@ -303,7 +303,9 @@ class Mechanism:
         lo = hi * 1e-12
         if self.psi(lo) >= 0:  # pragma: no cover - b < 0 forces psi(lo) < 0
             raise NumericError("failed to bracket the largest root")
-        root = brentq(self.psi, lo, hi, xtol=1e-300, rtol=8.9e-16)
+        # products of psi values underflow near a tiny root; 2^k ~ 1/hi^2 moves no iterate
+        scale = math.ldexp(1.0, max(-1000, min(1000, -2 * math.frexp(hi)[1])))
+        root = brentq(lambda x: scale * self.psi(x), lo, hi, xtol=1e-300, rtol=8.9e-16)
         for _ in range(2):
             d = self.dpsi(root)
             if d > 0:

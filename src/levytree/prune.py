@@ -114,12 +114,12 @@ class MarkedTree:
         return self.base.cut(keep, stubs, stub_lengths)
 
     def first_cut(self, q):
-        """Lowest mark level active at q; inf when the window never cuts."""
+        """Lowest level at which pruning at q cuts: the lowest stub top or
+        closed node of `cuts_at`; inf when nothing is cut."""
+        _, stubs, stub_lengths, closed = self.cuts_at(q)
         depth = self.base.depth
-        live = self.times <= q
-        levels = depth[self.base.parent[self.edge_ids[live]]] + self.offsets[live]
-        nodes = depth[self.node_ids[self.node_times <= q]]
-        return float(min(levels.min(initial=math.inf), nodes.min(initial=math.inf)))
+        tops = np.concatenate([depth[self.base.parent[stubs]] + stub_lengths, depth[closed]])
+        return float(tops.min(initial=math.inf))
 
     def read(self, q, label=None, size=1, eps=0.0, attach_max=None):
         """Pruning at q by replicate: mass and height (over kept depths
@@ -153,10 +153,6 @@ class MarkedTree:
             tops = tops[base.subtree_tips()[tops] - levels > eps]
             tall = np.bincount(label[tops], minlength=size)
         return PruneReading(mass, height, tall, low_mass)
-
-    def tall_removed(self, q, eps, attach_max, label=None, size=1):
-        """`read`'s tall removed components."""
-        return self.read(q, label, size, eps, attach_max).tall
 
     def sigma_path(self, q_grid, label=None, size=1):
         """`read`'s mass and height along a nondecreasing q grid, by q (and

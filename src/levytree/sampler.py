@@ -21,12 +21,17 @@ experiments:
   leaf atoms (each individual's mass rides down first-child edges to
   the leaf that ends the chain).
 
+A `GwScheme` is the offspring law at resolution n and nothing more.  The
+height cap, below which a tree is grown, is an argument of each grower
+(`gw_tree`, `gw_forest`, `forest_under_Pr`, `population_run`), None for
+no cap, and `_level_generation` is where it is checked.
+
 `population_run` is the counts-only mode of the same scheme, for every
 offspring law: it evolves the generation sizes of many replicates at once
-and builds no tree, so level and mass functionals (heights, Z_a, sigma)
-come from it.  Experiments that mark and prune grow a batch of replicates
-as one tree with `gw_forest`, whose node -> replicate label lets
-`MarkedTree.read` reduce every replicate at once.
+and builds no tree, so mass and the count at the cap (heights, Z_a,
+sigma) come from it.  Experiments that mark and prune grow a batch of
+replicates as one tree with `gw_forest`, whose node -> replicate label
+lets `MarkedTree.read` reduce every replicate at once.
 """
 
 from __future__ import annotations
@@ -64,12 +69,6 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class WeightedSample:
-    tree: FiniteTree
-    weight: float
-
-
-@dataclass(frozen=True)
 class GwScheme:
     """Offspring law and rates for one (mechanism, resolution) pair."""
 
@@ -77,10 +76,9 @@ class GwScheme:
     n: int
     gamma: float
     probs: np.ndarray
-    height_cap: float | None = None
 
     @classmethod
-    def build(cls, mech, n, height_cap=None, gamma=None):
+    def build(cls, mech, n, gamma=None):
         if mech.criticality() == "supercritical":
             raise DomainError("scheme needs a (sub)critical mechanism; "
                               "sample supercritical windows through the conjugate")
@@ -89,8 +87,6 @@ class GwScheme:
         n = int(n)
         if n < 1:
             raise DomainError(f"resolution n must be a positive integer, got {n}")
-        if height_cap is not None and not height_cap > 0:
-            raise DomainError(f"height cap must be positive, got {height_cap}")
 
         b, c = mech.b, mech.c
         jump_mean = sum(p.w * p.unit_first_moment for p in mech.m)
@@ -131,7 +127,7 @@ class GwScheme:
         if abs(mean - (1.0 - b / gamma)) > 1e-8:
             raise NumericError(f"offspring mean {mean} != 1 - b/gamma")
 
-        return cls(mech, n, float(gamma), probs, height_cap)
+        return cls(mech, n, float(gamma), probs)
 
     @cached_property
     def _cum(self):
@@ -173,20 +169,18 @@ NODE_BUDGET = 25_000_000
 
 
 def _grow(scheme, rng, n_roots, height_cap):
-    """Generation-major growth.  Returns (parents, offspring counts,
-    generation start offsets); parents of generation 0 are -1.  Raises
-    NumericError once the individuals grown pass NODE_BUDGET."""
-    gamma = scheme.gamma
-    max_children_gen = math.inf
-    if height_cap is not None:
-        # generation g is born at depth g/gamma; only gens born strictly
-        # below the cap exist
-        max_children_gen = _level_generation(gamma, height_cap)
+    """Generation-major growth of n_roots >= 0 ancestors below height_cap
+    (None for no cap).  Returns (parents, offspring counts, generation
+    start offsets); parents of generation 0 are -1.  Raises NumericError
+    once the individuals grown pass NODE_BUDGET."""
+    # generation g is born at depth g/gamma; only gens born strictly below
+    # the cap exist
+    max_children_gen = _level_generation(scheme.gamma, height_cap)
     ks_blocks = []
     offsets = [0]
     g = 0
     cur = n_roots
-    while cur > 0:
+    while True:
         if g + 1 > max_children_gen:
             ks = np.zeros(cur, dtype=np.int64)
         else:
@@ -267,8 +261,7 @@ def gw_tree(scheme, rng, height_cap=None):
     N[F] is estimated by scheme.n * mean(F) over independent calls, for
     functionals vanishing on the trivial tree.
     """
-    cap = scheme.height_cap if height_cap is None else height_cap
-    par, ks, offsets = _grow(scheme, rng, 1, cap)
+    par, ks, offsets = _grow(scheme, rng, 1, height_cap)
     return _tree_from_growth(scheme, par, ks, offsets)
 
 
@@ -278,8 +271,7 @@ def gw_forest(scheme, rng, size, height_cap=None):
     has no edge and one child per excursion, so it takes no marks: pruning
     the forest prunes each excursion as it would `gw_tree`'s tree, only
     the order of the draws differs."""
-    cap = scheme.height_cap if height_cap is None else height_cap
-    par, ks, offsets = _grow(scheme, rng, size, cap)
+    par, ks, offsets = _grow(scheme, rng, size, height_cap)
     # root individual of each individual by pointer doubling: the roots
     # point at themselves, and pass k reaches 2^k generations up
     anc = par.copy()
@@ -293,13 +285,7 @@ def forest_under_Pr(scheme, r, rng, height_cap=None):
     """Forest of Poisson(r*n) excursions hanging at a root of mass r."""
     if not r > 0:
         raise DomainError(f"initial mass r must be positive, got {r}")
-    cap = scheme.height_cap if height_cap is None else height_cap
-    n_exc = int(rng.poisson(r * scheme.n))
-    if n_exc == 0:
-        root = single_root(scale=1.0 / scheme.n)
-        return FiniteTree(root.parent, root.length, root.kind,
-                          np.array([float(r)]), root.mu, root.scale)
-    par, ks, offsets = _grow(scheme, rng, n_exc, cap)
+    par, ks, offsets = _grow(scheme, rng, int(rng.poisson(r * scheme.n)), height_cap)
     return _tree_from_growth(scheme, par, ks, offsets, root_delta=float(r))
 
 
@@ -406,21 +392,18 @@ def infinite_crt(fam, height_cap, rng, n):
 
 
 def supercritical_window(fam, q, height_cap, rng, n):
-    """Weighted sample targeting the supercritical tree below height_cap.
+    """(tree, weight): a weighted sample targeting the supercritical tree
+    below height_cap.
 
     Draws from the conjugate (subcritical) mechanism and reweights by
     exp(eta * Z_a); with eta = 0 this is plain sampling at weight 1.
     """
-    a = float(height_cap)
-    if not (a > 0 and math.isfinite(a)):
-        raise DomainError(f"need a finite positive height cap, got {height_cap}")
     mech_q = fam.psi_at(q)
     eta = mech_q.eta
     conj = mech_q if eta == 0.0 else mech_q.conjugate(eta)
-    scheme = GwScheme.build(conj, n, height_cap=a)
-    tree = gw_tree(scheme, rng).restrict_below(a)
-    weight = math.exp(eta * cap_crossings(tree, a)) if eta > 0 else 1.0
-    return WeightedSample(tree, weight)
+    a = float(height_cap)
+    tree = gw_tree(GwScheme.build(conj, n), rng, a).restrict_below(a)
+    return tree, math.exp(eta * cap_crossings(tree, a)) if eta > 0 else 1.0
 
 
 # ---------------------------------------------------------- population counts
@@ -428,40 +411,43 @@ def supercritical_window(fam, q, height_cap, rng, n):
 
 @dataclass(frozen=True)
 class PopulationRun:
-    """Generation counts of a scheme, no trees materialized."""
+    """Generation counts of a scheme, no trees materialized: individuals
+    born up to the stop generation, and those of the cap's generation."""
 
     n: int
     gamma: float
-    levels: tuple
     totals: np.ndarray
-    z_counts: np.ndarray
+    at_cap: np.ndarray
 
     def sigma(self):
         """Mass born up to the stop generation, by replicate."""
         return self.totals / (self.n * self.gamma)
 
-    def z_at(self, level):
-        return self.z_counts[self.levels.index(level)] / self.n
-
-    def alive_at(self, level):
-        return self.z_counts[self.levels.index(level)] > 0
+    def z_cap(self):
+        """Level mass Z at the cap, by replicate."""
+        return self.at_cap / self.n
 
 
 def _level_generation(gamma, a):
-    # individuals of generation g span (g/gamma, (g+1)/gamma]
-    x = a * gamma
-    return int(math.ceil(x - 1e-9)) - 1
+    """The generation crossing level a, inf for a = None (no cap):
+    individuals of generation g span (g/gamma, (g+1)/gamma].  The one
+    check of a height cap."""
+    if a is None:
+        return math.inf
+    if not 0.0 < a < math.inf:
+        raise DomainError(f"height cap must be positive and finite, got {a}")
+    return int(math.ceil(a * gamma - 1e-9)) - 1
 
 
-def population_run(scheme, rng, replicates, levels=(), init=None,
-                   height_cap=None, edge_survival=1.0):
+def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_survival=1.0):
     """Evolve the generation counts of many replicates of one scheme.
 
     init = None starts one ancestor per replicate (excursion sampling);
     init = r starts Poisson(r*n) ancestors.  edge_survival < 1 thins
     every edge independently, which realizes skeleton pruning.  Totals
-    accumulate up to extinction, the height cap (the scheme's unless one
-    is given), or for critical runs without a cap the last recorded level.
+    accumulate up to extinction or generation `_level_generation(gamma,
+    height_cap)`, the one crossing the cap, whose counts are `at_cap`
+    (zero without a cap).  Critical runs need a cap.
 
     Each generation draws the offspring of all live replicates in one
     `GwScheme.offspring_totals` call, and the counts are those of the tree
@@ -473,28 +459,18 @@ def population_run(scheme, rng, replicates, levels=(), init=None,
       init = None and edge_survival = 1 the counts by replicate equal the
       counts by root of the `_grow(scheme, rng, replicates, cap)` forest
       on the same generator;
-    * both stop at generation `_level_generation(gamma, cap)`, which is
-      `_grow`'s `max_children_gen`;
+    * both stop at the cap's generation, which is `_grow`'s
+      `max_children_gen`;
     * for a tree grown to cap a, `cap_crossings(tree, a) > 0` exactly when
-      generation `_level_generation(gamma, a)` is nonempty, and
-      `total_mass()` is the individual count times `mass_unit`.
+      `at_cap > 0`, and `total_mass()` is the individual count times
+      `mass_unit`.
     """
     if not 0.0 < edge_survival <= 1.0:
         raise DomainError(f"edge survival must be in (0, 1], got {edge_survival}")
     n, gamma = scheme.n, scheme.gamma
-    cap = scheme.height_cap if height_cap is None else height_cap
-
-    level_gens = [_level_generation(gamma, a) for a in levels]
-    if any(g < 0 for g in level_gens):
-        raise DomainError("levels must be positive")
-    if cap is not None:
-        last_gen = _level_generation(gamma, cap)
-    elif scheme.mech.criticality() == "critical":
-        if not levels:
-            raise DomainError("critical run needs a height cap or levels")
-        last_gen = max(level_gens)
-    else:
-        last_gen = None
+    last_gen = _level_generation(gamma, height_cap)
+    if last_gen == math.inf and scheme.mech.criticality() == "critical":
+        raise DomainError("critical run needs a height cap")
 
     if init is None:
         z = np.ones(replicates, dtype=np.int64)
@@ -506,15 +482,13 @@ def population_run(scheme, rng, replicates, levels=(), init=None,
         z = rng.binomial(z, edge_survival)
 
     totals = z.copy()
-    z_counts = np.zeros((len(levels), replicates), dtype=np.int64)
+    at_cap = np.zeros(replicates, dtype=np.int64)
     idx = np.flatnonzero(z > 0)
     z = z[idx]
     g = 0
     while len(idx) > 0:
-        for j, ga in enumerate(level_gens):
-            if ga == g:
-                z_counts[j, idx] = z
-        if last_gen is not None and g >= last_gen:
+        if g >= last_gen:
+            at_cap[idx] = z
             break
         kids = scheme.offspring_totals(rng, z)
         if edge_survival < 1.0:
@@ -524,4 +498,4 @@ def population_run(scheme, rng, replicates, levels=(), init=None,
         idx = idx[keep]
         z = kids[keep]
         g += 1
-    return PopulationRun(n, gamma, tuple(levels), totals, z_counts)
+    return PopulationRun(n, gamma, totals, at_cap)

@@ -172,6 +172,16 @@ def test_size_bias_with_a_subcritical_start_exits_two(tmp_path, capsys):
     assert "psi_0 critical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", [0.005, 0.018])
+def test_special_markov_with_no_retained_mass_exits_two(cap, tmp_path, capsys):
+    # gamma = 200 at n = 100, so the attachment level cap - cap/4 - 2/gamma
+    # lies below the first generation's depth 1/gamma: no mass to divide by
+    cfg = write_config(tmp_path, seed=7, replicates=200, resolution=100,
+                       height_cap=cap, q_grid=[1.0])
+    assert run(["verify", "special_markov_intensity", "--config", cfg]) == 2
+    assert "no retained mass" in capsys.readouterr().err
+
+
 def test_growth_over_the_node_budget_exits_three(tmp_path, monkeypatch, capsys):
     from levytree import sampler
 
@@ -262,6 +272,17 @@ def test_mech_domain_error_exits_two(capsys):
     zero_atom = json.dumps({"b": -1, "c": 0, "m": [{"type": "point", "z": 1, "w": 0}]})
     assert run(["mech", "invert", "--mech", zero_atom, "0"]) == 2
     capsys.readouterr()
+
+
+def test_mech_eval_outside_the_domain_exits_two(capsys):
+    # psi is infinite at lam <= -rho for a gamma term
+    gamma = json.dumps({"b": 0, "c": 0.2, "m": [{"type": "gamma", "k": 3, "rho": 1, "w": 0.2}]})
+    for lam in ("-1.5", "-1"):
+        assert run(["mech", "eval", "--mech", gamma, "--", "0.5", lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "lam > -rho" in captured.err
+    assert run(["mech", "eval", "--mech", gamma, "--", "-0.5"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
 
 
 LD_JSON = json.dumps(

@@ -435,10 +435,10 @@ def first_cut_reference(tree, marked, q):
 
 
 def marked_gw_tree(fam, seed, min_nodes=30):
-    sch = GwScheme.build(fam.psi_at(0.0), 40, height_cap=1.0)
+    sch = GwScheme.build(fam.psi_at(0.0), 40)
     rng = RngStream(seed).replicate(0)
     for _ in range(50):
-        tree = gw_tree(sch, rng)
+        tree = gw_tree(sch, rng, height_cap=1.0)
         if len(tree) >= min_nodes:
             break
     return generate_marks(tree, fam, (0.0, 2.0), rng)
@@ -455,9 +455,8 @@ def test_cut_helpers_match_the_node_sweeps(seed, fam):
     for q in np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 2), own]):
         assert marked.first_cut(q) == first_cut_reference(tree, marked, q)
         for eps, attach_max in ((0.05, 1.0), (0.2, 0.5), (1e-9, 2.0)):
-            assert marked.tall_removed(q, eps, attach_max) == tall_removed_reference(
-                marked, q, eps, attach_max
-            )
+            assert marked.read(q, eps=eps, attach_max=attach_max).tall[0] == (
+                tall_removed_reference(marked, q, eps, attach_max))
 
 
 @settings(max_examples=40, deadline=None)
@@ -519,17 +518,17 @@ def pruned_reference(marked, q, attach_max):
 # lattice-aligned caps: cap * gamma is an integer, so the top generation
 # and a level of cap - eps - 2/gamma sit on running sums of 1/gamma
 FOREST_SCHEMES = {
-    "lineardrift": (LD, GwScheme.build(LD.psi_at(0.0), 40, height_cap=0.5)),
-    "jump": (JUMPY, GwScheme.build(JUMPY.psi_at(0.0), 40)),
+    "lineardrift": (LD, GwScheme.build(LD.psi_at(0.0), 40), 0.5),
+    "jump": (JUMPY, GwScheme.build(JUMPY.psi_at(0.0), 40), None),
 }
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), name=st.sampled_from(sorted(FOREST_SCHEMES)))
 def test_the_forest_reader_matches_per_tree_sweeps(seed, name):
-    fam, scheme = FOREST_SCHEMES[name]
+    fam, scheme, cap = FOREST_SCHEMES[name]
     gamma = scheme.gamma
-    cap = scheme.height_cap or 24.0 / gamma
+    cap = cap or 24.0 / gamma
     assert (cap * gamma).is_integer()
     rng = RngStream(seed).replicate(0)
     size = 12

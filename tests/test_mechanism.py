@@ -176,6 +176,14 @@ def test_eta_mixed_supercritical():
     assert eta == pytest.approx(root, rel=1e-10)
 
 
+def test_eta_at_a_tiny_negative_drift():
+    # psi values near a root of 1.9e-130 are about 1e-260, and their
+    # products underflow inside brentq unless it sees them scaled
+    mech = Mechanism(b=-3.8424268759994057e-131, c=0.2)
+    assert mech.eta == pytest.approx(-mech.b / mech.c, rel=1e-15)
+    assert mech.v_of(1.0) > mech.eta
+
+
 def test_psi_inverse_roundtrip_mixed():
     for y in (0.0, 0.3, 5.0, 400.0):
         lam = MIXED.psi_inverse(y)

@@ -197,10 +197,10 @@ def pruned_at_reference(mt, q):
 def random_marked_tree(fam, seed, q_max=2.0, min_nodes=30):
     """A marked GW tree of psi_0 with at least min_nodes nodes (first of
     50 draws that has them); node marks appear for jump families."""
-    sch = GwScheme.build(fam.psi_at(0.0), 40, height_cap=1.0)
+    sch = GwScheme.build(fam.psi_at(0.0), 40)
     rng = RngStream(seed).replicate(0)
     for _ in range(50):
-        tree = gw_tree(sch, rng)
+        tree = gw_tree(sch, rng, height_cap=1.0)
         if len(tree) >= min_nodes:
             break
     return generate_marks(tree, fam, (0.0, q_max), rng)

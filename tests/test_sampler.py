@@ -26,6 +26,7 @@ from levytree.sampler import (
     cap_crossings,
     exact_sigma_quadratic,
     forest_under_Pr,
+    gw_forest,
     gw_tree,
     infinite_crt,
     population_run,
@@ -175,8 +176,8 @@ def test_tree_and_population_height_laws_agree():
         gw_tree(sch, rng, height_cap=1.0).level_mass(a) > 0
         for _ in range(reps))
     p_tree = hits / reps
-    run = population_run(sch, RngStream(13).replicate(1), reps, levels=(a,))
-    p_pop = run.alive_at(a).mean()
+    run = population_run(sch, RngStream(13).replicate(1), reps, height_cap=a)
+    p_pop = (run.at_cap > 0).mean()
     se = math.sqrt(p_tree * (1 - p_tree) / reps + p_pop * (1 - p_pop) / reps)
     assert abs(p_tree - p_pop) < 4 * se
 
@@ -184,8 +185,8 @@ def test_tree_and_population_height_laws_agree():
 def test_height_law_approaches_tail_inverse():
     # n * P(H > a) -> v(a) = 1/a for the critical quadratic mechanism
     n, reps, a = 300, 30000, 1.0
-    run = population_run(GwScheme.build(QUAD, n), RngStream(41).replicate(0), reps, levels=(a,))
-    p = run.alive_at(a).mean()
+    run = population_run(GwScheme.build(QUAD, n), RngStream(41).replicate(0), reps, height_cap=a)
+    p = (run.at_cap > 0).mean()
     est = n * p
     se = n * math.sqrt(p * (1 - p) / reps)
     assert abs(est - 1.0) < 4 * se + 0.05
@@ -325,18 +326,17 @@ def test_spine_jump_graft_rate_and_level_mass():
 
 def test_supercritical_weight_is_one_at_zero_root():
     fam = LinearDriftFamily(1.0, 1.0)
-    ws = supercritical_window(fam, 0.5, 0.4, RngStream(71).replicate(0), 40)
-    assert ws.weight == 1.0
+    _, weight = supercritical_window(fam, 0.5, 0.4, RngStream(71).replicate(0), 40)
+    assert weight == 1.0
 
 
 def test_supercritical_window_weight_form():
     fam = LinearDriftFamily(1.0, 1.0)
-    ws = supercritical_window(fam, -1.0, 0.4, RngStream(72).replicate(1), 40)
+    tree, weight = supercritical_window(fam, -1.0, 0.4, RngStream(72).replicate(1), 40)
     eta = fam.psi_at(-1.0).eta
     assert eta == pytest.approx(1.0)
-    assert ws.weight == pytest.approx(
-        math.exp(eta * ws.tree.level_mass(0.4)))
-    assert ws.tree.height() <= 0.4 + 1e-12
+    assert weight == pytest.approx(math.exp(eta * tree.level_mass(0.4)))
+    assert tree.height() <= 0.4 + 1e-12
 
 
 def test_supercritical_tail_estimate():
@@ -346,8 +346,8 @@ def test_supercritical_tail_estimate():
     target = 1.0 / (1.0 - math.exp(-a))  # tail inverse of lam^2 - lam
     n, reps = 150, 30000
     conj = fam.psi_at(-1.0).conjugate(1.0)
-    run = population_run(GwScheme.build(conj, n), RngStream(73).replicate(0), reps, levels=(a,))
-    vals = np.exp(run.z_at(a)) * run.alive_at(a)
+    run = population_run(GwScheme.build(conj, n), RngStream(73).replicate(0), reps, height_cap=a)
+    vals = np.exp(run.z_cap()) * (run.at_cap > 0)
     est = n * vals.mean()
     se = n * vals.std() / math.sqrt(reps)
     assert abs(est - target) < 4 * se + 0.1
@@ -371,8 +371,8 @@ def test_population_thinning_reduces_mass():
     assert thin.totals.max() <= full.totals.max() * 2  # sanity, same seed scale
 
 
-def test_population_critical_needs_cap_or_levels():
-    with pytest.raises(DomainError):
+def test_population_critical_needs_a_cap():
+    with pytest.raises(DomainError, match="needs a height cap"):
         population_run(GwScheme.build(QUAD, 50), RngStream(1).replicate(0), 10)
 
 
@@ -392,20 +392,14 @@ def test_population_deterministic():
     np.testing.assert_array_equal(one.totals, two.totals)
 
 
-def _reference_quadratic_run(mech, n, rng, replicates, levels=(), init=None,
+def _reference_quadratic_run(mech, n, rng, replicates, init=None,
                              height_cap=None, edge_survival=1.0):
     """The mechanism-based generation loop the engine replaced, kept as the
-    reference for the quadratic law: (totals, z_counts)."""
+    reference for the quadratic law: (totals, counts at the cap)."""
     b, c = mech.b, mech.c
     gamma = b + 2.0 * c * n
     p2 = c * n / gamma
-    level_gens = [_level_generation(gamma, a) for a in levels]
-    if height_cap is not None:
-        last_gen = _level_generation(gamma, height_cap)
-    elif b == 0.0:
-        last_gen = max(level_gens)
-    else:
-        last_gen = None
+    last_gen = None if height_cap is None else _level_generation(gamma, height_cap)
     if init is None:
         z = np.ones(replicates, dtype=np.int64)
     else:
@@ -413,15 +407,13 @@ def _reference_quadratic_run(mech, n, rng, replicates, levels=(), init=None,
     if edge_survival < 1.0:
         z = rng.binomial(z, edge_survival)
     totals = z.copy()
-    z_counts = np.zeros((len(levels), replicates), dtype=np.int64)
+    at_cap = np.zeros(replicates, dtype=np.int64)
     idx = np.flatnonzero(z > 0)
     z = z[idx]
     g = 0
     while len(idx) > 0:
-        for j, ga in enumerate(level_gens):
-            if ga == g:
-                z_counts[j, idx] = z
         if last_gen is not None and g >= last_gen:
+            at_cap[idx] = z
             break
         kids = rng.binomial(z, p2) * 2
         if edge_survival < 1.0:
@@ -431,7 +423,7 @@ def _reference_quadratic_run(mech, n, rng, replicates, levels=(), init=None,
         idx = idx[keep]
         z = kids[keep]
         g += 1
-    return totals, z_counts
+    return totals, at_cap
 
 
 @pytest.mark.parametrize("init", [None, 0.5])
@@ -444,16 +436,19 @@ def _reference_quadratic_run(mech, n, rng, replicates, levels=(), init=None,
     (Mechanism(0.3, 0.7), (0.25,), None),
 ])
 def test_population_quadratic_matches_reference_loop(mech, levels, cap, init, edge_survival):
+    # the run capped at cap, and at each of the levels in turn
     n, reps = 50, 300
-    run = population_run(GwScheme.build(mech, n), RngStream(95).replicate(0), reps,
-                         levels=levels, init=init, height_cap=cap,
-                         edge_survival=edge_survival)
-    totals, z_counts = _reference_quadratic_run(
-        mech, n, RngStream(95).replicate(0), reps, levels=levels, init=init,
-        height_cap=cap, edge_survival=edge_survival)
-    np.testing.assert_array_equal(run.totals, totals)
-    np.testing.assert_array_equal(run.z_counts, z_counts)
-    assert run.gamma == mech.b + 2.0 * mech.c * n
+    for height_cap in (cap, *levels):
+        if height_cap is None and mech.b == 0.0:
+            continue  # a critical run needs a cap
+        run = population_run(GwScheme.build(mech, n), RngStream(95).replicate(0), reps,
+                             init=init, height_cap=height_cap, edge_survival=edge_survival)
+        totals, at_cap = _reference_quadratic_run(
+            mech, n, RngStream(95).replicate(0), reps, init=init,
+            height_cap=height_cap, edge_survival=edge_survival)
+        np.testing.assert_array_equal(run.totals, totals)
+        np.testing.assert_array_equal(run.at_cap, at_cap)
+        assert run.gamma == mech.b + 2.0 * mech.c * n
 
 
 def _forest_counts_by_root(par, offsets, n_roots, gen):
@@ -479,24 +474,51 @@ JUMP_SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.
     (QUAD, 50.0, 0.3),  # above the minimal rate: a one-child term, not {0, 2}
 ])
 def test_population_counts_match_grown_forest(seed, mech, gamma, cap):
-    n, reps, level = 20, 200, 0.2
+    n, reps = 20, 200
     sch = GwScheme.build(mech, n, gamma=gamma)
     if cap == "aligned":
         cap = 9 / sch.gamma  # an exact generation boundary
-    run = population_run(sch, RngStream(seed).replicate(1), reps,
-                         levels=(level,), height_cap=cap)
+    run = population_run(sch, RngStream(seed).replicate(1), reps, height_cap=cap)
     par, ks, offsets = _grow(sch, RngStream(seed).replicate(1), reps, cap)
-    totals, at_level = _forest_counts_by_root(
-        par, offsets, reps, _level_generation(sch.gamma, level))
+    # no cap: the run goes extinct, and its count at the cap is 0
+    gen = len(offsets) if cap is None else _level_generation(sch.gamma, cap)
+    totals, at_cap = _forest_counts_by_root(par, offsets, reps, gen)
     np.testing.assert_array_equal(run.totals, totals)
-    np.testing.assert_array_equal(run.z_counts[0], at_level)
+    np.testing.assert_array_equal(run.at_cap, at_cap)
     if cap is not None:
         # the tree readings the experiments used before the engine
         forest = _tree_from_growth(sch, par, ks, offsets)
-        _, at_cap = _forest_counts_by_root(
-            par, offsets, reps, _level_generation(sch.gamma, cap))
         assert round(cap_crossings(forest, cap) * n) == at_cap.sum()
         assert forest.total_mass() == pytest.approx(totals.sum() * sch.mass_unit, rel=1e-12)
+
+
+GROWERS = {
+    "gw_tree": lambda sch, rng, cap: gw_tree(sch, rng, height_cap=cap),
+    "gw_forest": lambda sch, rng, cap: gw_forest(sch, rng, 5, height_cap=cap),
+    "forest_under_Pr": lambda sch, rng, cap: forest_under_Pr(sch, 1.0, rng, height_cap=cap),
+    "forest_under_Pr, no excursion": lambda sch, rng, cap: forest_under_Pr(
+        sch, 1e-12, rng, height_cap=cap),
+    "population_run": lambda sch, rng, cap: population_run(sch, rng, 5, height_cap=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("grower", sorted(GROWERS))
+def test_growers_reject_a_cap_that_is_not_positive_and_finite(grower, cap):
+    sch = GwScheme.build(SUB, 20)
+    with pytest.raises(DomainError, match="height cap must be positive and finite"):
+        GROWERS[grower](sch, RngStream(5).replicate(0), cap)
+
+
+def test_forest_without_excursions_is_its_root():
+    sch = GwScheme.build(SUB, 20)
+    rng = RngStream(5).replicate(0)
+    t = forest_under_Pr(sch, 1e-12, rng, height_cap=1.0)
+    assert len(t) == 1 and t.kind[0] == ROOT and t.delta[0] == 1e-12
+    assert t.total_mass() == 0.0 and t.depth.tolist() == [0.0]
+    # growing no excursion draws nothing after the Poisson count
+    ref = RngStream(5).replicate(0)
+    assert ref.poisson(1e-12 * sch.n) == 0 and rng.random() == ref.random()
 
 
 def test_growth_node_budget_raises(monkeypatch):
