@@ -251,7 +251,7 @@ def build_parser():
     verify.add_argument("--replicates", type=int, help="overrides params.replicates")
     verify.add_argument("--resolution", type=int, help="overrides params.resolution")
     verify.add_argument("--workers", type=int,
-                        help="accepted and ignored: batches run in one thread")
+                        help="accepted and ignored: every draw runs in one thread")
     verify.add_argument("--out", help="CSV output path (default: stdout)")
     verify.set_defaults(fn=_cmd_verify)
 

@@ -19,11 +19,18 @@ from them, each reducing one side's draws at resolution n to a statistic
 two_step_markov (paired at one resolution in `prune.two_step_consistency`)
 and the deterministic mz_cocycle keep their own row code.
 
-Replicates are split into a fixed number of batches, each with its own seeded
-generator, and batch results are concatenated in batch order, so an estimate
-depends on (seed, path, replicate count) alone.  A batch is one draw: one
-`population_run`, or for the pruning experiments one marked forest read by
-`MarkedTree.read`; only spine_exponential draws replicate by replicate.
+Each side of an arm is one draw of all its replicates from the one generator
+of its stream, so an estimate depends on (seed, path, replicate count) alone.
+A counts draw is one `population_run` or exact-sampler call.  A pruning draw
+grows marked forests, read by `MarkedTree.read`, one after another from that
+generator; `_forest_chunks` sizes them from the config alone, which bounds
+the memory of one forest.  Only spine_exponential and the size_bias spine
+cuts draw replicate by replicate.
+
+height_law, sigma_laplace and special_markov_intensity score a rare count,
+whose sample standard error shrinks along with a low estimate; they report
+the standard error their oracle implies instead (the score form), and a
+negative null variance, which no law allows, fails the point.
 """
 
 from __future__ import annotations
@@ -42,10 +49,13 @@ from . import laws
 from .family import AdmissibleFamily, family_from_dict
 from .mechanism import DomainError, Mechanism
 from .prune import MarkedTree, generate_marks, two_step_consistency
-from .sampler import (GwScheme, PopulationRun, RngStream, exact_sigma_quadratic, gw_forest,
-                      gw_tree, population_run, spine_line)
+from .sampler import (GwScheme, PopulationRun, RngStream, _level_generation,
+                      exact_sigma_quadratic, gw_forest, gw_tree, population_run, spine_line)
 
-N_BATCHES = 64
+# expected individuals in one forest of a pruning draw: enough that the
+# per-generation steps of growth are few, few enough that the forest's
+# arrays stay small, whatever the replicate count
+NODE_TARGET = 30_000
 
 
 class ConfigError(ValueError):
@@ -132,35 +142,50 @@ class PointResult:
 # ------------------------------------------------------------ MC plumbing
 
 
-def _batch_sizes(total):
-    base, extra = divmod(total, N_BATCHES)
-    sizes = [base + (1 if k < extra else 0) for k in range(N_BATCHES)]
-    return [s for s in sizes if s > 0]
+def _forest_chunks(scheme, cap, size):
+    """Replicate counts of the forests that grow size excursions below cap,
+    one after another: balanced, each at most max(1, NODE_TARGET // E), where
+    E is the expected number of individuals of one excursion."""
+    m = 1.0 - scheme.mech.b / scheme.gamma
+    e = sum(m**g for g in range(_level_generation(scheme.gamma, cap) + 1))
+    chunks = -(-size // max(1, int(NODE_TARGET // e)))
+    base, extra = divmod(size, chunks)
+    return [base + 1] * extra + [base] * (chunks - extra)
 
 
-def _map_batches(stream, sizes, fn):
-    """Concatenate fn(generator_k, size_k) over batches, in batch order."""
-    return np.concatenate(
-        [np.asarray(fn(stream.replicate(k), size)) for k, size in enumerate(sizes)], axis=0)
-
-
-def _mean_se(values):
+def _mean_se(n, values):
+    """Mean and its sample standard error."""
     m = float(np.mean(values))
     if len(values) < 2:
         return m, 0.0
     return m, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _ratio_se(pairs):
-    """sum(count) / sum(mass) over (count, mass) rows, with its delta-method se."""
-    counts, mass = pairs[:, 0], pairs[:, 1]
-    est = float(counts.sum() / mass.sum())
-    resid = counts - est * mass
-    return est, float(np.std(resid, ddof=1) / math.sqrt(len(resid)) / np.mean(mass))
+def _null_se(var):
+    """sqrt(var), or nan for a negative null variance: no law has one, so
+    the point fails."""
+    return math.sqrt(var) if var >= 0.0 else math.nan
+
+
+def _null_mean_se(var_of):
+    """Statistic: the mean, with the standard error that the oracle implies,
+    var_of(n) being the variance of one value under the oracle at resolution n."""
+    return lambda n, values: (float(np.mean(values)), _null_se(var_of(n) / len(values)))
+
+
+def _poisson_ratio_se(theta):
+    """Statistic: sum(count) / sum(mass) over (count, mass) rows.  Given the
+    masses, the summed count is Poisson(theta * sum(mass)) under the oracle
+    theta, so the standard error is sqrt(theta / sum(mass))."""
+    def stat(n, pairs):
+        mass = pairs[:, 1].sum()
+        return float(pairs[:, 0].sum() / mass), _null_se(theta / mass)
+
+    return stat
 
 
 def _z_of(diff, spread):
-    if spread > 0.0:
+    if spread > 0.0 or math.isnan(spread):
         return abs(diff) / spread
     return 0.0 if diff == 0.0 else math.inf
 
@@ -177,7 +202,7 @@ def _exact_row(cfg, point, got, want, rel=1e-12):
 
 
 class Point(NamedTuple):
-    """One CSV row: stat(reduce(n, draws of side)) against oracle; at_least
+    """One CSV row: stat(n, reduce(n, draws of side)) against oracle; at_least
     marks a p-value, which passes once it reaches oracle, with z nan."""
 
     label: str
@@ -198,21 +223,20 @@ class Group(NamedTuple):
 
 def _arm_rows(cfg, layout, group, stream):
     """The rows of one sample group under the banded, paired or plain layout."""
-    sizes = _batch_sizes(cfg.replicates)
     plain = layout == "plain"
     arms = []
     for arm, n in enumerate((cfg.resolution,) if plain else (cfg.resolution, 2 * cfg.resolution)):
         path = group.path if plain else group.path + (arm,)
         sides = [
-            _map_batches(stream.child(*path, *([side] if len(group.draws) > 1 else [])),
-                         sizes, functools.partial(draw, n))
+            draw(n, stream.child(*path, *([side] if len(group.draws) > 1 else [])).generator(),
+                 cfg.replicates)
             for side, draw in enumerate(group.draws)
         ]
         arms.append((n, sides))
 
     def read(p, arm, side):
         n, sides = arms[arm]
-        return p.stat(p.reduce(n, sides[side]))
+        return p.stat(n, p.reduce(n, sides[side]))
 
     rows = []
     for p in group.points:
@@ -249,6 +273,17 @@ def _counts(mech, reading, cap=None):
     """Draws reading(run) of the counts engine grown to cap, one replicate per excursion."""
     scheme = _schemes(mech)
     return lambda n, rng, size: reading(population_run(scheme(n), rng, size, height_cap=cap))
+
+
+def _forest_draw(schemes, cap, read):
+    """Draws stacking read(scheme, rng, forest, label, k) over forests of
+    k excursions grown below cap, k running over `_forest_chunks`."""
+    def draw(n, rng, size):
+        scheme = schemes(n)
+        return np.concatenate([read(scheme, rng, *gw_forest(scheme, rng, k, cap), k)
+                               for k in _forest_chunks(scheme, cap, size)])
+
+    return draw
 
 
 # --------------------------------------------------------------- registry
@@ -296,11 +331,15 @@ def _height_law(cfg, v_of):
     heights = cfg.q_grid or (0.5, 1.0, 2.0)
     if not all(a > 0.0 for a in heights):
         raise ConfigError("height_law needs positive levels in q_grid")
-    return [
-        Group((j,), (_counts(mech, lambda run: (run.at_cap > 0).astype(float), a),),
-              [Point(f"a={a:g}", v_of(mech, a), lambda n, x: n * x)])
-        for j, a in enumerate(heights)
-    ]
+    groups = []
+    for j, a in enumerate(heights):
+        v = v_of(mech, a)
+        # n * 1{crosses a} with P(crosses) = v / n has variance n v - v^2
+        point = Point(f"a={a:g}", v, lambda n, x: n * x,
+                      stat=_null_mean_se(lambda n, v=v: n * v - v * v))
+        groups.append(Group((j,), (_counts(mech, lambda run: (run.at_cap > 0).astype(float), a),),
+                            [point]))
+    return groups
 
 
 @_experiment("sigma_laplace", laws.sigma_laplace, "banded",
@@ -312,11 +351,14 @@ def _sigma_laplace(cfg, sigma_laplace):
         if mech.criticality() != "subcritical":
             raise ConfigError(
                 f"sigma_laplace samples full masses; psi at q={q:g} is not subcritical")
-        points = [
-            Point(f"q={q:g},lam={lam:g}", sigma_laplace(mech, lam),
-                  lambda n, sig, lam=lam: n * -np.expm1(-lam * sig))
-            for lam in cfg.lambda_grid or (0.5, 1.0, 2.0)
-        ]
+        points = []
+        for lam in cfg.lambda_grid or (0.5, 1.0, 2.0):
+            # N[(1 - e^{-lam sigma})^2] = 2 psi^{-1}(lam) - psi^{-1}(2 lam), so
+            # n (1 - e^{-lam sigma}) has null variance n (2 u1 - u2) - u1^2
+            u1, u2 = sigma_laplace(mech, lam), sigma_laplace(mech, 2.0 * lam)
+            points.append(Point(
+                f"q={q:g},lam={lam:g}", u1, lambda n, sig, lam=lam: n * -np.expm1(-lam * sig),
+                stat=_null_mean_se(lambda n, u1=u1, u2=u2: n * (2.0 * u1 - u2) - u1 * u1)))
         groups.append(Group((j,), (_counts(mech, PopulationRun.sigma),), points))
     return groups
 
@@ -334,9 +376,8 @@ def _prune_marginal(cfg, psi_at):
     heights = (cap / 4.0, cap / 2.0)
     base = _schemes(fam.psi_at(0.0))
 
-    def tails(n, rng, size, schemes, q=None):
+    def tails(scheme, rng, forest, label, size, q=None):
         """Columns mass, 1{height > a} by a, pruned at q unless q is None."""
-        forest, label = gw_forest(schemes(n), rng, size, cap)
         if q is None:
             got = MarkedTree.unmarked(forest).read(0.0, label, size)
         else:
@@ -345,8 +386,8 @@ def _prune_marginal(cfg, psi_at):
 
     groups = []
     for j, q in enumerate(qs):
-        draws = (functools.partial(tails, schemes=base, q=q),
-                 functools.partial(tails, schemes=_schemes(psi_at(fam, q))))
+        draws = (_forest_draw(base, cap, functools.partial(tails, q=q)),
+                 _forest_draw(_schemes(psi_at(fam, q)), cap, tails))
         points = [Point(f"q={q:g},lam={lam:g}", None,
                         lambda n, x, lam=lam: n * -np.expm1(-lam * x[:, 0]))
                   for lam in cfg.lambda_grid or (0.5, 1.0, 2.0)]
@@ -374,18 +415,18 @@ def _special_markov(cfg, intensity):
         raise ConfigError(f"height_cap {cap:g} leaves no retained mass at resolution "
                           f"{cfg.resolution}: no node lies at depth <= {attach_max(coarse):g}")
 
-    def removed_and_mass(n, rng, size, q):
-        scheme = schemes(n)
-        forest, label = gw_forest(scheme, rng, size, cap)
+    def removed_and_mass(scheme, rng, forest, label, size, q):
         got = generate_marks(forest, fam, (0.0, q), rng).read(
             q, label, size, eps, attach_max(scheme))
         return np.column_stack([got.tall, got.low_mass])
 
-    return [
-        Group((j,), (functools.partial(removed_and_mass, q=q),),
-              [Point(f"q={q:g},eps={eps:g}", intensity(fam, 0.0, q, eps), stat=_ratio_se)])
-        for j, q in enumerate(cfg.q_grid or (1.0,))
-    ]
+    groups = []
+    for j, q in enumerate(cfg.q_grid or (1.0,)):
+        theta = intensity(fam, 0.0, q, eps)
+        draw = _forest_draw(schemes, cap, functools.partial(removed_and_mass, q=q))
+        groups.append(Group((j,), (draw,), [
+            Point(f"q={q:g},eps={eps:g}", theta, stat=_poisson_ratio_se(theta))]))
+    return groups
 
 
 @_experiment("two_step_markov", two_step_consistency, None,
@@ -471,12 +512,11 @@ def _exit_tail(cfg, v_of):
               for k, q in enumerate(qs)]
     schemes = _schemes(fam.psi_at(0.0))
 
-    def exits(n, rng, size):
-        forest, label = gw_forest(schemes(n), rng, size, cap)
+    def exits(scheme, rng, forest, label, size):
         marked = generate_marks(forest, fam, (0.0, qs[-1]), rng)
-        return n * (marked.sigma_path(qs, label, size).height.T > h)
+        return scheme.n * (marked.sigma_path(qs, label, size).height.T > h)
 
-    return [Group((), (exits,), points)]
+    return [Group((), (_forest_draw(schemes, cap, exits),), points)]
 
 
 def _exact_spine_cut(fam, q, b_q, rng, n):
@@ -497,24 +537,17 @@ def _star_mass_draws(fam, q, b_q, scheme, rng, size):
     Killing an edge when any mark in the window lands on it is Bernoulli with
     survival exp(-alpha/gamma) per edge, so for quadratic mechanisms the
     pruned graft masses come from one thinned population run instead of
-    per-graft python trees.  The spine cut itself still runs through the real
-    mark pipeline, with no height cap anywhere.
+    per-graft python trees.  A replicate's Poisson(2 c n cut) grafts form one
+    forest by the branching property, so the run starts each replicate from
+    mass 2 c cut.  The spine cut itself still runs through the real mark
+    pipeline, with no height cap anywhere.
     """
-    n = scheme.n
     survival = math.exp(-fam.alpha(0.0, q) / scheme.gamma)
-    cuts = np.array([_exact_spine_cut(fam, q, b_q, rng, n) for _ in range(size)])
-    counts = rng.poisson(2.0 * scheme.mech.c * n * cuts)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(size)
+    cuts = np.array([_exact_spine_cut(fam, q, b_q, rng, scheme.n) for _ in range(size)])
     # thinned runs die at rate b_q; the engine still wants a cap for the
     # critical mechanism, so give one far past any reachable height
-    masses = population_run(
-        scheme, rng, total, height_cap=80.0 / b_q, edge_survival=survival
-    ).sigma()
-    out = np.zeros(size)
-    np.add.at(out, np.repeat(np.arange(size), counts), masses)
-    return out
+    return population_run(scheme, rng, size, init=2.0 * scheme.mech.c * cuts,
+                          height_cap=80.0 / b_q, edge_survival=survival).sigma()
 
 
 @_experiment("size_bias", laws.size_bias_identity, "banded",
@@ -560,7 +593,7 @@ def _truncated_exp_ks(rate, cap):
     truncated at cap (0 with fewer than 10 of them), stderr 0."""
     denom = -math.expm1(-rate * cap)
 
-    def stat(vals):
+    def stat(n, vals):
         seen = vals[np.isfinite(vals)]
         if len(seen) < 10:
             return 0.0, 0.0

@@ -172,6 +172,19 @@ class AdmissibleFamily(ABC):
             raise DomainError(f"need node size > 0, got {delta}")
         return self._node_mark_time(t, delta, u)
 
+    def node_mark_times(self, t, delta, u):
+        """node_mark_time(t, delta[i], u[i]) over arrays of node sizes and
+        uniforms."""
+        self._check_time(t, "t")
+        delta, u = np.asarray(delta, dtype=float), np.asarray(u, dtype=float)
+        bad = ~((0.0 < u) & (u < 1.0))
+        if bad.any():
+            raise DomainError(f"need u in (0, 1), got {u[bad][0]}")
+        bad = ~(delta > 0)
+        if bad.any():
+            raise DomainError(f"need node size > 0, got {delta[bad][0]}")
+        return self._node_mark_times(t, delta, u)
+
     def mark_times(self, t, q, rng, size):
         """iid mark times on [t, q] with density beta / alpha(t, q); size 0
         gives an empty array, and t == q, with no density, allows no other."""
@@ -214,6 +227,10 @@ class AdmissibleFamily(ABC):
                 return math.inf
             hi = min(t1, t + 2.0 * (hi - t))
         return brentq(lambda s: self._node_survival(t, s, delta) - target, t, hi, xtol=1e-14)
+
+    def _node_mark_times(self, t, delta, u):
+        # one scalar call per node; families with a closed form map in bulk
+        return np.array([self._node_mark_time(t, d, x) for d, x in zip(delta.tolist(), u.tolist())])
 
     def _mark_times(self, t, q, rng, size):
         total = self._alpha(t, q)
@@ -345,6 +362,11 @@ class ShiftFamily(_AtomicBaseFamily):
         tm = t - math.log1p(-u) / delta
         return tm if tm <= self.window[1] else math.inf
 
+    def _node_mark_times(self, t, delta, u):
+        # numpy's log1p may differ from math.log1p in the last bit
+        tm = t - np.log1p(-u) / delta
+        return np.where(tm <= self.window[1], tm, np.inf)
+
     def _qbar(self, q):
         self._require_critical_origin()
         qb = q + self.eta_at(q)
@@ -380,6 +402,9 @@ class LinearDriftFamily(_ConstantKernelFamily):
 
     def _node_mark_time(self, t, delta, u):
         return math.inf
+
+    def _node_mark_times(self, t, delta, u):
+        return np.full(len(delta), np.inf)
 
     def _qbar(self, q):
         return -q if -q <= self.window[1] else None
@@ -438,6 +463,12 @@ class TruncationFamily(_AtomicBaseFamily):
         if td <= t:
             return t
         return td if td <= self.window[1] else math.inf
+
+    def _node_mark_times(self, t, delta, u):
+        if self.slope <= 0.0:
+            return np.full(len(delta), np.inf)
+        td = (self.h0 - delta) / self.slope
+        return np.where(td <= t, t, np.where(td <= self.window[1], td, np.inf))
 
     def to_dict(self):
         return self._to_dict("truncation", base=self.base.to_dict(), h0=self.h0,

@@ -197,16 +197,12 @@ def generate_marks(tree, fam, window, rng):
         offsets = np.zeros(0)
         times = np.zeros(0)
 
+    # one uniform per many-child node, in node order
     inf_nodes = np.flatnonzero(tree.kind == INFINITE)
-    node_ids, node_times = [], []
-    for i in inf_nodes:
-        tm = fam.node_mark_time(t, float(tree.delta[i]), float(rng.random()))
-        if tm <= t_max:
-            node_ids.append(i)
-            node_times.append(tm)
+    node_times = fam.node_mark_times(t, tree.delta[inf_nodes], rng.random(len(inf_nodes)))
+    hit = node_times <= t_max
     return MarkedTree(tree, (t, t_max), edge_ids, offsets, times,
-                      np.array(node_ids, dtype=np.int64),
-                      np.array(node_times, dtype=float))
+                      inf_nodes[hit].astype(np.int64), node_times[hit])
 
 
 def two_step_consistency(tree, fam, t, theta, q, rng, n_rep):

@@ -29,7 +29,7 @@ no cap, and `_level_generation` is where it is checked.
 `population_run` is the counts-only mode of the same scheme, for every
 offspring law: it evolves the generation sizes of many replicates at once
 and builds no tree, so mass and the count at the cap (heights, Z_a,
-sigma) come from it.  Experiments that mark and prune grow a batch of
+sigma) come from it.  Experiments that mark and prune grow many
 replicates as one tree with `gw_forest`, whose node -> replicate label
 lets `MarkedTree.read` reduce every replicate at once.
 """
@@ -443,7 +443,8 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     """Evolve the generation counts of many replicates of one scheme.
 
     init = None starts one ancestor per replicate (excursion sampling);
-    init = r starts Poisson(r*n) ancestors.  edge_survival < 1 thins
+    init = r starts Poisson(r*n) ancestors, and an array of one r per
+    replicate starts replicate i from Poisson(r_i*n).  edge_survival < 1 thins
     every edge independently, which realizes skeleton pruning.  Totals
     accumulate up to extinction or generation `_level_generation(gamma,
     height_cap)`, the one crossing the cap, whose counts are `at_cap`
@@ -475,9 +476,12 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     if init is None:
         z = np.ones(replicates, dtype=np.int64)
     else:
-        if not init > 0:
-            raise DomainError(f"initial mass must be positive, got {init}")
-        z = rng.poisson(init * n, replicates).astype(np.int64)
+        r = np.asarray(init, dtype=float)
+        if r.ndim and r.shape != (replicates,):
+            raise DomainError(f"need one initial mass per replicate, got shape {r.shape}")
+        if not np.all(r > 0):
+            raise DomainError(f"initial mass must be positive, got {r.min() if r.ndim else init}")
+        z = rng.poisson(r * n, replicates).astype(np.int64)
     if edge_survival < 1.0:
         z = rng.binomial(z, edge_survival)
 

@@ -4,13 +4,14 @@ Statistical assertions here run tiny replicate counts on fixed seeds, so they
 are deterministic; the heavy sweeps live in the acceptance module.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levytree import experiments, laws
+from levytree import cli, experiments, laws
 from levytree.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -243,6 +244,86 @@ def test_catalog_lists_every_experiment_once():
     assert "height_law" in names
     assert "mz_cocycle" in names
     assert all(e.oracle and e.description for e in infos)
+
+
+# -------------------------------------------- null standard errors and draws
+
+
+def fine_arm_draws(cfg, group=0, side=0):
+    """The finer arm's draws of one sample group, from the stream
+    `run_experiment` gives them."""
+    spec = experiments._SPECS[cfg.experiment]
+    g = spec.plan(cfg, spec.oracle)[group]
+    path = g.path + (1,) + ((side,) if len(g.draws) > 1 else ())
+    return g.draws[side](2 * cfg.resolution, RngStream(cfg.seed).child(*path).generator(),
+                         cfg.replicates)
+
+
+def test_rare_count_points_report_their_null_standard_error():
+    n, reps = 100, 1000
+    rows = run_experiment(cfg_for("height_law", replicates=reps, q_grid=(0.5, 1.0)))
+    for row, a in zip(rows, (0.5, 1.0)):
+        v = 1.0 / a  # v(a) = 1/(c a) for psi_0 = lam^2
+        assert row.stderr == pytest.approx(math.sqrt((2 * n * v - v * v) / reps), rel=1e-12)
+
+    rows = run_experiment(cfg_for("sigma_laplace", replicates=reps, q_grid=(1.0,),
+                                  lambda_grid=(0.5, 1.0)))
+    inv = lambda lam: (math.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0  # psi_1 = lam + lam^2
+    for row, lam in zip(rows, (0.5, 1.0)):
+        u1, u2 = inv(lam), inv(2.0 * lam)
+        want = math.sqrt((2 * n * (2.0 * u1 - u2) - u1 * u1) / reps)
+        assert row.stderr == pytest.approx(want, rel=1e-12)
+
+    cfg = cfg_for("special_markov_intensity", replicates=reps, height_cap=1.0, q_grid=(1.0,))
+    (row,) = run_experiment(cfg)
+    tall, low = fine_arm_draws(cfg).T
+    assert row.estimate == tall.sum() / low.sum()
+    assert row.stderr == pytest.approx(math.sqrt(row.oracle / low.sum()), rel=1e-12)
+
+
+def test_a_negative_null_variance_fails_the_point(monkeypatch):
+    # N[(1 - e^{-sigma})^2] = 2 u(1) - u(2) < 0: no law has these values
+    monkeypatch.setattr(laws, "sigma_laplace", lambda mech, lam: 1.0 if lam < 1.5 else 50.0)
+    (row,) = run_experiment(cfg_for("sigma_laplace", replicates=100, q_grid=(1.0,),
+                                    lambda_grid=(1.0,)))
+    assert math.isnan(row.stderr) and math.isnan(row.z) and not row.passed
+
+
+def test_forest_chunks_are_a_function_of_the_config():
+    cases = ((LD, 0.0, 100, 0.5), (LD, 0.0, 400, 2.0), (LD, 1.0, 200, 2.0),
+             (SHIFT, 0.0, 100, 0.5), (LD, 0.0, 20_000, 2.0))
+    for fam, q, n, cap in cases:
+        scheme = GwScheme.build(fam.psi_at(q), n)
+        # expected individuals of one excursion: generations 0..G, mean m each step
+        m = 1.0 - scheme.mech.b / scheme.gamma
+        e = sum(m**g for g in range(math.ceil(cap * scheme.gamma - 1e-9)))
+        most = max(1, experiments.NODE_TARGET // e)
+        for size in (1, 100, 999, 10_000, 123_457):
+            chunks = experiments._forest_chunks(scheme, cap, size)
+            assert sum(chunks) == size
+            assert max(chunks) <= most and max(chunks) - min(chunks) <= 1
+            assert chunks == experiments._forest_chunks(
+                GwScheme.build(fam.psi_at(q), n), cap, size)
+
+
+@pytest.mark.parametrize("name", ["prune_marginal", "special_markov_intensity",
+                                  "exit_tail_remark"])
+def test_equal_configs_give_equal_csv_bytes_over_many_forests(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "NODE_TARGET", 3_000)
+    cfg = cfg_for(name, family=SHIFT, replicates=300, height_cap=0.5, q_grid=(1.0,),
+                  lambda_grid=(1.0,))
+    assert len(experiments._forest_chunks(GwScheme.build(SHIFT.psi_at(0.0), 200), 0.5, 300)) > 5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": SHIFT.to_dict(), "params": {
+        "seed": cfg.seed, "resolution": cfg.resolution, "replicates": cfg.replicates,
+        "height_cap": cfg.height_cap, "q_grid": list(cfg.q_grid),
+        "lambda_grid": list(cfg.lambda_grid)}}))
+    outs = []
+    for k in range(2):
+        out = tmp_path / f"rows-{k}.csv"
+        assert cli.main(["verify", name, "--config", str(path), "--out", str(out)]) in (0, 1)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 # ------------------------------------------------------- small MC passes

@@ -274,6 +274,15 @@ def _bad_calls(fam):
         calls.append((f"node_mark_time(0, 1, {u})", lambda u=u: fam.node_mark_time(0.0, 1.0, u)))
     for q in (t0 - 1.0, nan, -inf, 0.0, 0.5, t1 + 1.0):
         calls.append((f"qbar({q})", lambda q=q: fam.qbar(q)))
+    for t in (t0 - 1.0, t1 + 1.0, nan, -inf, inf):
+        calls.append((f"node_mark_times({t}, [1], [0.5])",
+                      lambda t=t: fam.node_mark_times(t, [1.0], [0.5])))
+    for delta in (0.0, -1.0, nan):
+        calls.append((f"node_mark_times(0, [1, {delta}], [0.5, 0.5])",
+                      lambda d=delta: fam.node_mark_times(0.0, [1.0, d], [0.5, 0.5])))
+    for u in (0.0, 1.0, -0.5, 7.0, nan):
+        calls.append((f"node_mark_times(0, [1, 1], [0.5, {u}])",
+                      lambda u=u: fam.node_mark_times(0.0, [1.0, 1.0], [0.5, u])))
     return calls
 
 
@@ -288,6 +297,34 @@ def test_every_family_rejects_bad_pruning_inputs(name):
             continue
         accepted.append(label)
     assert not accepted, f"{name} accepted {accepted}"
+
+
+BULK_FAMILIES = dict(
+    CONTRACT_FAMILIES,
+    short_shift=ShiftFamily(SHIFT_BASE, window=(-0.5, 1.0)),
+    flat_truncation=TruncationFamily(TRUNC_BASE, h0=2.0, slope=0.0, window=(-1.0, 1.2)),
+)
+
+
+@pytest.mark.parametrize("name", sorted(BULK_FAMILIES))
+def test_bulk_node_mark_times_match_the_scalar_path(name):
+    fam = BULK_FAMILIES[name]
+    rng = np.random.default_rng(3)
+    u = rng.random(300)
+    delta = np.concatenate([rng.uniform(0.05, 3.0, 296), [0.6, 1.5, 1.0, 2.0]])
+    for t in (-0.5, 0.0, 0.05):
+        bulk = fam.node_mark_times(t, delta, u)
+        scalar = np.array([fam.node_mark_time(t, d, x) for d, x in zip(delta, u)])
+        assert bulk.shape == scalar.shape
+        if isinstance(fam, ShiftFamily):
+            # numpy's vectorized log1p may round apart from math.log1p in the
+            # last bit, which t - log1p(-u) / delta carries as a few 1e-16
+            np.testing.assert_array_equal(np.isinf(bulk), np.isinf(scalar))
+            fin = np.isfinite(scalar)
+            np.testing.assert_allclose(bulk[fin], scalar[fin], rtol=1e-14, atol=1e-14)
+        else:
+            np.testing.assert_array_equal(bulk, scalar)
+    assert fam.node_mark_times(0.0, np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 def test_interval_errors_name_the_first_bad_input():

@@ -237,6 +237,27 @@ def test_population_sigma_matches_exact_law():
     assert ks.pvalue > 0.01
 
 
+def test_population_run_takes_one_initial_mass_per_replicate():
+    sch = GwScheme.build(SUB, 50)
+    reps, r = 400, 0.3
+    same = population_run(sch, RngStream(43).replicate(0), reps, init=np.full(reps, r))
+    scalar = population_run(sch, RngStream(43).replicate(0), reps, init=r)
+    np.testing.assert_array_equal(same.totals, scalar.totals)
+    np.testing.assert_array_equal(same.at_cap, scalar.at_cap)
+    # a cap inside generation 0 keeps the roots: Poisson(r_i n), drawn in
+    # replicate order as one scalar draw each
+    masses = np.linspace(0.01, 2.0, reps)
+    run = population_run(sch, RngStream(44).replicate(0), reps, init=masses,
+                         height_cap=0.5 / sch.gamma)
+    ref = RngStream(44).replicate(0)
+    roots = [ref.poisson(m * sch.n) for m in masses]
+    np.testing.assert_array_equal(run.at_cap, roots)
+    np.testing.assert_array_equal(run.totals, roots)
+    for bad in (np.full(reps - 1, r), np.zeros(reps), np.full(reps, math.nan)):
+        with pytest.raises(DomainError):
+            population_run(sch, RngStream(1).replicate(0), reps, init=bad)
+
+
 def test_forest_rejects_nonpositive_mass():
     sch = GwScheme.build(SUB, 30)
     with pytest.raises(DomainError):
