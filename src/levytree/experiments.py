@@ -24,8 +24,9 @@ of its stream, so an estimate depends on (seed, path, replicate count) alone.
 A counts draw is one `population_run` or exact-sampler call.  A pruning draw
 grows marked forests, read by `MarkedTree.read`, one after another from that
 generator; `_forest_chunks` sizes them from the config alone, which bounds
-the memory of one forest.  Only spine_exponential and the size_bias spine
-cuts draw replicate by replicate.
+the memory of one forest.  A spine cut draw marks one `spine_forest` of all
+its replicates and reads it with `MarkedTree.first_cut`; two_step_markov
+prunes tiled copies of its base tree the same way.
 
 height_law, sigma_laplace and special_markov_intensity score a rare count,
 whose sample standard error shrinks along with a low estimate; they report
@@ -47,15 +48,15 @@ from scipy import stats as sp_stats
 
 from . import laws
 from .family import AdmissibleFamily, family_from_dict
-from .mechanism import DomainError, Mechanism
+from .mechanism import DomainError, Mechanism, NumericError
 from .prune import MarkedTree, generate_marks, two_step_consistency
-from .sampler import (GwScheme, PopulationRun, RngStream, _level_generation,
-                      exact_sigma_quadratic, gw_forest, gw_tree, population_run, spine_line)
+from .sampler import (NODE_TARGET, GwScheme, PopulationRun, RngStream, _level_generation,
+                      exact_sigma_quadratic, gw_forest, gw_tree, population_run, spine_forest)
 
-# expected individuals in one forest of a pruning draw: enough that the
-# per-generation steps of growth are few, few enough that the forest's
-# arrays stay small, whatever the replicate count
-NODE_TARGET = 30_000
+# segments of 4/b_q that size_bias grows on an uncut spine before it gives
+# up: its spines have no jumps and are cut at rate b_q, so one survives a
+# segment with probability e^-4 and all of them with e^-128
+SPINE_SEGMENTS = 32
 
 
 class ConfigError(ValueError):
@@ -319,11 +320,6 @@ def _experiment(name, oracle, layout, description):
 # ------------------------------------------------------------- experiments
 
 
-def _per_replicate(one):
-    """Draws stacking one(n, rng) per replicate, in replicate order."""
-    return lambda n, rng, size: np.array([one(n, rng) for _ in range(size)], dtype=float)
-
-
 @_experiment("height_law", Mechanism.v_of, "banded",
              "n*P(one excursion crosses level a) against v(a); q_grid holds the levels a")
 def _height_law(cfg, v_of):
@@ -445,7 +441,7 @@ def _run_two_step(cfg, consistency, stream):
         stats = consistency(
             base, fam, 0.0, q / 2.0, q, stream.child(j, 1).generator(), cfg.replicates)
         rows += [_row(cfg, f"q={q:g},{name}", one, se, two)
-                 for name, (one, two, se, _) in stats.items()]
+                 for name, (one, two, se) in stats.items()]
     return rows
 
 
@@ -519,16 +515,24 @@ def _exit_tail(cfg, v_of):
     return [Group((), (_forest_draw(schemes, cap, exits),), points)]
 
 
-def _exact_spine_cut(fam, q, b_q, rng, n):
-    """The first cut level on the uncapped spine, by segmentwise extension."""
+def _spine_cuts(fam, q, h, rng, n, size):
+    """First cut levels at q of size spines of length h, inf where uncut."""
+    forest, label = spine_forest(fam.psi_at(0.0), h, rng, n, size)
+    return generate_marks(forest, fam, (0.0, q), rng).first_cut(q, label, size)
+
+
+def _exact_spine_cuts(fam, q, b_q, rng, n, size):
+    """First cut levels on size uncapped spines: each round grows one more
+    segment of 4/b_q on the spines still uncut, at most SPINE_SEGMENTS."""
     seg = 4.0 / b_q
-    base = 0.0
-    while True:
-        line = spine_line(fam.psi_at(0.0), seg, rng, n)
-        cut = generate_marks(line, fam, (0.0, q), rng).first_cut(q)
-        if math.isfinite(cut):
-            return base + cut
-        base += seg
+    cuts = np.full(size, np.inf)
+    uncut = np.arange(size)
+    for k in range(SPINE_SEGMENTS):
+        cuts[uncut] = k * seg + _spine_cuts(fam, q, seg, rng, n, len(uncut))
+        uncut = uncut[np.isinf(cuts[uncut])]
+        if not len(uncut):
+            return cuts
+    raise NumericError(f"{len(uncut)} spines uncut after {SPINE_SEGMENTS} segments of 4/b_q")
 
 
 def _star_mass_draws(fam, q, b_q, scheme, rng, size):
@@ -543,7 +547,7 @@ def _star_mass_draws(fam, q, b_q, scheme, rng, size):
     pipeline, with no height cap anywhere.
     """
     survival = math.exp(-fam.alpha(0.0, q) / scheme.gamma)
-    cuts = np.array([_exact_spine_cut(fam, q, b_q, rng, scheme.n) for _ in range(size)])
+    cuts = _exact_spine_cuts(fam, q, b_q, rng, scheme.n, size)
     # thinned runs die at rate b_q; the engine still wants a cap for the
     # critical mechanism, so give one far past any reachable height
     return population_run(scheme, rng, size, init=2.0 * scheme.mech.c * cuts,
@@ -612,10 +616,6 @@ def _spine_exponential(cfg, cut_mean):
     if fam.psi_at(0.0).criticality() != "critical":
         raise ConfigError("spine_exponential needs the mechanism at 0 critical")
 
-    def first_cut(n, rng, q):
-        line = spine_line(fam.psi_at(0.0), cap, rng, n)
-        return generate_marks(line, fam, (0.0, q), rng).first_cut(q)
-
     groups = []
     # spine lengths and mark kernels are exact at any resolution, so the cut
     # level has its limit law already and no band is needed
@@ -627,7 +627,8 @@ def _spine_exponential(cfg, cut_mean):
             Point(f"q={q:g},mean", cut_mean(fam, q, cap), lambda n, x: np.minimum(x, cap)),
             Point(f"q={q:g},ks", 0.01, stat=_truncated_exp_ks(b_q, cap), at_least=True),
         ]
-        groups.append(Group((j,), (_per_replicate(functools.partial(first_cut, q=q)),), points))
+        draw = lambda n, rng, size, q=q: _spine_cuts(fam, q, cap, rng, n, size)
+        groups.append(Group((j,), (draw,), points))
     return groups
 
 

@@ -14,8 +14,9 @@ removed at the earliest time of a mark on an edge of its root path or a
 node mark on one of its strict ancestors, and survives pruning at q iff
 kill_times[i] > q.  The array is a minimum along root paths, taken by
 pointer jumping over `parent`, so it matches a node-by-node sweep exactly.
-`MarkedTree.read` reduces one pruning per replicate of a forest (see
-`sampler.gw_forest`) over a node -> replicate label.
+`MarkedTree.read` and `MarkedTree.first_cut` reduce one pruning per
+replicate of a forest (see `sampler.gw_forest`) over a node -> replicate
+label.
 
 Binary nodes never receive node marks: their mass is 2/n under the
 discretization and the mark probability vanishes in the limit, so only
@@ -24,7 +25,6 @@ nodes of three or more children participate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .mechanism import DomainError
+from .sampler import NODE_TARGET
 from .tree import INFINITE, FiniteTree
 
 
@@ -113,13 +114,19 @@ class MarkedTree:
             return self.base
         return self.base.cut(keep, stubs, stub_lengths)
 
-    def first_cut(self, q):
-        """Lowest level at which pruning at q cuts: the lowest stub top or
-        closed node of `cuts_at`; inf when nothing is cut."""
+    def first_cut(self, q, label=None, size=1):
+        """Lowest level at which pruning at q cuts, by replicate: the lowest
+        stub top or closed node of `cuts_at`, inf where nothing is cut.
+        label[i] is node i's replicate, as in `read`."""
+        base = self.base
+        if label is None:
+            label = np.zeros(len(base), dtype=np.int64)
         _, stubs, stub_lengths, closed = self.cuts_at(q)
-        depth = self.base.depth
-        tops = np.concatenate([depth[self.base.parent[stubs]] + stub_lengths, depth[closed]])
-        return float(tops.min(initial=math.inf))
+        depth = base.depth
+        cut = np.full(size, np.inf)
+        np.minimum.at(cut, label[stubs], depth[base.parent[stubs]] + stub_lengths)
+        np.minimum.at(cut, label[closed], depth[closed])
+        return cut
 
     def read(self, q, label=None, size=1, eps=0.0, attach_max=None):
         """Pruning at q by replicate: mass and height (over kept depths
@@ -205,31 +212,46 @@ def generate_marks(tree, fam, window, rng):
                       inf_nodes[hit].astype(np.int64), node_times[hit])
 
 
+def _pruned_forest(marked, q, label):
+    """marked pruned at q, and each node's label: a kept node keeps its
+    own, a stub takes that of the edge it cuts."""
+    keep, stubs, stub_lengths, _ = marked.cuts_at(q)
+    return marked.base.cut(keep, stubs, stub_lengths), np.concatenate([label[keep], label[stubs]])
+
+
+def _by_copy(forest, label, size):
+    """Columns mass, height and node count (root included) of each labeled
+    tree of a forest."""
+    lab = label[1:]
+    height = np.zeros(size)
+    np.maximum.at(height, lab, forest.depth[1:])
+    return np.column_stack([np.bincount(lab, forest.mu[1:], size), height,
+                            1 + np.bincount(lab, minlength=size)])
+
+
 def two_step_consistency(tree, fam, t, theta, q, rng, n_rep):
     """Markov check: prune t->q in one pass vs t->theta then theta->q.
 
-    Both arms start from the same base tree; the second arm re-marks the
-    theta-pruned tree with fresh randomness.  Returns, for the mass, height
-    and node count of the final tree, name -> (one-pass mean, two-pass mean,
-    se of their difference, z).
+    Both arms prune copies of the same base tree, tiled under one root in
+    forests of at most max(1, NODE_TARGET // len(tree)) copies; the second
+    arm re-marks the theta-pruned forest with fresh randomness.  Returns, for
+    the mass, height and node count of the final tree, name -> (one-pass
+    mean, two-pass mean, sample standard error of their difference).
     """
     if not t <= theta <= q:
         raise DomainError(f"need t <= theta <= q, got {t}, {theta}, {q}")
-    one = np.empty((n_rep, 3))
-    two = np.empty((n_rep, 3))
-    for k in range(n_rep):
-        direct = generate_marks(tree, fam, (t, q), rng).pruned_at(q)
-        one[k] = direct.total_mass(), direct.height(), len(direct)
-        mid = generate_marks(tree, fam, (t, theta), rng).pruned_at(theta)
-        final = generate_marks(mid, fam, (theta, q), rng).pruned_at(q)
-        two[k] = final.total_mass(), final.height(), len(final)
-    stats = {}
-    for j, name in enumerate(("sigma", "height", "nodes")):
-        a, b = one[:, j], two[:, j]
-        se = math.sqrt(a.var() / n_rep + b.var() / n_rep)
-        if se > 0:
-            z = (a.mean() - b.mean()) / se
-        else:
-            z = 0.0 if a.mean() == b.mean() else math.inf
-        stats[name] = (float(a.mean()), float(b.mean()), float(se), float(z))
-    return stats
+
+    def pruned(forest, label, window):
+        return _pruned_forest(generate_marks(forest, fam, window, rng), window[1], label)
+
+    per = max(1, NODE_TARGET // len(tree))
+    one, two = [], []
+    for start in range(0, n_rep, per):
+        size = min(per, n_rep - start)
+        forest, label = tree.tiled(size)
+        one.append(_by_copy(*pruned(forest, label, (t, q)), size))
+        two.append(_by_copy(*pruned(*pruned(forest, label, (t, theta)), (theta, q)), size))
+    one, two = np.concatenate(one), np.concatenate(two)
+    se = np.sqrt((one.var(axis=0, ddof=1) + two.var(axis=0, ddof=1)) / n_rep)
+    return {name: (float(one[:, j].mean()), float(two[:, j].mean()), float(se[j]))
+            for j, name in enumerate(("sigma", "height", "nodes"))}

@@ -23,15 +23,16 @@ experiments:
 
 A `GwScheme` is the offspring law at resolution n and nothing more.  The
 height cap, below which a tree is grown, is an argument of each grower
-(`gw_tree`, `gw_forest`, `forest_under_Pr`, `population_run`), None for
-no cap, and `_level_generation` is where it is checked.
+(`gw_tree`, `gw_forest`, `population_run`), None for no cap, and
+`_level_generation` is where it is checked.
 
 `population_run` is the counts-only mode of the same scheme, for every
 offspring law: it evolves the generation sizes of many replicates at once
 and builds no tree, so mass and the count at the cap (heights, Z_a,
 sigma) come from it.  Experiments that mark and prune grow many
-replicates as one tree with `gw_forest`, whose node -> replicate label
-lets `MarkedTree.read` reduce every replicate at once.
+replicates as one tree, with `gw_forest` or, for the immortal spine,
+`spine_forest`, whose node -> replicate label lets `MarkedTree.read` and
+`MarkedTree.first_cut` reduce every replicate at once.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .mechanism import DomainError, Mechanism, NumericError
-from .tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree, _with_depth, single_root
+from .tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree, _with_depth
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,11 @@ class GwScheme:
 # million individuals) that the acceptance configs grow
 NODE_BUDGET = 25_000_000
 
+# expected nodes in one forest that an experiment marks: enough that the
+# per-generation steps of growth are few, few enough that the forest's
+# arrays stay small, whatever the replicate count
+NODE_TARGET = 30_000
+
 
 def _grow(scheme, rng, n_roots, height_cap):
     """Generation-major growth of n_roots >= 0 ancestors below height_cap
@@ -178,23 +184,21 @@ def _grow(scheme, rng, n_roots, height_cap):
     max_children_gen = _level_generation(scheme.gamma, height_cap)
     ks_blocks = []
     offsets = [0]
-    g = 0
     cur = n_roots
-    while True:
+    # every generation but the last adds individuals, so the budget bounds them
+    for g in range(NODE_BUDGET + 1):
         if g + 1 > max_children_gen:
             ks = np.zeros(cur, dtype=np.int64)
         else:
             ks = scheme.sample_offspring(rng, cur).astype(np.int64, copy=False)
         ks_blocks.append(ks)
         offsets.append(offsets[-1] + cur)
-        kids = int(ks.sum())
-        if kids == 0:
+        cur = int(ks.sum())
+        if cur == 0:
             break
-        if offsets[-1] + kids > NODE_BUDGET:
+        if offsets[-1] + cur > NODE_BUDGET:
             raise NumericError(
                 f"tree growth passed the node budget of {NODE_BUDGET} individuals")
-        cur = kids
-        g += 1
     ks = np.concatenate(ks_blocks)
     # children follow their parents' order, generation after generation
     par = np.concatenate([np.full(n_roots, -1, dtype=np.int64),
@@ -202,7 +206,7 @@ def _grow(scheme, rng, n_roots, height_cap):
     return par, ks, offsets
 
 
-def _tree_from_growth(scheme, par, ks, offsets, root_delta=0.0):
+def _tree_from_growth(scheme, par, ks, offsets):
     """The tree of a `_grow` result, node i + 1 for individual i, with its
     depth handed down: generation g sits at the running sum of g + 1 steps
     of 1/gamma, the same additions the depth loop makes."""
@@ -222,7 +226,6 @@ def _tree_from_growth(scheme, par, ks, offsets, root_delta=0.0):
     kind[leaves + 1] = LEAF
     kind[many + 1] = INFINITE
     delta = np.zeros(size)
-    delta[0] = root_delta
     delta[many + 1] = ks[many] / n
 
     # Each individual's mass rides down its first-child chain to the leaf
@@ -281,14 +284,6 @@ def gw_forest(scheme, rng, size, height_cap=None):
     return _tree_from_growth(scheme, par, ks, offsets), np.concatenate([[-1], anc])
 
 
-def forest_under_Pr(scheme, r, rng, height_cap=None):
-    """Forest of Poisson(r*n) excursions hanging at a root of mass r."""
-    if not r > 0:
-        raise DomainError(f"initial mass r must be positive, got {r}")
-    par, ks, offsets = _grow(scheme, rng, int(rng.poisson(r * scheme.n)), height_cap)
-    return _tree_from_growth(scheme, par, ks, offsets, root_delta=float(r))
-
-
 def cap_crossings(tree, cap):
     """Level mass of a cap-aligned tree, read a hair below the cap.
 
@@ -316,94 +311,49 @@ def exact_sigma_quadratic(b, c, r, rng, size=None):
     return rng.wald(r / b, shape, size)
 
 
-def _spine_jumps(mech0, h, rng):
-    """Jump nodes on a spine of length h: Poisson positions (unsorted) at
-    rate integral(z m_0(dz)), each with a size-biased initial mass."""
+def spine_forest(mech0, h, rng, n, size):
+    """size spines of length h under one massless root, their grafts left
+    out, and each node's replicate (-1 for the root).
+
+    A spine carries Poisson(h * integral(z m_0(dz))) jump nodes at uniform
+    heights, each of size-biased mass, and its chain runs from the root
+    through them in height order to a leaf at h.  A pruning cut of the
+    spine only feels marks on the spine itself, so the grafts never matter
+    for it.  Raises NumericError, before any height is drawn, once the
+    nodes pass NODE_BUDGET.
+    """
     rates = np.array([p.w * p.unit_first_moment for p in mech0.m])
-    total = float(rates.sum())
-    count = int(rng.poisson(total * h)) if total > 0 else 0
-    pos = rng.uniform(0.0, h, count)
-    if not count:
-        return pos, np.zeros(0)
-    pick = rng.choice(len(rates), p=rates / total, size=count)
-    return pos, np.array([float(mech0.m[i].sample_sizes_biased(rng, 1)[0]) for i in pick])
+    mean = float(rates.sum()) * h
+    counts = rng.poisson(mean, size) if mean < NODE_BUDGET else None
+    if counts is None or counts.sum() + size > NODE_BUDGET:
+        raise NumericError(f"spine growth passed the node budget of {NODE_BUDGET} nodes")
+    # chain k takes counts[k] jump slots in height order, then its leaf
+    width = counts + 1
+    label = np.repeat(np.arange(size), width)
+    leaf = np.cumsum(width) - 1
+    first = leaf - counts
+    jump = np.ones(len(label), dtype=bool)
+    jump[leaf] = False
+    height = np.full(len(label), float(h))
+    u = rng.uniform(0.0, h, len(label) - size)
+    height[jump] = u[np.lexsort((u, label[jump]))]
+    delta = np.zeros(len(label))
+    if len(u):
+        pick = rng.choice(len(rates), p=rates / rates.sum(), size=len(u))
+        sizes = np.empty(len(u))
+        for i, p in enumerate(mech0.m):
+            at = pick == i
+            sizes[at] = p.sample_sizes_biased(rng, int(at.sum()))
+        delta[jump] = sizes
 
-
-def _spine_tree(pos, kind, delta, h, n):
-    """The segment [0, h] with nodes of the given kinds at sorted positions."""
-    parent = np.arange(-1, len(pos) + 1, dtype=np.int64)
-    length = np.concatenate([[0.0], np.diff(np.concatenate([[0.0], pos, [h]]))])
-    kind = np.concatenate([[ROOT], kind, [LEAF]]).astype(np.int8)
-    delta = np.concatenate([[0.0], delta, [0.0]])
-    return FiniteTree(parent, length, kind, delta, np.zeros(len(pos) + 2), 1.0 / n)
-
-
-def spine_line(mech0, h, rng, n):
-    """The spine of length h with its jump nodes, grafts left out.
-
-    A pruning cut of the spine only feels marks on the spine itself, so the
-    grafts (the expensive part of `infinite_crt`) never matter for it.
-    """
-    pos, sizes = _spine_jumps(mech0, h, rng)
-    return _spine_tree(np.sort(pos), np.full(len(pos), INFINITE), sizes, h, n)
-
-
-def infinite_crt(fam, height_cap, rng, n):
-    """The immortal-spine tree truncated at height_cap.
-
-    A spine of that length receives two independent Poisson families of
-    grafts: excursions at rate 2*c*n per unit length, and jump forests
-    at rate integral(z m_0(dz)), each with a size-biased initial mass.
-    """
-    mech0 = fam.psi_at(0.0)
-    if mech0.criticality() != "critical":
-        raise DomainError("spine sampling needs the mechanism at 0 critical")
-    if not mech0.is_grey:
-        raise DomainError("spine sampling needs c > 0")
-    h = float(height_cap)
-    if h < 0:
-        raise DomainError(f"height cap must be nonnegative, got {height_cap}")
-    if h == 0.0:
-        return single_root(scale=1.0 / n)
-    scheme = GwScheme.build(mech0, n)
-
-    n1 = int(rng.poisson(2.0 * mech0.c * n * h))
-    x1 = rng.uniform(0.0, h, n1)
-    x2, sizes = _spine_jumps(mech0, h, rng)
-
-    pos = np.concatenate([x1, x2])
-    is_jump = np.concatenate([np.zeros(n1, bool), np.ones(len(x2), bool)])
-    size_at = np.concatenate([np.zeros(n1), sizes])
-    order = np.argsort(pos)
-    pos, is_jump, size_at = pos[order], is_jump[order], size_at[order]
-    if len(pos) and not (pos[0] > 0 and pos[-1] < h and np.all(np.diff(pos) > 0)):
-        raise NumericError("coincident spine graft positions")
-    spine = _spine_tree(pos, np.where(is_jump, INFINITE, BINARY), size_at, h, n)
-
-    grafts = []
-    for j in range(len(pos)):
-        rest = h - pos[j]
-        if is_jump[j]:
-            sub = forest_under_Pr(scheme, size_at[j], rng, height_cap=rest)
-        else:
-            sub = gw_tree(scheme, rng, height_cap=rest)
-        grafts.append((j + 1, sub))
-    return spine.graft(grafts)
-
-
-def supercritical_window(fam, q, height_cap, rng, n):
-    """(tree, weight): a weighted sample targeting the supercritical tree
-    below height_cap.
-
-    Draws from the conjugate (subcritical) mechanism and reweights by
-    exp(eta * Z_a); with eta = 0 this is plain sampling at weight 1.
-    """
-    mech_q = fam.psi_at(q)
-    eta = mech_q.eta
-    conj = mech_q if eta == 0.0 else mech_q.conjugate(eta)
-    a = float(height_cap)
-    tree = gw_tree(GwScheme.build(conj, n), rng, a).restrict_below(a)
-    return tree, math.exp(eta * cap_crossings(tree, a)) if eta > 0 else 1.0
+    below = np.concatenate([[0.0], height[:-1]])
+    below[first] = 0.0
+    parent = np.arange(-1, len(label), dtype=np.int64)
+    parent[first + 1] = 0
+    tree = FiniteTree(parent, np.concatenate([[0.0], height - below]),
+                      np.concatenate([[ROOT], np.where(jump, INFINITE, LEAF)]).astype(np.int8),
+                      np.concatenate([[0.0], delta]), np.zeros(len(label) + 1), 1.0 / n)
+    return tree, np.concatenate([[-1], label])
 
 
 # ---------------------------------------------------------- population counts

@@ -13,11 +13,10 @@ counts edges with dp < a <= dx and the root itself never counts.
 Depth is defined by the sequential loop d[i] = length[i] + d[parent[i]]
 in node order.  Builders that already know the geometry hand it down
 through `_with_depth` instead: Galton-Watson growth (one running sum per
-generation) and `cut` (kept depths, plus stub lengths over the stub's
-parent depth).  Each node then gets the loop's float addition on the
-loop's operands, so the bits match.  Every other tree (`graft`, spines,
-hand-built trees) runs the loop on first use; a graft cannot inherit its
-parts' depths, since its sums would run in another order.
+generation), `cut` (kept depths, plus stub lengths over the stub's parent
+depth) and tiled copies of a tree (each copy's depths).  Each node then
+gets the loop's float addition on the loop's operands, so the bits match.
+Every other tree (spines, hand-built trees) runs the loop on first use.
 """
 
 from dataclasses import dataclass
@@ -120,70 +119,40 @@ class FiniteTree:
         pd = d[self.parent[1:]]
         return self.scale * int(np.count_nonzero((pd < a) & (a <= d[1:])))
 
-    # -- level surgery ------------------------------------------------------
+    # -- cutting and tiling -------------------------------------------------
 
-    def restrict_below(self, a):
-        """Everything above level a removed; cut points become massless
-        leaves, and so do branch points exactly at level a, which lose all
-        their children."""
-        if a < 0:
-            raise DomainError(f"need a >= 0, got {a}")
-        d = self.depth
-        keep = d <= a
-        if keep.all():
-            return self
-        par = self.parent
-        cross = np.flatnonzero(~keep & (d[np.maximum(par, 0)] < a) & (par >= 0))
-        ends = np.flatnonzero((d == a) & ((self.kind == BINARY) | (self.kind == INFINITE)))
-        return self.cut(keep, cross, a - d[par[cross]], ends)
-
-    def cut(self, keep, stubs, stub_lengths, ends=None):
+    def cut(self, keep, stubs, stub_lengths):
         """The kept nodes (a set closed under parent) plus one massless
-        leaf per stub edge, hanging stub_lengths above the stub's parent;
-        the kept nodes `ends` become massless leaves too.  The cut tree
-        inherits its depth: kept nodes keep theirs, and a stub sits at its
-        parent's depth plus its length, as the loop adds."""
+        leaf per stub edge, hanging stub_lengths above the stub's parent.
+        The cut tree inherits its depth: kept nodes keep theirs, and a stub
+        sits at its parent's depth plus its length, as the loop adds."""
         remap = np.cumsum(keep) - 1
         par = self.parent
         d = self.depth
         kept = np.flatnonzero(keep)
         n_stubs = len(stubs)
-        kind, delta = self.kind[kept], self.delta[kept]
-        if ends is not None:
-            kind[remap[ends]] = LEAF
-            delta[remap[ends]] = 0.0
         return _with_depth(FiniteTree(
             np.concatenate([np.where(kept == 0, -1, remap[np.maximum(par[kept], 0)]),
                             remap[par[stubs]]]),
             np.concatenate([self.length[kept], stub_lengths]),
-            np.concatenate([kind, np.full(n_stubs, LEAF, dtype=np.int8)]),
-            np.concatenate([delta, np.zeros(n_stubs)]),
+            np.concatenate([self.kind[kept], np.full(n_stubs, LEAF, dtype=np.int8)]),
+            np.concatenate([self.delta[kept], np.zeros(n_stubs)]),
             np.concatenate([self.mu[kept], np.zeros(n_stubs)]),
             self.scale,
         ), np.concatenate([d[kept], d[par[stubs]] + stub_lengths]))
 
-    # -- grafting -----------------------------------------------------------
-
-    def graft(self, grafts):
-        """Attach subtrees at non-leaf nodes.
-
-        Each entry is (node, sub): the sub's root fuses with that node and
-        its other nodes are appended after everything before them, so the
-        result stays topologically ordered.
-        """
-        parts = [(self.parent, self.length, self.kind, self.delta, self.mu)]
-        size = len(self.parent)
-        for point, sub in grafts:
-            point = int(point)
-            if not 0 <= point < len(self.parent):
-                raise DomainError(f"no node {point}")
-            if self.kind[point] == LEAF:
-                raise DomainError(f"node {point} is a leaf; graft at branch points only")
-            par = sub.parent[1:]
-            parts.append((np.where(par == 0, point, par + size - 1),
-                          sub.length[1:], sub.kind[1:], sub.delta[1:], sub.mu[1:]))
-            size += len(par)
-        return FiniteTree(*(np.concatenate(col) for col in zip(*parts)), self.scale)
+    def tiled(self, copies):
+        """copies of the tree under one root, and each node's copy (-1 for
+        the root).  Copy k holds nodes 1 + k * (len - 1) onwards in this
+        tree's order, and inherits this tree's depths."""
+        m = len(self) - 1
+        copy = np.arange(copies).repeat(m)
+        par = np.tile(self.parent[1:], copies)
+        column = lambda a: np.concatenate([a[:1], np.tile(a[1:], copies)])
+        return _with_depth(FiniteTree(
+            np.concatenate([[-1], np.where(par > 0, par + copy * m, 0)]), column(self.length),
+            column(self.kind), column(self.delta), column(self.mu), self.scale,
+        ), column(self.depth)), np.concatenate([[-1], copy])
 
 
 def _with_depth(tree, depth):
@@ -193,9 +162,3 @@ def _with_depth(tree, depth):
     tree.__dict__["depth"] = depth
     return tree
 
-
-def single_root(scale=1.0):
-    """The trivial tree: a root and nothing else."""
-    return FiniteTree(
-        np.array([-1]), np.zeros(1), np.array([ROOT], dtype=np.int8), np.zeros(1), np.zeros(1), scale
-    )

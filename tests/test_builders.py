@@ -1,8 +1,8 @@
 """Depths and leaf atoms that tree builders hand down, checked bit for bit.
 
-Galton-Watson growth (`_tree_from_growth`) and `FiniteTree.cut` (so also
-`restrict_below`, `pruned_at` and `sigma_path`) give a tree its depth and
-its leaf atoms directly instead of running the loops kept here as the
+Galton-Watson growth (`_tree_from_growth`), `FiniteTree.cut` (so also
+`pruned_at` and `sigma_path`) and `FiniteTree.tiled` give a tree its depth
+and its leaf atoms directly instead of running the loops kept here as the
 reference.  Equality is `np.array_equal`, never closeness: depths sit on
 the 1/gamma level lattice, where one ulp moves `height > a` and
 `cap_crossings` readings, and so the CSV bytes.
@@ -22,9 +22,9 @@ from levytree.sampler import (
     RngStream,
     _grow,
     _tree_from_growth,
-    forest_under_Pr,
+    gw_forest,
     gw_tree,
-    infinite_crt,
+    spine_forest,
 )
 from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
 
@@ -50,7 +50,7 @@ def loop_depth(tree):
     return d
 
 
-def loop_tree_from_growth(scheme, par, ks, offsets, root_delta=0.0):
+def loop_tree_from_growth(scheme, par, ks, offsets):
     """The reference growth builder: leaf atoms by a per-generation running
     count along first-child chains, arrays built first and the root slot
     concatenated on afterwards."""
@@ -71,7 +71,7 @@ def loop_tree_from_growth(scheme, par, ks, offsets, root_delta=0.0):
     return FiniteTree(np.concatenate([[-1], par + 1]),
                       np.concatenate([[0.0], np.full(total, 1.0 / gamma)]),
                       np.concatenate([[ROOT], kind]).astype(np.int8),
-                      np.concatenate([[root_delta], delta]),
+                      np.concatenate([[0.0], delta]),
                       np.concatenate([[0.0], mu]),
                       1.0 / n)
 
@@ -84,14 +84,14 @@ def assert_depth_handed_down(tree):
 
 
 def grown_trees(name, n, cap, seed, count=8):
-    """count single-ancestor trees and one forest of about 1.5 n roots."""
+    """count single-ancestor trees and one forest of 1.5 n roots."""
     _, make = SCHEMES[name]
     scheme = make(n)
     if cap == "aligned":
         cap = math.floor(0.4 * scheme.gamma) / scheme.gamma  # a generation boundary
     stream = RngStream(seed, (n,))
     trees = [gw_tree(scheme, stream.replicate(k), height_cap=cap) for k in range(count)]
-    trees.append(forest_under_Pr(scheme, 1.5, stream.replicate(count), height_cap=cap))
+    trees.append(gw_forest(scheme, stream.replicate(count), int(1.5 * n), height_cap=cap)[0])
     return scheme, trees
 
 
@@ -119,7 +119,7 @@ def test_uncapped_subcritical_trees_hand_down_the_loop_depth():
        n=st.sampled_from([20, 50]), cap=CAPS)
 def test_cut_trees_hand_down_the_loop_depth(seed, name, n, cap):
     fam, _ = SCHEMES[name]
-    scheme, trees = grown_trees(name, n, cap, seed, count=4)
+    trees = grown_trees(name, n, cap, seed, count=4)[1]
     rng = np.random.default_rng(seed)
     for tree in trees:
         marked = generate_marks(tree, fam, (0.0, 1.0), rng)
@@ -128,11 +128,9 @@ def test_cut_trees_hand_down_the_loop_depth(seed, name, n, cap):
             assert_depth_handed_down(marked.pruned_at(q))
         path = marked.sigma_path(qs)
         assert np.array_equal(path.height, [loop_depth(marked.pruned_at(q)).max() for q in qs])
-        top = tree.height()
-        for a in (rng.uniform(0.0, top), math.floor(0.5 * top * scheme.gamma) / scheme.gamma):
-            below = tree.restrict_below(a)
-            assert_depth_handed_down(below)
-            assert_depth_handed_down(generate_marks(below, fam, (0.0, 1.0), rng).pruned_at(1.0))
+        tiled = tree.tiled(3)[0]
+        assert_depth_handed_down(tiled)
+        assert_depth_handed_down(generate_marks(tiled, fam, (0.0, 1.0), rng).pruned_at(1.0))
 
 
 def test_cuts_with_node_marks_hand_down_the_loop_depth():
@@ -141,7 +139,7 @@ def test_cuts_with_node_marks_hand_down_the_loop_depth():
     node_marked = closed = 0
     for k in range(30):
         rng = RngStream(5).replicate(k)
-        forest = forest_under_Pr(scheme, 2.0, rng, height_cap=1.0)
+        forest = gw_forest(scheme, rng, 40, height_cap=1.0)[0]
         marked = generate_marks(forest, fam, (0.0, 2.0), rng)
         node_marked += len(marked.node_ids)
         for q in (0.5, 1.0, 2.0):
@@ -151,13 +149,13 @@ def test_cuts_with_node_marks_hand_down_the_loop_depth():
 
 
 def test_cuts_of_lazy_trees_hand_down_the_loop_depth():
-    # a grafted spine tree runs the loop itself; its cuts inherit the result
+    # a spine forest runs the loop itself; its cuts and copies inherit the result
     for k in range(5):
         rng = RngStream(8).replicate(k)
-        tree = infinite_crt(LD, 0.5, rng, 30)
+        tree = spine_forest(JUMPY.psi_at(0.0), 0.5, rng, 30, 20)[0]
         assert "depth" not in vars(tree)
-        assert_depth_handed_down(tree.restrict_below(0.3))
-        assert_depth_handed_down(generate_marks(tree, LD, (0.0, 1.0), rng).pruned_at(1.0))
+        assert_depth_handed_down(tree.tiled(2)[0])
+        assert_depth_handed_down(generate_marks(tree, JUMPY, (0.0, 1.0), rng).pruned_at(1.0))
 
 
 # -- chain masses and the other growth arrays ----------------------------------
@@ -178,8 +176,8 @@ def test_growth_arrays_match_the_generation_loop(name, n_roots, cap):
     one_child = many_child = 0
     for k in range(60):
         par, ks, offsets = _grow(scheme, RngStream(21, (n_roots,)).replicate(k), n_roots, cap)
-        tree = _tree_from_growth(scheme, par, ks, offsets, root_delta=0.75)
-        ref = loop_tree_from_growth(scheme, par, ks, offsets, root_delta=0.75)
+        tree = _tree_from_growth(scheme, par, ks, offsets)
+        ref = loop_tree_from_growth(scheme, par, ks, offsets)
         for col in ("parent", "length", "kind", "delta", "mu"):
             got, want = getattr(tree, col), getattr(ref, col)
             assert got.dtype == want.dtype and np.array_equal(got, want), col

@@ -192,6 +192,17 @@ def test_growth_over_the_node_budget_exits_three(tmp_path, monkeypatch, capsys):
     assert "node budget of 20" in capsys.readouterr().err
 
 
+def test_spine_growth_over_the_node_budget_exits_three(tmp_path, capsys):
+    # one jump node per unit height: spines of height 1e12 pass the node
+    # budget on their jump count, before any height is drawn
+    fam = {"type": "shift", "window": [-0.25, 3.0], "left_closed": True,
+           "base": {"b": 0.0, "c": 1.0, "m": [{"type": "point", "z": 1.0, "w": 1.0}]}}
+    cfg = write_config(tmp_path, family=fam, seed=7, replicates=100, resolution=100,
+                       height_cap=1e12, q_grid=[1.0])
+    assert run(["verify", "spine_exponential", "--config", cfg]) == 3
+    assert "node budget" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- list
 
 

@@ -19,9 +19,9 @@ from levytree.experiments import (
     run_experiment,
 )
 from levytree.family import LinearDriftFamily, ShiftFamily
-from levytree.mechanism import Mechanism, PointMass
-from levytree.prune import MarkedTree, generate_marks
-from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_line
+from levytree.mechanism import Mechanism, NumericError, PointMass
+from levytree.prune import MarkedTree, _by_copy, _pruned_forest, generate_marks
+from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_forest
 from levytree.tree import FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
@@ -197,6 +197,12 @@ def test_size_bias_rejects_a_critical_target():
 def test_size_bias_rejects_jump_families():
     with pytest.raises(ConfigError):
         run_experiment(cfg_for("size_bias", family=SHIFT))
+
+
+def test_size_bias_bounds_the_segments_of_an_uncut_spine(monkeypatch):
+    monkeypatch.setattr(experiments, "SPINE_SEGMENTS", 0)
+    with pytest.raises(NumericError, match="uncut after 0 segments"):
+        run_experiment(cfg_for("size_bias", replicates=100, q_grid=(1.0,), lambda_grid=(2.0,)))
 
 
 def test_ascension_needs_supercritical_q():
@@ -534,20 +540,10 @@ def test_cut_helpers_match_the_node_sweeps(seed, fam):
     rng = np.random.default_rng(seed)
     own = np.concatenate([marked.times, marked.node_times])[:4]
     for q in np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 2), own]):
-        assert marked.first_cut(q) == first_cut_reference(tree, marked, q)
+        assert marked.first_cut(q).tolist() == [first_cut_reference(tree, marked, q)]
         for eps, attach_max in ((0.05, 1.0), (0.2, 0.5), (1e-9, 2.0)):
             assert marked.read(q, eps=eps, attach_max=attach_max).tall[0] == (
                 tall_removed_reference(marked, q, eps, attach_max))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, JUMPY]))
-def test_first_cut_on_the_spine_matches_the_sweep(seed, fam):
-    rng = RngStream(seed).replicate(0)
-    line = spine_line(fam.psi_at(0.0), 2.0, rng, 100)
-    marked = generate_marks(line, fam, (0.0, 1.0), rng)
-    for q in (0.0, 0.5, 1.0):
-        assert marked.first_cut(q) == first_cut_reference(line, marked, q)
 
 
 # -------------------------- the forest reader against per-tree node sweeps
@@ -639,6 +635,38 @@ def test_the_forest_reader_matches_per_tree_sweeps(seed, name):
         want = [pruned_reference(tree, q, cap) for q in qs]
         np.testing.assert_array_equal(path.height[:, k], [h for _, h, _ in want])
         np.testing.assert_allclose(path.sigma[:, k], [m for m, _, _ in want], rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, JUMPY]))
+def test_first_cut_on_the_spine_matches_the_sweep(seed, fam):
+    rng = RngStream(seed).replicate(0)
+    size = 8
+    forest, label = spine_forest(fam.psi_at(0.0), 2.0, rng, 100, size)
+    marked = generate_marks(forest, fam, (0.0, 1.0), rng)
+    spines = [split_forest(marked, label, k) for k in range(size)]
+    for q in (0.0, 0.5, 1.0):
+        np.testing.assert_array_equal(marked.first_cut(q, label, size), [
+            first_cut_reference(spine.base, spine, q) for spine in spines])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, SHIFT, JUMPY]))
+def test_two_step_forest_matches_pruning_each_copy(seed, fam):
+    tree = marked_gw_tree(fam, seed).base
+    rng = np.random.default_rng(seed)
+    size = 6
+    # one pass 0 -> 1, and two passes 0 -> 0.5 -> 1 with the re-mark
+    for windows in (((0.0, 1.0),), ((0.0, 0.5), (0.5, 1.0))):
+        forest, label = tree.tiled(size)
+        for t, q in windows:
+            marked = generate_marks(forest, fam, (t, q), rng)
+            copies = [split_forest(marked, label, k).pruned_at(q) for k in range(size)]
+            forest, label = _pruned_forest(marked, q, label)
+            got = _by_copy(forest, label, size)
+            for k, want in enumerate(copies):
+                assert got[k, 0] == pytest.approx(want.total_mass(), rel=1e-12, abs=1e-300)
+                assert got[k, 1] == want.height() and got[k, 2] == len(want)
 
 
 def test_girsanov_small_jump_family():

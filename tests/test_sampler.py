@@ -25,12 +25,10 @@ from levytree.sampler import (
     _tree_from_growth,
     cap_crossings,
     exact_sigma_quadratic,
-    forest_under_Pr,
     gw_forest,
     gw_tree,
-    infinite_crt,
     population_run,
-    supercritical_window,
+    spine_forest,
 )
 from levytree.tree import INFINITE, LEAF, ROOT
 
@@ -195,27 +193,17 @@ def test_height_law_approaches_tail_inverse():
 # -- forests --------------------------------------------------------------------
 
 
-def test_forest_root_carries_initial_mass():
-    sch = GwScheme.build(SUB, 30)
-    t = forest_under_Pr(sch, 0.7, RngStream(2).replicate(0))
-    assert t.kind[0] == ROOT
-    assert t.delta[0] == 0.7
-
-
 def test_tiny_initial_mass_gives_empty_forest():
     sch = GwScheme.build(SUB, 30)
-    rng = RngStream(3).replicate(0)
-    empties = sum(len(forest_under_Pr(sch, 1e-4, rng)) == 1 for _ in range(50))
-    assert empties >= 48
+    run = population_run(sch, RngStream(3).replicate(0), 50, init=1e-4)
+    assert np.count_nonzero(run.totals == 0) >= 48
 
 
 def test_forest_mass_mean():
     # E[sigma] = r/b exactly under the scheme
     n, reps, r = 60, 2000, 0.5
     sch = GwScheme.build(SUB, n)
-    rng = RngStream(23).replicate(0)
-    sig = np.array(
-        [forest_under_Pr(sch, r, rng).total_mass() for _ in range(reps)])
+    sig = population_run(sch, RngStream(23).replicate(0), reps, init=r).sigma()
     se = sig.std() / math.sqrt(reps)
     assert abs(sig.mean() - r) < 4 * se
 
@@ -261,7 +249,7 @@ def test_population_run_takes_one_initial_mass_per_replicate():
 def test_forest_rejects_nonpositive_mass():
     sch = GwScheme.build(SUB, 30)
     with pytest.raises(DomainError):
-        forest_under_Pr(sch, 0.0, RngStream(1).replicate(0))
+        population_run(sch, RngStream(1).replicate(0), 10, init=0.0)
 
 
 # -- exact quadratic total mass ---------------------------------------------------
@@ -304,60 +292,56 @@ def test_exact_sigma_rejects_negative_drift():
 # -- the immortal spine ------------------------------------------------------------
 
 
-def test_spine_zero_height_is_bare_root():
-    fam = LinearDriftFamily(1.0, 1.0)
-    t = infinite_crt(fam, 0.0, RngStream(1).replicate(0), 32)
-    assert len(t) == 1
-    assert t.scale == 1.0 / 32
+def test_spine_forest_chains():
+    mech0 = JUMP_SHIFT.psi_at(0.0)
+    forest, label = spine_forest(mech0, 1.5, RngStream(60).replicate(0), 64, 40)
+    par, depth = forest.parent, forest.depth
+    assert label[0] == -1 and forest.scale == 1.0 / 64 and forest.total_mass() == 0.0
+    np.testing.assert_array_equal(label[1:], np.sort(label[1:]))
+    for k in range(40):
+        nodes = np.flatnonzero(label == k)
+        # one chain from the root: jump nodes in height order, then a leaf at h
+        np.testing.assert_array_equal(par[nodes], np.concatenate([[0], nodes[:-1]]))
+        assert np.all(np.diff(depth[nodes]) > 0)
+        assert depth[nodes[-1]] == pytest.approx(1.5, rel=1e-12)
+        assert forest.kind[nodes[-1]] == LEAF
+        assert np.all(forest.kind[nodes[:-1]] == INFINITE)
+        assert np.all(forest.delta[nodes[:-1]] == 1.0)
 
 
-def test_spine_level_mass_mean_quadratic():
-    # E[Z_a] = psi''(0) * a plus the 1/n spine crossing itself
-    fam = LinearDriftFamily(1.0, 1.0)
-    n, reps, a, h = 64, 150, 0.5, 1.0
-    rng = RngStream(61).replicate(0)
-    zs = np.array(
-        [infinite_crt(fam, h, rng, n).level_mass(a) for _ in range(reps)])
-    target = 2.0 * a + 1.0 / n
-    se = zs.std() / math.sqrt(reps)
-    assert abs(zs.mean() - target) < 4 * se + 0.05
-
-
-def test_spine_jump_graft_rate_and_level_mass():
+def test_spine_forest_jump_rate_and_sizes():
+    # jump nodes at rate integral(z m0(dz)) per unit length, of size-biased
+    # mass, and no jump node on a spine without jumps
     z0 = math.pi / 3.0
-    base = Mechanism(0.0, 0.5, (PointMass(z0, 1.0),))
-    fam = ShiftFamily(base, (-0.5, 0.5))
-    n, reps, h, a = 64, 150, 1.5, 0.6
-    rng = RngStream(62).replicate(0)
-    counts, zs = [], []
-    for _ in range(reps):
-        t = infinite_crt(fam, h, rng, n)
-        counts.append(int(np.sum(t.delta == z0)))
-        zs.append(t.level_mass(a))
-    counts = np.array(counts, dtype=float)
-    target_count = h * z0  # rate integral(z m0(dz)) per unit length
+    base = Mechanism(0.0, 0.5, (PointMass(z0, 1.0), GammaDensity(2.0, 3.0, 0.5)))
+    n, reps, h = 64, 4000, 1.5
+    forest, label = spine_forest(base, h, RngStream(62).replicate(0), n, reps)
+    jumps = forest.kind == INFINITE
+    counts = np.bincount(label[jumps], minlength=reps)
+    target_count = h * (z0 + 0.5 * 2.0 / 3.0)
     assert abs(counts.mean() - target_count) < 4 * counts.std() / math.sqrt(reps)
-    zs = np.array(zs)
-    target_z = base.d2psi(0.0) * a + 1.0 / n
-    assert abs(zs.mean() - target_z) < 4 * zs.std() / math.sqrt(reps) + 0.05
+    sizes = forest.delta[jumps]
+    atoms = sizes == z0
+    # the atom's share of the rate, and the gamma sizes biased to shape k + 1
+    share = z0 / target_count * h
+    assert abs(atoms.mean() - share) < 4 * math.sqrt(share * (1 - share) / len(sizes))
+    assert sps.kstest(sizes[~atoms], sps.gamma(3.0, scale=1.0 / 3.0).cdf).pvalue > 0.001
+    flat, flat_label = spine_forest(QUAD, h, RngStream(62).replicate(1), n, 50)
+    assert len(flat) == 51 and np.all(flat.kind[1:] == LEAF)
+    np.testing.assert_array_equal(flat_label[1:], np.arange(50))
 
 
-# -- supercritical windows ------------------------------------------------------------
-
-
-def test_supercritical_weight_is_one_at_zero_root():
-    fam = LinearDriftFamily(1.0, 1.0)
-    _, weight = supercritical_window(fam, 0.5, 0.4, RngStream(71).replicate(0), 40)
-    assert weight == 1.0
-
-
-def test_supercritical_window_weight_form():
-    fam = LinearDriftFamily(1.0, 1.0)
-    tree, weight = supercritical_window(fam, -1.0, 0.4, RngStream(72).replicate(1), 40)
-    eta = fam.psi_at(-1.0).eta
-    assert eta == pytest.approx(1.0)
-    assert weight == pytest.approx(math.exp(eta * tree.level_mass(0.4)))
-    assert tree.height() <= 0.4 + 1e-12
+def test_spine_forest_checks_the_node_budget_before_drawing_heights(monkeypatch):
+    mech0 = JUMP_SHIFT.psi_at(0.0)
+    with pytest.raises(NumericError, match="node budget"):
+        spine_forest(mech0, 1e12, RngStream(63).replicate(0), 100, 100)
+    monkeypatch.setattr(sampler, "NODE_BUDGET", 100)
+    rng = RngStream(63).replicate(0)
+    with pytest.raises(NumericError, match="node budget of 100"):
+        spine_forest(mech0, 2.0, rng, 100, 100)
+    ref = RngStream(63).replicate(0)
+    ref.poisson(2.0, 100)
+    assert rng.random() == ref.random()
 
 
 def test_supercritical_tail_estimate():
@@ -372,12 +356,6 @@ def test_supercritical_tail_estimate():
     est = n * vals.mean()
     se = n * vals.std() / math.sqrt(reps)
     assert abs(est - target) < 4 * se + 0.1
-
-
-def test_supercritical_window_requires_finite_cap():
-    fam = LinearDriftFamily(1.0, 1.0)
-    with pytest.raises(DomainError):
-        supercritical_window(fam, -1.0, math.inf, RngStream(1).replicate(0), 20)
 
 
 # -- population counts ------------------------------------------------------------
@@ -516,9 +494,7 @@ def test_population_counts_match_grown_forest(seed, mech, gamma, cap):
 GROWERS = {
     "gw_tree": lambda sch, rng, cap: gw_tree(sch, rng, height_cap=cap),
     "gw_forest": lambda sch, rng, cap: gw_forest(sch, rng, 5, height_cap=cap),
-    "forest_under_Pr": lambda sch, rng, cap: forest_under_Pr(sch, 1.0, rng, height_cap=cap),
-    "forest_under_Pr, no excursion": lambda sch, rng, cap: forest_under_Pr(
-        sch, 1e-12, rng, height_cap=cap),
+    "gw_forest, no excursion": lambda sch, rng, cap: gw_forest(sch, rng, 0, height_cap=cap),
     "population_run": lambda sch, rng, cap: population_run(sch, rng, 5, height_cap=cap),
 }
 
@@ -534,19 +510,18 @@ def test_growers_reject_a_cap_that_is_not_positive_and_finite(grower, cap):
 def test_forest_without_excursions_is_its_root():
     sch = GwScheme.build(SUB, 20)
     rng = RngStream(5).replicate(0)
-    t = forest_under_Pr(sch, 1e-12, rng, height_cap=1.0)
-    assert len(t) == 1 and t.kind[0] == ROOT and t.delta[0] == 1e-12
+    t, label = gw_forest(sch, rng, 0, height_cap=1.0)
+    assert len(t) == 1 and t.kind[0] == ROOT and label.tolist() == [-1]
     assert t.total_mass() == 0.0 and t.depth.tolist() == [0.0]
-    # growing no excursion draws nothing after the Poisson count
-    ref = RngStream(5).replicate(0)
-    assert ref.poisson(1e-12 * sch.n) == 0 and rng.random() == ref.random()
+    # growing no excursion draws nothing
+    assert rng.random() == RngStream(5).replicate(0).random()
 
 
 def test_growth_node_budget_raises(monkeypatch):
     monkeypatch.setattr(sampler, "NODE_BUDGET", 50)
     sch = GwScheme.build(QUAD, 50)
     with pytest.raises(NumericError, match="node budget of 50"):
-        forest_under_Pr(sch, 5.0, RngStream(3).replicate(0), height_cap=1.0)
+        gw_forest(sch, RngStream(3).replicate(0), 20, height_cap=1.0)
     # a tree under the budget still grows
     assert len(gw_tree(sch, RngStream(3).replicate(0), height_cap=0.01)) <= 51
 

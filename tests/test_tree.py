@@ -1,9 +1,8 @@
 """Structural tests for finite measured trees.
 
-Restriction is checked against the tree it came from (level masses below
-the cut and the atoms at or below it survive exactly) and, like grafting,
-against tiny hand-built trees whose heights, masses and crossing counts are
-computed by eye.
+Statistics are checked against tiny hand-built trees whose heights, masses
+and crossing counts are computed by eye, and tiling against the tree it
+copies.
 """
 
 import math
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from levytree.mechanism import DomainError
-from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree, single_root
+from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
 
 
 def build(parents, lengths, kinds, deltas=None, mus=None, scale=1.0):
@@ -86,7 +85,7 @@ def test_level_mass_single_edge():
 
 
 def test_level_mass_root_only():
-    t = single_root()
+    t = build([-1], [0.0], [ROOT])
     assert t.level_mass(0.5) == 0.0
     assert t.height() == 0.0
     assert t.total_mass() == 0.0
@@ -120,116 +119,26 @@ def test_negative_level_rejected():
         cherry().level_mass(-0.1)
 
 
-# -- restriction --------------------------------------------------------------
+# -- tiling -------------------------------------------------------------------
 
 
-def test_restrict_above_height_is_identity():
-    t = cherry()
-    assert t.restrict_below(10.0) is t
-
-
-def test_restrict_to_zero_keeps_root_only():
-    t = cherry().restrict_below(0.0)
-    assert len(t) == 1
-    assert t.height() == 0.0
-
-
-def test_restrict_truncates_single_edge():
-    t = single_edge(length=2.0).restrict_below(1.0)
-    assert len(t) == 2
-    assert t.height() == 1.0
-    assert t.kind[1] == LEAF
-    assert t.mu[1] == 0.0
-    assert t.total_mass() == 0.0
-
-
-def test_restrict_height_clips():
+def test_tiled_copies_keep_each_copy_whole():
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for _ in range(10):
         t = random_tree(rng)
-        a = float(rng.uniform(0.0, t.height() * 1.2))
-        below = t.restrict_below(a)
-        assert below.height() == pytest.approx(min(a, t.height()), abs=1e-12)
-        for b in rng.uniform(0.0, a, 10):
-            assert below.level_mass(b) == t.level_mass(b)
-        assert below.total_mass() == pytest.approx(t.mu[t.depth <= a].sum(), rel=1e-12)
-
-
-def test_restrict_keeps_node_exactly_at_level():
-    t = cherry().restrict_below(2.0)
-    # leaf at depth 2 survives with its atom; the deeper leaf becomes a stub
-    assert t.total_mass() == 0.5
-    assert t.height() == 2.0
-    kinds = sorted(int(k) for k in t.kind)
-    assert kinds.count(LEAF) == 2
-    # a branch point exactly at the level stays as a massless leaf, and
-    # nothing above it does
-    t = cherry().restrict_below(1.0)
-    assert len(t) == 2 and t.kind[1] == LEAF
-    assert t.delta[1] == 0.0 and t.mu[1] == 0.0
-
-
-def test_restrict_ends_a_many_child_node_at_the_level():
-    t = build([-1, 0, 1, 1, 1], [0.0, 1.0, 1.0, 1.0, 2.0],
-              [ROOT, INFINITE, LEAF, LEAF, LEAF], deltas=[0.0, 1.5, 0.0, 0.0, 0.0],
-              mus=[0.0, 0.0, 0.5, 0.25, 0.25])
-    out = t.restrict_below(1.0)
-    assert len(out) == 2 and out.kind[1] == LEAF
-    assert out.delta[1] == 0.0 and out.total_mass() == 0.0
-    # one level up the node keeps its children and its size
-    out = t.restrict_below(1.5)
-    assert out.kind[1] == INFINITE and out.delta[1] == 1.5
-
-
-# -- grafting -----------------------------------------------------------------
-
-
-def test_graft_nothing_is_identity():
-    t = cherry()
-    out = t.graft([])
-    assert len(out) == len(t)
-    assert out.height() == t.height()
-    assert out.total_mass() == t.total_mass()
-    np.testing.assert_allclose(sorted(out.depth), sorted(t.depth))
-
-
-def test_graft_masses_add():
-    t = cherry()
-    sub = cherry()
-    out = t.graft([(1, sub), (0, single_edge(length=1.0, mu=2.0))])
-    assert out.total_mass() == 0.75 + 0.75 + 2.0
-    assert len(out) == len(t) + 3 + 1
-    assert out.height() == 4.0
-    # appended in order, each sub's root fused with its attach node
-    np.testing.assert_array_equal(out.depth[4:7], t.depth[1] + sub.depth[1:])
-    assert out.depth[7] == 1.0
-
-
-def test_graft_rejects_bad_points():
-    t = cherry()
-    sub = single_edge(1.0)
-    with pytest.raises(DomainError):
-        t.graft([(17, sub)])
-    with pytest.raises(DomainError):
-        t.graft([(-1, sub)])
-    with pytest.raises(DomainError):
-        single_edge().graft([(1, sub)])  # a massless leaf is still a leaf
-    with pytest.raises(DomainError):
-        # the branch point at level 1 has lost its children: no attach point
-        t.restrict_below(1.0).graft([(1, sub)])
-
-
-def test_graft_onto_massive_leaf_rejected():
-    t = cherry()
-    with pytest.raises(DomainError):
-        t.graft([(2, single_edge(1.0))])
-
-
-def test_graft_empty_sub_is_noop():
-    t = cherry()
-    out = t.graft([(1, single_root())])
-    assert len(out) == len(t)
-    assert out.height() == t.height()
+        forest, label = t.tiled(3)
+        m = len(t) - 1
+        assert len(forest) == 1 + 3 * m and forest.scale == t.scale
+        np.testing.assert_array_equal(label, np.concatenate([[-1], np.arange(3).repeat(m)]))
+        for k in range(3):
+            nodes = 1 + k * m + np.arange(m)
+            np.testing.assert_array_equal(forest.parent[nodes], np.where(
+                t.parent[1:] == 0, 0, t.parent[1:] + k * m))
+            for col in ("length", "kind", "delta", "mu", "depth"):
+                np.testing.assert_array_equal(getattr(forest, col)[nodes], getattr(t, col)[1:])
+        assert forest.total_mass() == pytest.approx(3 * t.total_mass(), rel=1e-12)
+    forest, label = single_edge().tiled(0)
+    assert len(forest) == 1 and label.tolist() == [-1]
 
 
 # -- validation ----------------------------------------------------------------------
