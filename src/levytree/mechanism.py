@@ -25,9 +25,12 @@ Conventions used throughout the package:
   the excursion normalization) and u_of(a, lam) solves
   integral_{u}^{lam} dr/psi(r) = a  (Laplace flow of the level mass).
 
-Tail integrals are evaluated on two smooth charts: r = eta + e^s near
-the root and r = 1/x at infinity, where x**2*psi(1/x) -> c removes the
-singularity.  Quadratic mechanisms (no jump part) take closed forms.
+Quadratic mechanisms (no jump part) take closed forms.  Otherwise tail
+integrals are evaluated on two smooth charts: r = eta + e^s near the root
+and r = 1/x at infinity, where x**2*psi(1/x) -> c removes the singularity.
+v_of and u_of invert them by Newton steps on s that add each step's
+integral to one full quadrature.  There psi(eta + .) is the conjugate at
+eta, whose exact parameters and drift psi'(eta) > 0 do not cancel.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ class NumericError(RuntimeError):
 
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)  # for narrow tail increments
 
 
 def _over_x(fn, x):
@@ -76,6 +80,38 @@ def _quad(f, lo, hi):
     if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
         raise NumericError(f"quadrature failed on [{lo}, {hi}]: value {val}, err {err}")
     return val
+
+
+def _newton_chart(g, s, value, start, target, edge=math.inf):
+    """The root of F = target, F decreasing on a log chart with F' = -g and
+    F(s) = value, from start if on the root's side of s.  Newton on log F
+    steps by (log F - log target) F / g, bisects the known bracket rather
+    than leave it, and moves at most 2, 4, 8, ... toward an unknown side.
+    F(s') = F(s) + integral_{s'}^s g, by _quad past width 0.25, else by the
+    12-point rule, exact to roundoff: g = e^s / psi(eta + e^s) is analytic
+    on |Im s| < pi/2, where Re psi(eta + x)/x >= psi'(eta) > 0 (a gamma
+    branch point sits at pi), so it errs by about 25^-24.  Below eta, spans
+    keep twice their width from the pole at edge = ln(eta) (rho > 9)."""
+    lo, hi = (s, math.inf) if value > target else (-math.inf, s)
+    new, reach = (start if lo < start < hi else s), 2.0
+    for _ in range(100):
+        if abs(new - s) > min(0.25, 0.5 * (edge - max(s, new))):
+            value += _quad(g, new, s)
+        elif new != s:
+            half = 0.5 * (s - new)
+            value += half * float(_GL_W @ g(new + half + half * _GL_X))
+        s = new
+        lo, hi = (s, hi) if value > target else (lo, s)
+        slope = float(g(s))
+        if not (value > 0 and 0 < slope < math.inf):
+            raise NumericError(f"tail inverse left its chart at s = {s}")
+        step = math.log(value / target) * value / slope
+        if min(abs(step), hi - lo) <= 1e-14 * max(1.0, abs(s)):
+            return s + step if lo < s + step < hi else s
+        if math.isinf(hi if step > 0 else lo):
+            step, reach = max(-reach, min(reach, step)), 2.0 * reach
+        new = s + step if lo < s + step < hi else 0.5 * (lo + hi)
+    raise NumericError("tail inverse took over 100 Newton steps")
 
 
 @dataclass(frozen=True)
@@ -365,52 +401,36 @@ class Mechanism:
             return _over_x(math.log1p, self.b / cv) / cv
         return _tail_time_quad(self, v, power)
 
-    def _invert_tail(self, target):
-        # solve tail_time(v) = target for v > eta on the log chart s = ln(v-eta),
-        # bracketed by the quadratic closed form b / (c expm1(target b))
-        proxy = 1.0 / (self.c * target * _over_x(math.expm1, target * self.b))
-        if not self.m:
-            return proxy
-        eta = self.eta
-        f = lambda s: self.tail_time(eta + math.exp(s)) - target
-        s = math.log(max(proxy - eta, proxy * 1e-3, 1e-290))
-        lo = hi = s
-        flo = fhi = f(s)
-        for _ in range(800):
-            if flo > 0:
-                break
-            lo -= 1.0
-            flo = f(lo)
-        for _ in range(800):
-            if fhi < 0:
-                break
-            hi += 1.0
-            fhi = f(hi)
-        if not (flo > 0 > fhi):
-            raise NumericError("failed to bracket the tail-time inverse")
-        s = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        v = eta + math.exp(s)
-        for _ in range(3):
-            step = (self.tail_time(v) - target) * self.psi(v)
-            if eta < v + step:
-                v += step
-            if abs(step) <= 1e-14 * v:
-                break
-        return v
+    @cached_property
+    def _at_root(self):
+        return self.conjugate(self.eta)
+
+    def _rate(self, s, side=1.0):
+        # g of _newton_chart above eta; side = -1 gives it on ln(eta - r) below
+        x = side * np.exp(s)
+        return x / self._at_root.psi(x)
 
     def v_of(self, a):
-        """Height tail: the unique v > eta with tail_time(v) = a."""
+        """Height tail: the unique v > eta with tail_time(v) = a (see _newton_chart)."""
         self._require_grey("v_of")
         if not a > 0:
             raise DomainError(f"v_of needs a > 0, got {a}")
-        return self._invert_tail(a)
+        proxy = float(1.0 / (self.c * a * _over_x(math.expm1, a * self.b)))
+        if not self.m:
+            return proxy
+        eta, b = self.eta, self._at_root.b  # first guess: the form for psi(eta + .)
+        s = math.log(max(proxy - eta, proxy * 1e-3, 1e-290))
+        start = -math.log(self.c * a * _over_x(math.expm1, a * b))
+        s = _newton_chart(self._rate, s, self.tail_time(eta + math.exp(s)), start, a)
+        return float(eta + math.exp(s))
 
     def u_of(self, a, lam):
         """Laplace flow: solves integral_u^lam dr/psi(r) = a.
 
         The flow contracts toward eta from both sides: u lies between lam
         and eta, and u -> v_of(a) as lam -> inf.  Inputs within 1e-12 of
-        eta (or lam = 0) are fixed points and returned unchanged.
+        eta (or lam = 0) are fixed points and returned unchanged.  With jumps,
+        _newton_chart solves from lam on ln(u - eta) or ln(eta - u).
         """
         self._require_grey("u_of")
         if a < 0 or not math.isfinite(lam) or lam < 0:
@@ -420,41 +440,21 @@ class Mechanism:
         eta = self.eta
         if lam == 0.0 or abs(lam - eta) < 1e-12 * max(1.0, eta):
             return float(lam) if lam == 0.0 else eta
-        if not self.m:
-            ab = a * self.b
-            # lam b / (e^{ab}(b + c lam) - c lam), without the cancelling pair
-            return lam / (math.exp(ab) + self.c * a * lam * _over_x(math.expm1, ab))
-        if lam > eta:
-            return self._invert_tail(a + self.tail_time(lam))
-        return self._u_below_root(a, lam)
-
-    def _u_below_root(self, a, lam):
-        # supercritical, 0 < lam < eta: chart r = eta - e^t, integrand smooth
-        eta = self.eta
-        g = lambda t: math.exp(t) / (-self.psi(eta - math.exp(t)))
+        if not self.m or lam > eta:
+            # x b / (e^{ab}(b + c x) - c x), the flow of b x + c x^2 without the
+            # cancelling pair: exact without jumps, else a first guess on psi(eta + .)
+            x, ab = (lam - eta, a * self._at_root.b) if self.m else (lam, a * self.b)
+            flow = float(x / (math.exp(ab) + self.c * a * x * _over_x(math.expm1, ab)))
+            if not self.m:
+                return flow
+            tail = self.tail_time(lam)
+            s = _newton_chart(self._rate, math.log(x), tail, math.log(flow), a + tail)
+            return float(eta + math.exp(s))
+        # pole at t = ln(eta) (psi(0) = 0); h rises from 1/psi'(eta) to h(t_lam)
+        h = lambda t: self._rate(t, -1.0)
         t_lam = math.log(eta - lam)
-
-        def f(t):  # integral_u(t)^lam dr/psi - a, decreasing in t
-            return _quad(g, t, t_lam) - a
-
-        hi = t_lam
-        lo = t_lam - 1.0
-        for _ in range(800):
-            if f(lo) >= 0:
-                break
-            lo -= 1.0
-        else:
-            raise NumericError("failed to bracket u below the root")
-        t = brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-        u = eta - math.exp(t)
-        for _ in range(3):
-            h = _quad(g, math.log(eta - u), t_lam) - a
-            step = -h * abs(self.psi(u))
-            if lam < u + step < eta:
-                u += step
-            if abs(step) <= 1e-14 * max(u, 1e-30):
-                break
-        return u
+        start = t_lam - a / max(float(h(t_lam)), 1.0 / self._at_root.b)
+        return float(eta - math.exp(_newton_chart(h, t_lam, 0.0, start, a, math.log(eta))))
 
     # ------------------------------------------------------------- conjugation
 

@@ -419,8 +419,8 @@ COMMANDS = st.one_of(
 
 
 # the contract holds under the warning filters the command line runs with: at
-# the extremes drawn here numpy and quadpack still warn (a gamma term at
-# lam <= -rho, quadrature with a near-zero c), which is no exit code
+# the extremes drawn here quadpack still warns (quadrature with a near-zero
+# c), which is no exit code
 @pytest.mark.filterwarnings("default::RuntimeWarning",
                             "default::scipy.integrate.IntegrationWarning")
 @settings(max_examples=200, deadline=None)

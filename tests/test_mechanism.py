@@ -9,18 +9,24 @@ oracle.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from levytree import mechanism
 from levytree.mechanism import (
     DomainError,
     GammaDensity,
     Mechanism,
+    NumericError,
     PointMass,
+    _over_x,
+    _quad,
     _tail_time_quad,
+    brentq,
 )
 
 SQ = Mechanism(b=0.0, c=1.0)               # psi = lam^2
@@ -212,6 +218,15 @@ def test_u_large_lambda_approaches_v():
             assert abs(mech.u_of(a, 1e6) - v) / v < 1e-6
 
 
+def test_v_and_u_return_float():
+    for mech in (SQ, SUPER, MIXED, MIXED_SUPER):
+        eta = mech.eta
+        for a in (0.5, np.float64(0.5)):
+            assert type(mech.v_of(a)) is float
+            for lam in (0.0, eta, eta + 1.0, np.float64(eta + 2.0), 0.5 * eta):
+                assert type(mech.u_of(a, lam)) is float
+
+
 def test_u_fixed_points():
     assert SUB.u_of(2.0, 0.0) == 0.0
     assert SUPER.u_of(2.0, SUPER.eta) == pytest.approx(SUPER.eta, rel=1e-12)
@@ -367,3 +382,139 @@ def test_vectorized_psi():
     assert out.shape == (3,)
     assert out[0] == pytest.approx(0.0, abs=1e-15)
     assert out[2] == pytest.approx(float(mp_psi(MIXED, 2.0)), rel=1e-12)
+
+
+# ------------------------------------------- Newton inversion vs the old one
+
+
+def invert_tail_reference(mech, a, lam=math.inf):
+    """v_of(a) (lam = inf) or u_of(a, lam) of a jump mechanism by the solver
+    the Newton one replaced: a bracket stepped by whole tail quadratures,
+    brentq over them, then up to three polishing steps."""
+    eta = mech.eta
+    if abs(lam - eta) < 1e-12 * max(1.0, eta):  # u_of's fixed points
+        return eta
+    if lam < eta:  # chart r = eta - e^t
+        g = lambda t: math.exp(t) / (-mech.psi(eta - math.exp(t)))
+        t_lam = math.log(eta - lam)
+        f = lambda t: _quad(g, t, t_lam) - a
+        lo = t_lam - 1.0
+        for _ in range(800):
+            if f(lo) >= 0:
+                break
+            lo -= 1.0
+        else:
+            raise NumericError("failed to bracket u below the root")
+        u = eta - math.exp(brentq(f, lo, t_lam, xtol=1e-14, rtol=8.9e-16))
+        for _ in range(3):
+            step = -f(math.log(eta - u)) * abs(mech.psi(u))
+            if lam < u + step < eta:
+                u += step
+            if abs(step) <= 1e-14 * max(u, 1e-30):
+                break
+        return u
+    target = a if lam == math.inf else a + mech.tail_time(lam)
+    proxy = 1.0 / (mech.c * target * _over_x(math.expm1, target * mech.b))
+    f = lambda s: mech.tail_time(eta + math.exp(s)) - target
+    lo = hi = math.log(max(proxy - eta, proxy * 1e-3, 1e-290))
+    flo = fhi = f(lo)
+    for _ in range(800):
+        if flo > 0:
+            break
+        lo -= 1.0
+        flo = f(lo)
+    for _ in range(800):
+        if fhi < 0:
+            break
+        hi += 1.0
+        fhi = f(hi)
+    if not (flo > 0 > fhi):
+        raise NumericError("failed to bracket the tail-time inverse")
+    v = eta + math.exp(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    for _ in range(3):
+        step = (mech.tail_time(v) - target) * mech.psi(v)
+        if eta < v + step:
+            v += step
+        if abs(step) <= 1e-14 * v:
+            break
+    return v
+
+
+def reference_or_none(mech, a, lam):
+    # the reference warns and fails near eta, where its integrand cancels
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return invert_tail_reference(mech, a, lam)
+        except (DomainError, NumericError):
+            return None
+
+
+jump_mech_strategy = st.builds(
+    Mechanism,
+    b=st.floats(-3.0, 3.0),
+    c=st.floats(0.05, 3.0),
+    m=st.lists(
+        st.one_of(
+            st.builds(PointMass, z=st.floats(0.05, 3.0), w=st.floats(0.01, 2.0)),
+            st.builds(
+                GammaDensity,
+                k=st.floats(0.3, 3.0),
+                rho=st.floats(0.3, 3.0),
+                w=st.floats(0.01, 2.0),
+            ),
+        ),
+        min_size=1,
+        max_size=2,
+    ).map(tuple),
+)
+
+
+@st.composite
+def inversion_cases(draw):
+    mech = draw(jump_mech_strategy)
+    a = 10.0 ** draw(st.floats(-3.0, math.log10(20.0)))
+    eta = mech.eta
+    if eta > 0 and draw(st.booleans()):
+        return mech, a, eta * draw(st.floats(0.05, 0.95))
+    return mech, a, eta + 10.0 ** draw(st.floats(-3.0, 2.0))
+
+
+NEAR_ROOT = Mechanism(-0.7, 0.5, (PointMass(1.0, 1.0), PointMass(0.4, 2.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=inversion_cases())
+# u lies within 1e-5 of eta in both; in the first, a psi(eta + e^s) integrand
+# that does not use the conjugate warns, and so does the reference
+@example(case=(MIXED_SUPER, 4.0, MIXED_SUPER.eta + 1e-3))
+@example(case=(NEAR_ROOT, 17.59, 1.925))
+def test_inversion_matches_bracket_reference(case):
+    mech, a, lam = case
+    eta = mech.eta
+    for got, ref_lam in ((mech.v_of(a), math.inf), (mech.u_of(a, lam), lam)):
+        assert type(got) is float
+        want = reference_or_none(mech, a, ref_lam)
+        if want is None:
+            continue
+        # 1e-12 relative in the root or in the time F it inverts, as
+        # dF = du / |psi(u)|: where a psi'(eta) is large, a quadrature's last
+        # digits move the root by more (by mpmath the reference's v is 1.6e-12
+        # off at b = 1.718, c = 0.2445, a = 14.16)
+        time = a + (mech.tail_time(lam) if eta < ref_lam < math.inf else 0.0)
+        assert abs(got - want) <= 1e-12 * max(abs(want), time * abs(mech.psi(want)))
+
+
+def test_inversion_makes_few_quadratures(monkeypatch):
+    # invert_tail_reference's bracket search makes 10-22 per v_of on MIXED here
+    calls = []
+    real = mechanism._quad
+    monkeypatch.setattr(mechanism, "_quad", lambda *args: calls.append(args) or real(*args))
+    for mech in (MIXED, MIXED_SUPER):
+        eta = mech.eta
+        lams = [lam for lam in (0.2 * eta, 0.9 * eta, eta + 1e-3, eta + 1.0, 9.0, 100.0) if lam > 0]
+        for a in (1e-3, 0.05, 0.5, 2.0, 8.0, 20.0):
+            for lam in [None] + lams:
+                calls.clear()
+                mech.v_of(a) if lam is None else mech.u_of(a, lam)
+                assert len(calls) <= 8, (mech, a, lam, len(calls))

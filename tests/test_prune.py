@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levytree import prune
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import DomainError, Mechanism, PointMass
 from levytree.prune import MarkedTree, generate_marks, two_step_consistency
@@ -381,11 +382,25 @@ def test_two_step_consistency_quadratic():
     assert worst_z(stats) < 4.0, stats
 
 
-def test_two_step_consistency_with_node_marks():
-    sch = GwScheme.build(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), 25)
-    tree = gw_tree(sch, RngStream(19).replicate(1), height_cap=1.0)
+def test_two_step_consistency_with_node_marks(monkeypatch):
+    # SHIFT marks the many-child node (delta = 1) in the window (0, 1) with
+    # probability about 0.63, cutting a binary subtree and two leaves
+    tree = build([-1, 0, 1, 1, 1, 2, 2], [0.0, 0.4, 0.3, 0.5, 0.6, 0.2, 0.3],
+                 [ROOT, INFINITE, BINARY, LEAF, LEAF, LEAF, LEAF],
+                 deltas=[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                 mus=[0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4])
+    assert (tree.kind == INFINITE).any()
+    node_marks = []
+
+    def counted(*args):
+        marked = generate_marks(*args)
+        node_marks.append(len(marked.node_ids))
+        return marked
+
+    monkeypatch.setattr(prune, "generate_marks", counted)
     stats = two_step_consistency(
         tree, SHIFT, 0.0, 0.5, 1.0, RngStream(20).replicate(0), 800)
+    assert sum(node_marks) > 0
     assert set(stats) == {"sigma", "height", "nodes"}
     assert worst_z(stats) < 4.0, stats
 
