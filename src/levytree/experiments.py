@@ -504,8 +504,11 @@ def _exit_tail(cfg, v_of):
     qs = tuple(sorted(cfg.q_grid or (1.0,)))
     if not all(q >= 0.0 for q in qs):
         raise ConfigError("exit_tail_remark prunes forward from 0; q_grid must be >= 0")
-    points = [Point(f"qp={q:g},h={h:g}", v_of(fam.psi_at(q), h), lambda n, x, k=k: x[:, k])
-              for k, q in enumerate(qs)]
+    # n * 1{exit beyond q'} is height_law's rare count: null variance n v - v^2
+    vs = [v_of(fam.psi_at(q), h) for q in qs]
+    points = [Point(f"qp={q:g},h={h:g}", v, lambda n, x, k=k: x[:, k],
+                    stat=_null_mean_se(lambda n, v=v: n * v - v * v))
+              for k, (q, v) in enumerate(zip(qs, vs))]
     schemes = _schemes(fam.psi_at(0.0))
 
     def exits(scheme, rng, forest, label, size):

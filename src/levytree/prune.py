@@ -16,7 +16,7 @@ kill_times[i] > q.  The array is a minimum along root paths, taken by
 pointer jumping over `parent`, so it matches a node-by-node sweep exactly.
 `MarkedTree.read` and `MarkedTree.first_cut` reduce one pruning per
 replicate of a forest (see `sampler.gw_forest`) over a node -> replicate
-label.
+label, and `_component_tips` sizes removed components over removed nodes.
 
 Binary nodes never receive node marks: their mass is 2/n under the
 discretization and the mark probability vanishes in the limit, so only
@@ -81,9 +81,10 @@ class MarkedTree:
         if kill.min() < np.inf:
             anc = par.copy()
             anc[0] = 0
+            spare, far = np.empty_like(anc), np.empty_like(kill)
             while anc.any():
-                kill = np.minimum(kill, kill[anc])
-                anc = anc[anc]
+                np.minimum(kill, np.take(kill, anc, out=far, mode="clip"), out=kill)
+                anc, spare = np.take(anc, anc, out=spare, mode="clip"), anc
         kill.flags.writeable = False
         return kill
 
@@ -157,7 +158,7 @@ class MarkedTree:
         tall = np.zeros(size, dtype=np.int64)
         if attached.any():
             tops, levels = tops[attached], levels[attached]
-            tops = tops[base.subtree_tips()[tops] - levels > eps]
+            tops = tops[_component_tips(par, depth, keep, closed)[tops] - levels > eps]
             tall = np.bincount(label[tops], minlength=size)
         return PruneReading(mass, height, tall, low_mass)
 
@@ -179,6 +180,25 @@ class MarkedTree:
         """tree with no marks over the window [0, 0]: pruning keeps it whole."""
         none = np.zeros(0, dtype=np.int64)
         return cls(tree, (0.0, 0.0), none, np.zeros(0), np.zeros(0), none, np.zeros(0))
+
+
+def _component_tips(par, depth, keep, closed):
+    """Highest depth of each removed component at its top, other depths as
+    they are.  A component's top is its stub, or the closed node whose
+    children it gathers; each removed node jumps to the head of its
+    component by pointer doubling over the removed nodes only."""
+    gone = np.flatnonzero(~keep)
+    top = np.arange(len(par))
+    # a head, whose parent is kept, points at itself
+    top[gone] = up = np.where(keep[par[gone]], gone, par[gone])
+    nxt = top[up]
+    while not np.array_equal(nxt, up):
+        top[gone] = up = nxt
+        nxt = top[up]
+    hang = par[up]
+    tip = depth.copy()
+    np.maximum.at(tip, np.where(np.isin(hang, closed), hang, up), depth[gone])
+    return tip
 
 
 def generate_marks(tree, fam, window, rng):

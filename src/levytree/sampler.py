@@ -24,7 +24,9 @@ experiments:
 A `GwScheme` is the offspring law at resolution n and nothing more.  The
 height cap, below which a tree is grown, is an argument of each grower
 (`gw_tree`, `gw_forest`, `population_run`), None for no cap, and
-`_level_generation` is where it is checked.
+`_level_generation` is where it is checked.  `GwScheme.offspring_of` maps
+uniforms to offspring counts by prefix compares, and `_grow` draws them in
+doubling blocks, walking the generations over prefix sums.
 
 `population_run` is the counts-only mode of the same scheme, for every
 offspring law: it evolves the generation sizes of many replicates at once
@@ -132,15 +134,25 @@ class GwScheme:
 
     @cached_property
     def _cum(self):
-        return np.cumsum(self.probs)
+        cum = np.cumsum(self.probs)
+        cum[-1] = np.inf  # no count past len(probs) - 1, whatever the rounded total
+        return cum
 
     @property
     def mass_unit(self):
         return 1.0 / (self.n * self.gamma)
 
+    def offspring_of(self, u):
+        """Offspring counts of uniforms u, cum.searchsorted(u, "right") taken
+        as three prefix compares; searchsorted runs on the rare u >= cum[2]."""
+        cum = self._cum
+        k = ((u >= cum[0]).view(np.int8) + (u >= cum[1]).view(np.int8)).astype(np.int64)
+        tail = (u >= cum[2]).nonzero()[0]
+        k[tail] = cum.searchsorted(u[tail], "right")
+        return k
+
     def sample_offspring(self, rng, size):
-        u = rng.random(size)
-        return np.minimum(self._cum.searchsorted(u, "right"), len(self.probs) - 1)
+        return self.offspring_of(rng.random(size))
 
     @cached_property
     def _binary_p2(self):
@@ -178,31 +190,48 @@ def _grow(scheme, rng, n_roots, height_cap):
     """Generation-major growth of n_roots >= 0 ancestors below height_cap
     (None for no cap).  Returns (parents, offspring counts, generation
     start offsets); parents of generation 0 are -1.  Raises NumericError
-    once the individuals grown pass NODE_BUDGET."""
+    once the individuals grown pass NODE_BUDGET.
+
+    Individual i takes `offspring_of` the i-th uniform of rng, and the
+    cap's generation draws none.  Uniforms come in doubling blocks, the
+    first as large as generation 0; at the end rng is put back and redraws
+    exactly the uniforms used, as one draw per generation would leave it."""
     # generation g is born at depth g/gamma; only gens born strictly below
     # the cap exist
     max_children_gen = _level_generation(scheme.gamma, height_cap)
-    ks_blocks = []
+    start = rng.bit_generator.state
+    # csum[i]: offspring of individuals 0..i-1 over the uniforms drawn
+    csum = np.zeros(1, dtype=np.int64)
+    block = max(1, n_roots)
     offsets = [0]
-    cur = n_roots
+    s, e = 0, n_roots  # generation g is individuals s..e-1
     # every generation but the last adds individuals, so the budget bounds them
     for g in range(NODE_BUDGET + 1):
+        offsets.append(e)
         if g + 1 > max_children_gen:
-            ks = np.zeros(cur, dtype=np.int64)
-        else:
-            ks = scheme.sample_offspring(rng, cur).astype(np.int64, copy=False)
-        ks_blocks.append(ks)
-        offsets.append(offsets[-1] + cur)
-        cur = int(ks.sum())
-        if cur == 0:
+            used = s
             break
-        if offsets[-1] + cur > NODE_BUDGET:
+        drawn = len(csum) - 1
+        if drawn < e:
+            # never past the budget, unless generation 0 alone passes it
+            ks = scheme.offspring_of(rng.random(max(e - drawn, min(block, NODE_BUDGET - drawn))))
+            csum = np.concatenate([csum, np.cumsum(ks) + csum[-1]])
+            block *= 2
+        cur = int(csum[e] - csum[s])
+        if cur == 0:
+            used = e
+            break
+        if e + cur > NODE_BUDGET:
             raise NumericError(
                 f"tree growth passed the node budget of {NODE_BUDGET} individuals")
-    ks = np.concatenate(ks_blocks)
+        s, e = e, e + cur
+    rng.bit_generator.state = start
+    rng.random(used)
+    ks = np.zeros(e, dtype=np.int64)
+    ks[:used] = np.diff(csum[:used + 1])
     # children follow their parents' order, generation after generation
     par = np.concatenate([np.full(n_roots, -1, dtype=np.int64),
-                          np.arange(len(ks), dtype=np.int64).repeat(ks)])
+                          np.arange(e, dtype=np.int64).repeat(ks)])
     return par, ks, offsets
 
 

@@ -91,18 +91,6 @@ class FiniteTree:
 
     # -- statistics ---------------------------------------------------------
 
-    def subtree_tips(self):
-        """Highest point at or above each node, by pointer doubling: pass k
-        hands each running maximum 2^k generations down; the root takes all."""
-        tip = self.depth.copy()
-        anc = self.parent.copy()
-        anc[0] = 0
-        while anc.any():
-            np.maximum.at(tip, anc, tip.copy())
-            anc = anc[anc]
-        tip[0] = tip.max()
-        return tip
-
     def height(self):
         return float(np.max(self.depth))
 

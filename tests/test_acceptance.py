@@ -12,10 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from levytree import cli, laws
+from levytree import cli, laws, prune
 from levytree.experiments import ExperimentConfig, run_experiment
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import GammaDensity, Mechanism, PointMass
+from levytree.sampler import RngStream
+from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
@@ -161,6 +163,36 @@ def test_06_two_step_and_cocycle():
         "cocycle split at 1 of (0,2)",
         ok,
         f"worst z = {_worst_z(rows):.2f}, cocycle err = {worst_split:.1e}",
+    )
+
+
+def test_06b_two_step_with_node_marks(monkeypatch):
+    # test_06's base tree has no many-child node, so it never draws a node
+    # mark.  Here SHIFT marks the many-child node (delta = 1) in the window
+    # (0, 1) with probability about 0.63, dropping a binary subtree and two
+    # leaves at once.
+    tree = FiniteTree(np.array([-1, 0, 1, 1, 1, 2, 2]),
+                      np.array([0.0, 0.4, 0.3, 0.5, 0.6, 0.2, 0.3]),
+                      np.array([ROOT, INFINITE, BINARY, LEAF, LEAF, LEAF, LEAF], dtype=np.int8),
+                      np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+                      np.array([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4]), 1.0)
+    node_marks = []
+    mark = prune.generate_marks
+
+    def counted(*args):
+        marked = mark(*args)
+        node_marks.append(len(marked.node_ids))
+        return marked
+
+    monkeypatch.setattr(prune, "generate_marks", counted)
+    stats = prune.two_step_consistency(
+        tree, SHIFT, 0.0, 0.5, 1.0, RngStream(113).replicate(0), 20_000)
+    worst = max(abs(one - two) / se for one, two, se in stats.values())
+    _report(
+        "two-step pruning with node marks: 0->1 vs 0->0.5->1 re-marked on a "
+        "many-child node",
+        sum(node_marks) > 0 and worst <= 3.0,
+        f"worst z = {worst:.2f}, node marks = {sum(node_marks)}",
     )
 
 

@@ -20,9 +20,15 @@ from levytree.experiments import (
 )
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import Mechanism, NumericError, PointMass
-from levytree.prune import MarkedTree, _by_copy, _pruned_forest, generate_marks
+from levytree.prune import (
+    MarkedTree,
+    _by_copy,
+    _component_tips,
+    _pruned_forest,
+    generate_marks,
+)
 from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_forest
-from levytree.tree import FiniteTree
+from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
@@ -280,6 +286,14 @@ def test_rare_count_points_report_their_null_standard_error():
         want = math.sqrt((2 * n * (2.0 * u1 - u2) - u1 * u1) / reps)
         assert row.stderr == pytest.approx(want, rel=1e-12)
 
+    # exit beyond q' at h = cap / 2 is the same rare count
+    rows = run_experiment(cfg_for("exit_tail_remark", replicates=reps, height_cap=0.5,
+                                  q_grid=(0.5, 1.0)))
+    for row, q in zip(rows, (0.5, 1.0)):
+        v = LD.psi_at(q).v_of(0.25)
+        assert row.oracle == v
+        assert row.stderr == pytest.approx(math.sqrt((2 * n * v - v * v) / reps), rel=1e-12)
+
     cfg = cfg_for("special_markov_intensity", replicates=reps, height_cap=1.0, q_grid=(1.0,))
     (row,) = run_experiment(cfg)
     tall, low = fine_arm_draws(cfg).T
@@ -479,6 +493,17 @@ def subtree_tips_reference(tree):
     return tip
 
 
+def assert_component_tips(marked, q, tips):
+    """`_component_tips` at every stub and closed node of pruning at q
+    against the subtree sweep's tips; returns the number of closed nodes."""
+    base = marked.base
+    keep, stubs, _, closed = marked.cuts_at(q)
+    tops = np.concatenate([stubs, closed])
+    got = _component_tips(base.parent, base.depth, keep, closed)
+    np.testing.assert_array_equal(got[tops], tips[tops])
+    return len(closed)
+
+
 def tall_removed_reference(marked, q, eps, attach_max):
     base = marked.base
     par = base.parent
@@ -536,14 +561,34 @@ def marked_gw_tree(fam, seed, min_nodes=30):
 def test_cut_helpers_match_the_node_sweeps(seed, fam):
     marked = marked_gw_tree(fam, seed)
     tree = marked.base
-    np.testing.assert_array_equal(tree.subtree_tips(), subtree_tips_reference(tree))
+    tips = subtree_tips_reference(tree)
     rng = np.random.default_rng(seed)
     own = np.concatenate([marked.times, marked.node_times])[:4]
     for q in np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 2), own]):
+        assert_component_tips(marked, q, tips)
         assert marked.first_cut(q).tolist() == [first_cut_reference(tree, marked, q)]
         for eps, attach_max in ((0.05, 1.0), (0.2, 0.5), (1e-9, 2.0)):
             assert marked.read(q, eps=eps, attach_max=attach_max).tall[0] == (
                 tall_removed_reference(marked, q, eps, attach_max))
+
+
+def test_component_tips_of_closed_nodes_match_the_subtree_sweep():
+    # SHIFT marks the many-child node (delta = 1) in the window (0, 1) with
+    # probability about 0.63; it hangs a binary subtree and two leaves
+    tree = FiniteTree(np.array([-1, 0, 1, 1, 1, 2, 2]),
+                      np.array([0.0, 0.4, 0.3, 0.5, 0.6, 0.2, 0.3]),
+                      np.array([ROOT, INFINITE, BINARY, LEAF, LEAF, LEAF, LEAF], dtype=np.int8),
+                      np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+                      np.array([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4]), 1.0)
+    forest, _ = tree.tiled(200)
+    tips = subtree_tips_reference(forest)
+    rng = RngStream(31).replicate(0)
+    closed = 0
+    for _ in range(5):
+        marked = generate_marks(forest, SHIFT, (0.0, 1.0), rng)
+        for q in (0.25, 0.5, 1.0):
+            closed += assert_component_tips(marked, q, tips)
+    assert closed > 0
 
 
 # -------------------------- the forest reader against per-tree node sweeps
@@ -621,7 +666,9 @@ def test_the_forest_reader_matches_per_tree_sweeps(seed, name):
     eps = cap / 4.0
     own = np.concatenate([marked.times[:3], marked.node_times[:3]])
     qs = np.sort(np.concatenate([[0.0, 2.0], own, rng.uniform(0.0, 2.0, 2)]))
+    tips = subtree_tips_reference(forest)
     for q in qs:
+        assert_component_tips(marked, q, tips)
         for attach_max in (cap - eps - 2.0 / gamma, cap / 2.0, cap):
             got = marked.read(q, label, size, eps, attach_max)
             for k, tree in enumerate(trees):

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats as sps
 
 from levytree import sampler
-from levytree.family import LinearDriftFamily, ShiftFamily
+from levytree.family import LinearDriftFamily, ShiftFamily, TruncationFamily
 from levytree.mechanism import DomainError, GammaDensity, Mechanism, NumericError, PointMass
 from levytree.sampler import (
     GwScheme,
@@ -35,6 +35,7 @@ from levytree.tree import INFINITE, LEAF, ROOT
 QUAD = Mechanism(0.0, 1.0)
 SUB = Mechanism(1.0, 1.0)
 MIXED = Mechanism(0.5, 1.0, (PointMass(1.3, 0.8), GammaDensity(1.5, 2.0, 0.6)))
+JUMP_SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
 
 
 # -- rng plumbing -------------------------------------------------------------
@@ -93,6 +94,35 @@ def test_offspring_moments_monte_carlo():
     fact = draws * (draws - 1.0)
     target = MIXED.d2psi(0.0) * n / sch.gamma
     assert abs(fact.mean() - target) < 4 * fact.std() / 1000.0
+
+
+TRUNC = TruncationFamily(Mechanism(0.1, 0.8, (PointMass(0.6, 0.7), PointMass(1.5, 0.4))),
+                         h0=2.0, slope=1.0, g_rate=0.3, window=(-1.0, 1.2))
+
+
+def searchsorted_offspring(scheme, u):
+    """The plain map: entries of the cumulative law at or below u, clipped
+    to the largest count."""
+    cum = np.cumsum(scheme.probs)
+    return np.minimum(cum.searchsorted(u, "right"), len(cum) - 1)
+
+
+@pytest.mark.parametrize("mech", [QUAD, JUMP_SHIFT.psi_at(0.0), TRUNC.psi_at(0.0)],
+                         ids=["quadratic", "shift", "truncation"])
+def test_offspring_map_matches_searchsorted_at_the_ties(mech):
+    sch = GwScheme.build(mech, 100)
+    cum = np.cumsum(sch.probs)
+    # u = cum[j] and its two neighbours: a prefix compare with > in place
+    # of >= would move exactly these
+    ties = np.concatenate([cum, np.nextafter(cum, -1.0), np.nextafter(cum, 1.0), [0.0]])
+    u = np.concatenate([RngStream(8).replicate(0).random(10**6), ties[ties < 1.0]])
+    got = sch.offspring_of(u)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, searchsorted_offspring(sch, u))
+    if mech is QUAD:
+        assert sch.probs[1] == 0.0 and set(np.unique(got)) == {0, 2}
+    else:
+        assert got.max() >= 3
 
 
 def test_scheme_rejects_bad_input():
@@ -461,9 +491,6 @@ def _forest_counts_by_root(par, offsets, n_roots, gen):
     return np.bincount(root, minlength=n_roots), at_gen
 
 
-JUMP_SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
-
-
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("mech, gamma, cap", [
     (JUMP_SHIFT.psi_at(0.5), None, None),
@@ -515,6 +542,83 @@ def test_forest_without_excursions_is_its_root():
     assert t.total_mass() == 0.0 and t.depth.tolist() == [0.0]
     # growing no excursion draws nothing
     assert rng.random() == RngStream(5).replicate(0).random()
+
+
+def grow_reference(scheme, rng, n_roots, height_cap):
+    """The per-generation growth `_grow` replaced: each generation draws
+    its own uniforms and maps them with searchsorted."""
+    max_children_gen = _level_generation(scheme.gamma, height_cap)
+    ks_blocks = []
+    offsets = [0]
+    cur = n_roots
+    for g in range(sampler.NODE_BUDGET + 1):
+        if g + 1 > max_children_gen:
+            ks = np.zeros(cur, dtype=np.int64)
+        else:
+            ks = searchsorted_offspring(scheme, rng.random(cur)).astype(np.int64)
+        ks_blocks.append(ks)
+        offsets.append(offsets[-1] + cur)
+        cur = int(ks.sum())
+        if cur == 0:
+            break
+        if offsets[-1] + cur > sampler.NODE_BUDGET:
+            raise NumericError(
+                f"tree growth passed the node budget of {sampler.NODE_BUDGET} individuals")
+    ks = np.concatenate(ks_blocks)
+    par = np.concatenate([np.full(n_roots, -1, dtype=np.int64),
+                          np.arange(len(ks), dtype=np.int64).repeat(ks)])
+    return par, ks, offsets
+
+
+GAMMA_JUMPS = Mechanism(0.3, 1.0, (GammaDensity(1.5, 2.0, 0.6),))
+
+
+@pytest.mark.parametrize("mech, cap", [
+    (QUAD, 0.5),
+    (JUMP_SHIFT.psi_at(0.0), 0.5),
+    (GAMMA_JUMPS, 0.8),
+    (SUB, None),  # uncapped and subcritical
+    (GAMMA_JUMPS, None),
+    (QUAD, 0.001),  # the cap's generation is generation 0
+], ids=["quadratic", "shift", "gamma", "subcritical-uncapped", "gamma-uncapped", "tiny-cap"])
+def test_block_growth_matches_per_generation_growth(mech, cap):
+    sch = GwScheme.build(mech, 40)
+    extinct = 0
+    for seed in range(12):
+        for n_roots in (0, 1, 3, 60):
+            rng, ref_rng = RngStream(seed).replicate(n_roots), RngStream(seed).replicate(n_roots)
+            par, ks, offsets = _grow(sch, rng, n_roots, cap)
+            want_par, want_ks, want_offsets = grow_reference(sch, ref_rng, n_roots, cap)
+            assert par.dtype == want_par.dtype and np.array_equal(par, want_par)
+            assert ks.dtype == want_ks.dtype and np.array_equal(ks, want_ks)
+            assert offsets == want_offsets
+            # the generator is left where per-generation draws leave it
+            np.testing.assert_array_equal(rng.random(7), ref_rng.random(7))
+            if cap is not None and n_roots:
+                extinct += len(offsets) - 1 <= _level_generation(sch.gamma, cap)
+    if cap is not None and cap > 0.01:
+        assert extinct > 0  # some forests die out before the cap
+
+
+@pytest.mark.parametrize("budget", [50, 200, 1000])
+def test_block_growth_passes_the_node_budget_where_the_reference_does(monkeypatch, budget):
+    monkeypatch.setattr(sampler, "NODE_BUDGET", budget)
+    sch = GwScheme.build(QUAD, 50)
+    raised = 0
+    for seed in range(20):
+        for n_roots in (1, 20):
+            try:
+                want = grow_reference(sch, RngStream(seed).replicate(0), n_roots, 1.0)
+            except NumericError:
+                want = None
+            if want is None:
+                raised += 1
+                with pytest.raises(NumericError, match=f"node budget of {budget}"):
+                    _grow(sch, RngStream(seed).replicate(0), n_roots, 1.0)
+            else:
+                got = _grow(sch, RngStream(seed).replicate(0), n_roots, 1.0)
+                assert np.array_equal(got[0], want[0]) and got[2] == want[2]
+    assert raised > 0
 
 
 def test_growth_node_budget_raises(monkeypatch):
