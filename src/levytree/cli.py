@@ -7,7 +7,8 @@ from stdout stays clean.
 
 Exit codes: 0 all points passed, 1 a statistical check failed (or a family
 report came back not admissible), 2 bad configuration or domain error,
-3 numeric failure inside quadrature or root finding.
+3 numeric failure inside quadrature or root finding, or a run that does
+not fit in memory.
 """
 
 import argparse
@@ -274,6 +275,9 @@ def main(argv=None):
         return EXIT_BAD_CONFIG
     except (NumericError, ArithmeticError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as err:
+        print(f"out of memory: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -513,25 +513,25 @@ def _exit_tail(cfg, v_of):
 
     def exits(scheme, rng, forest, label, size):
         marked = generate_marks(forest, fam, (0.0, qs[-1]), rng)
-        return scheme.n * (marked.sigma_path(qs, label, size).height.T > h)
+        return scheme.n * np.column_stack([marked.read(q, label, size).height > h for q in qs])
 
     return [Group((), (_forest_draw(schemes, cap, exits),), points)]
 
 
-def _spine_cuts(fam, q, h, rng, n, size):
+def _spine_cuts(fam, q, h, rng, size):
     """First cut levels at q of size spines of length h, inf where uncut."""
-    forest, label = spine_forest(fam.psi_at(0.0), h, rng, n, size)
+    forest, label = spine_forest(fam.psi_at(0.0), h, rng, size)
     return generate_marks(forest, fam, (0.0, q), rng).first_cut(q, label, size)
 
 
-def _exact_spine_cuts(fam, q, b_q, rng, n, size):
+def _exact_spine_cuts(fam, q, b_q, rng, size):
     """First cut levels on size uncapped spines: each round grows one more
     segment of 4/b_q on the spines still uncut, at most SPINE_SEGMENTS."""
     seg = 4.0 / b_q
     cuts = np.full(size, np.inf)
     uncut = np.arange(size)
     for k in range(SPINE_SEGMENTS):
-        cuts[uncut] = k * seg + _spine_cuts(fam, q, seg, rng, n, len(uncut))
+        cuts[uncut] = k * seg + _spine_cuts(fam, q, seg, rng, len(uncut))
         uncut = uncut[np.isinf(cuts[uncut])]
         if not len(uncut):
             return cuts
@@ -550,7 +550,7 @@ def _star_mass_draws(fam, q, b_q, scheme, rng, size):
     pipeline, with no height cap anywhere.
     """
     survival = math.exp(-fam.alpha(0.0, q) / scheme.gamma)
-    cuts = _exact_spine_cuts(fam, q, b_q, rng, scheme.n, size)
+    cuts = _exact_spine_cuts(fam, q, b_q, rng, size)
     # thinned runs die at rate b_q; the engine still wants a cap for the
     # critical mechanism, so give one far past any reachable height
     return population_run(scheme, rng, size, init=2.0 * scheme.mech.c * cuts,
@@ -630,7 +630,7 @@ def _spine_exponential(cfg, cut_mean):
             Point(f"q={q:g},mean", cut_mean(fam, q, cap), lambda n, x: np.minimum(x, cap)),
             Point(f"q={q:g},ks", 0.01, stat=_truncated_exp_ks(b_q, cap), at_least=True),
         ]
-        draw = lambda n, rng, size, q=q: _spine_cuts(fam, q, cap, rng, n, size)
+        draw = lambda n, rng, size, q=q: _spine_cuts(fam, q, cap, rng, size)
         groups.append(Group((j,), (draw,), points))
     return groups
 

@@ -14,13 +14,15 @@ removed at the earliest time of a mark on an edge of its root path or a
 node mark on one of its strict ancestors, and survives pruning at q iff
 kill_times[i] > q.  The array is a minimum along root paths, taken by
 pointer jumping over `parent`, so it matches a node-by-node sweep exactly.
-`MarkedTree.read` and `MarkedTree.first_cut` reduce one pruning per
-replicate of a forest (see `sampler.gw_forest`) over a node -> replicate
-label, and `_component_tips` sizes removed components over removed nodes.
+`MarkedTree.pruned` builds the pruned tree and carries a node -> replicate
+label through the cut; `MarkedTree.read` and `MarkedTree.first_cut` reduce
+one pruning per replicate of a forest (see `sampler.gw_forest`) over such
+a label without building it, and `_component_tips` sizes removed
+components over removed nodes.
 
 Binary nodes never receive node marks: their mass is 2/n under the
 discretization and the mark probability vanishes in the limit, so only
-nodes of three or more children participate.
+the many-child nodes, those with delta > 0, participate.
 """
 
 from __future__ import annotations
@@ -33,16 +35,7 @@ import numpy as np
 
 from .mechanism import DomainError
 from .sampler import NODE_TARGET
-from .tree import INFINITE, FiniteTree
-
-
-@dataclass(frozen=True)
-class PrunePath:
-    """Pruning statistics along a nondecreasing q grid."""
-
-    q_grid: np.ndarray
-    sigma: np.ndarray
-    height: np.ndarray
+from .tree import FiniteTree
 
 
 class PruneReading(NamedTuple):
@@ -109,11 +102,11 @@ class MarkedTree:
         stubs = stubs[unclosed[par[stubs]]]
         return keep, stubs, first[stubs], np.flatnonzero(keep & ~unclosed)
 
-    def pruned_at(self, q):
+    def pruned(self, q, label):
+        """The tree pruned at q, and each node's label: a kept node keeps
+        its own, a stub takes that of the edge it cuts."""
         keep, stubs, stub_lengths, _ = self.cuts_at(q)
-        if keep.all():
-            return self.base
-        return self.base.cut(keep, stubs, stub_lengths)
+        return self.base.cut(keep, stubs, stub_lengths), np.concatenate([label[keep], label[stubs]])
 
     def first_cut(self, q, label=None, size=1):
         """Lowest level at which pruning at q cuts, by replicate: the lowest
@@ -161,19 +154,6 @@ class MarkedTree:
             tops = tops[_component_tips(par, depth, keep, closed)[tops] - levels > eps]
             tall = np.bincount(label[tops], minlength=size)
         return PruneReading(mass, height, tall, low_mass)
-
-    def sigma_path(self, q_grid, label=None, size=1):
-        """`read`'s mass and height along a nondecreasing q grid, by q (and
-        replicate, given labels)."""
-        qs = np.asarray(q_grid, dtype=float)
-        if len(qs) == 0 or np.any(np.diff(qs) < 0):
-            raise DomainError("q grid must be nonempty and nondecreasing")
-        reads = [self.read(q, label, size) for q in qs]
-        sig = np.array([r.mass for r in reads])
-        hgt = np.array([r.height for r in reads])
-        if label is None:
-            sig, hgt = sig[:, 0], hgt[:, 0]
-        return PrunePath(qs, sig, hgt)
 
     @classmethod
     def unmarked(cls, tree):
@@ -225,18 +205,11 @@ def generate_marks(tree, fam, window, rng):
         times = np.zeros(0)
 
     # one uniform per many-child node, in node order
-    inf_nodes = np.flatnonzero(tree.kind == INFINITE)
+    inf_nodes = np.flatnonzero(tree.delta > 0.0)
     node_times = fam.node_mark_times(t, tree.delta[inf_nodes], rng.random(len(inf_nodes)))
     hit = node_times <= t_max
     return MarkedTree(tree, (t, t_max), edge_ids, offsets, times,
                       inf_nodes[hit].astype(np.int64), node_times[hit])
-
-
-def _pruned_forest(marked, q, label):
-    """marked pruned at q, and each node's label: a kept node keeps its
-    own, a stub takes that of the edge it cuts."""
-    keep, stubs, stub_lengths, _ = marked.cuts_at(q)
-    return marked.base.cut(keep, stubs, stub_lengths), np.concatenate([label[keep], label[stubs]])
 
 
 def _by_copy(forest, label, size):
@@ -262,7 +235,7 @@ def two_step_consistency(tree, fam, t, theta, q, rng, n_rep):
         raise DomainError(f"need t <= theta <= q, got {t}, {theta}, {q}")
 
     def pruned(forest, label, window):
-        return _pruned_forest(generate_marks(forest, fam, window, rng), window[1], label)
+        return generate_marks(forest, fam, window, rng).pruned(window[1], label)
 
     per = max(1, NODE_TARGET // len(tree))
     one, two = [], []

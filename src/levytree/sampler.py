@@ -9,14 +9,16 @@ The offspring law comes from the generating function
 whose coefficients are nonnegative once gamma is at least the minimal
 branching rate computed in `GwScheme.build`.  With the minimal rate the
 one-child probability vanishes, so every node is a leaf, a binary node,
-or a many-child node of mass k/n.
+or a many-child node of mass k/n: the tree's delta is k/n on an individual
+of k >= 3 children and 0 elsewhere, so delta > 0 marks the many-child nodes.
 
 Normalization conventions, used consistently by the verification
 experiments:
 
 * excursion estimates: N[F] is approximated by n * mean(F(tree)) over
   single-ancestor trees, for F vanishing on the trivial tree;
-* level masses: FiniteTree.scale = 1/n, so level_mass(a) estimates Z_a;
+* level masses: Z_a is the size of the generation crossing a over n
+  (`PopulationRun.z_cap`);
 * total mass: sigma is (number of individuals) / (n * gamma), stored as
   leaf atoms (each individual's mass rides down first-child edges to
   the leaf that ends the chain).
@@ -46,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .mechanism import DomainError, Mechanism, NumericError
-from .tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree, _with_depth
+from .tree import FiniteTree, _with_depth
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,7 @@ def _tree_from_growth(scheme, par, ks, offsets):
     depth handed down: generation g sits at the running sum of g + 1 steps
     of 1/gamma, the same additions the depth loop makes."""
     total = len(par)
-    n, step = scheme.n, 1.0 / scheme.gamma
+    step = 1.0 / scheme.gamma
     size = total + 1
 
     parent = np.empty(size, dtype=np.int64)
@@ -248,14 +250,9 @@ def _tree_from_growth(scheme, par, ks, offsets):
     np.add(par, 1, out=parent[1:])
     length = np.full(size, step)
     length[0] = 0.0
-    kind = np.full(size, BINARY, dtype=np.int8)
-    kind[0] = ROOT
-    leaves = (ks == 0).nonzero()[0]
     many = (ks >= 3).nonzero()[0]
-    kind[leaves + 1] = LEAF
-    kind[many + 1] = INFINITE
     delta = np.zeros(size)
-    delta[many + 1] = ks[many] / n
+    delta[many + 1] = ks[many] / scheme.n
 
     # Each individual's mass rides down its first-child chain to the leaf
     # that ends it, so a leaf's atom counts the individuals on its chain.
@@ -277,6 +274,7 @@ def _tree_from_growth(scheme, par, ks, offsets):
         count[live] += count[far]
         up[live] = up[far]
         live = live[up[live] >= 0]
+    leaves = (ks == 0).nonzero()[0]
     mu = np.zeros(size)
     mu[leaves + 1] = count[leaves] * scheme.mass_unit
 
@@ -284,7 +282,7 @@ def _tree_from_growth(scheme, par, ks, offsets):
     depth = np.empty(size)
     depth[0] = 0.0
     depth[1:] = levels.repeat(np.diff(offsets))
-    return _with_depth(FiniteTree(parent, length, kind, delta, mu, 1.0 / n), depth)
+    return _with_depth(FiniteTree(parent, length, delta, mu), depth)
 
 
 def gw_tree(scheme, rng, height_cap=None):
@@ -313,16 +311,6 @@ def gw_forest(scheme, rng, size, height_cap=None):
     return _tree_from_growth(scheme, par, ks, offsets), np.concatenate([[-1], anc])
 
 
-def cap_crossings(tree, cap):
-    """Level mass of a cap-aligned tree, read a hair below the cap.
-
-    Edge depths are running sums of 1/gamma steps, so a tree grown to an
-    exactly aligned cap (cap * gamma integral) can land an ulp under it
-    and a straight level_mass(cap) would miss every crossing edge.
-    """
-    return tree.level_mass(cap * (1.0 - 1e-9))
-
-
 def exact_sigma_quadratic(b, c, r, rng, size=None):
     """Total-mass sample for psi = b*lam + c*lam^2 under initial mass r.
 
@@ -340,15 +328,15 @@ def exact_sigma_quadratic(b, c, r, rng, size=None):
     return rng.wald(r / b, shape, size)
 
 
-def spine_forest(mech0, h, rng, n, size):
+def spine_forest(mech0, h, rng, size):
     """size spines of length h under one massless root, their grafts left
     out, and each node's replicate (-1 for the root).
 
     A spine carries Poisson(h * integral(z m_0(dz))) jump nodes at uniform
-    heights, each of size-biased mass, and its chain runs from the root
-    through them in height order to a leaf at h.  A pruning cut of the
-    spine only feels marks on the spine itself, so the grafts never matter
-    for it.  Raises NumericError, before any height is drawn, once the
+    heights, each a many-child node whose delta is a size-biased jump
+    size, and its chain runs from the root through them in height order to
+    a leaf at h.  A pruning cut of the spine only feels marks on the spine
+    itself, so the grafts never matter for it.  Raises NumericError, before any height is drawn, once the
     nodes pass NODE_BUDGET.
     """
     rates = np.array([p.w * p.unit_first_moment for p in mech0.m])
@@ -380,8 +368,7 @@ def spine_forest(mech0, h, rng, n, size):
     parent = np.arange(-1, len(label), dtype=np.int64)
     parent[first + 1] = 0
     tree = FiniteTree(parent, np.concatenate([[0.0], height - below]),
-                      np.concatenate([[ROOT], np.where(jump, INFINITE, LEAF)]).astype(np.int8),
-                      np.concatenate([[0.0], delta]), np.zeros(len(label) + 1), 1.0 / n)
+                      np.concatenate([[0.0], delta]), np.zeros(len(label) + 1))
     return tree, np.concatenate([[-1], label])
 
 
@@ -440,10 +427,7 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
       counts by root of the `_grow(scheme, rng, replicates, cap)` forest
       on the same generator;
     * both stop at the cap's generation, which is `_grow`'s
-      `max_children_gen`;
-    * for a tree grown to cap a, `cap_crossings(tree, a) > 0` exactly when
-      `at_cap > 0`, and `total_mass()` is the individual count times
-      `mass_unit`.
+      `max_children_gen`.
     """
     if not 0.0 < edge_survival <= 1.0:
         raise DomainError(f"edge survival must be in (0, 1], got {edge_survival}")

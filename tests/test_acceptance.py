@@ -17,7 +17,7 @@ from levytree.experiments import ExperimentConfig, run_experiment
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import GammaDensity, Mechanism, PointMass
 from levytree.sampler import RngStream
-from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
+from levytree.tree import FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
@@ -173,9 +173,9 @@ def test_06b_two_step_with_node_marks(monkeypatch):
     # leaves at once.
     tree = FiniteTree(np.array([-1, 0, 1, 1, 1, 2, 2]),
                       np.array([0.0, 0.4, 0.3, 0.5, 0.6, 0.2, 0.3]),
-                      np.array([ROOT, INFINITE, BINARY, LEAF, LEAF, LEAF, LEAF], dtype=np.int8),
                       np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-                      np.array([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4]), 1.0)
+                      np.array([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4]))
+    assert np.flatnonzero(tree.delta > 0).tolist() == [1]
     node_marks = []
     mark = prune.generate_marks
 

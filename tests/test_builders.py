@@ -1,11 +1,11 @@
 """Depths and leaf atoms that tree builders hand down, checked bit for bit.
 
 Galton-Watson growth (`_tree_from_growth`), `FiniteTree.cut` (so also
-`pruned_at` and `sigma_path`) and `FiniteTree.tiled` give a tree its depth
-and its leaf atoms directly instead of running the loops kept here as the
+`MarkedTree.pruned`) and `FiniteTree.tiled` give a tree its depth and its
+leaf atoms directly instead of running the loops kept here as the
 reference.  Equality is `np.array_equal`, never closeness: depths sit on
 the 1/gamma level lattice, where one ulp moves `height > a` and
-`cap_crossings` readings, and so the CSV bytes.
+level-crossing readings, and so the CSV bytes.
 """
 
 import math
@@ -26,7 +26,7 @@ from levytree.sampler import (
     gw_tree,
     spine_forest,
 )
-from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
+from levytree.tree import FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
 # heavy atoms, so many-child nodes (and node marks) are common
@@ -56,7 +56,6 @@ def loop_tree_from_growth(scheme, par, ks, offsets):
     concatenated on afterwards."""
     total = len(par)
     n, gamma = scheme.n, scheme.gamma
-    kind = np.where(ks == 0, LEAF, np.where(ks >= 3, INFINITE, BINARY))
     delta = np.where(ks >= 3, ks / n, 0.0)
     is_first = np.zeros(total, dtype=bool)
     n0 = offsets[1]
@@ -70,10 +69,12 @@ def loop_tree_from_growth(scheme, par, ks, offsets):
     mu = np.where(ks == 0, contrib * scheme.mass_unit, 0.0)
     return FiniteTree(np.concatenate([[-1], par + 1]),
                       np.concatenate([[0.0], np.full(total, 1.0 / gamma)]),
-                      np.concatenate([[ROOT], kind]).astype(np.int8),
                       np.concatenate([[0.0], delta]),
-                      np.concatenate([[0.0], mu]),
-                      1.0 / n)
+                      np.concatenate([[0.0], mu]))
+
+
+def pruned(marked, q):
+    return marked.pruned(q, np.zeros(len(marked.base), dtype=np.int64))[0]
 
 
 def assert_depth_handed_down(tree):
@@ -96,8 +97,8 @@ def grown_trees(name, n, cap, seed, count=8):
 
 
 # 0.5 and 1.0 sit on the 1/gamma level lattice of the quadratic (gamma = 2n)
-# and one-child (gamma = 3n, n even) schemes, the case `cap_crossings` is
-# about; "aligned" puts a cap on a generation boundary of any scheme
+# and one-child (gamma = 3n, n even) schemes, where a level crossing read at
+# the cap itself is off by one ulp; "aligned" puts a cap on a generation boundary of any scheme
 CAPS = st.sampled_from([0.5, 1.0, "aligned"])
 
 
@@ -125,12 +126,12 @@ def test_cut_trees_hand_down_the_loop_depth(seed, name, n, cap):
         marked = generate_marks(tree, fam, (0.0, 1.0), rng)
         qs = np.sort(rng.uniform(0.0, 1.0, 3))
         for q in qs:
-            assert_depth_handed_down(marked.pruned_at(q))
-        path = marked.sigma_path(qs)
-        assert np.array_equal(path.height, [loop_depth(marked.pruned_at(q)).max() for q in qs])
+            cut = pruned(marked, q)
+            assert_depth_handed_down(cut)
+            assert marked.read(q).height[0] == loop_depth(cut).max()
         tiled = tree.tiled(3)[0]
         assert_depth_handed_down(tiled)
-        assert_depth_handed_down(generate_marks(tiled, fam, (0.0, 1.0), rng).pruned_at(1.0))
+        assert_depth_handed_down(pruned(generate_marks(tiled, fam, (0.0, 1.0), rng), 1.0))
 
 
 def test_cuts_with_node_marks_hand_down_the_loop_depth():
@@ -144,7 +145,7 @@ def test_cuts_with_node_marks_hand_down_the_loop_depth():
         node_marked += len(marked.node_ids)
         for q in (0.5, 1.0, 2.0):
             closed += len(marked.cuts_at(q)[3])
-            assert_depth_handed_down(marked.pruned_at(q))
+            assert_depth_handed_down(pruned(marked, q))
     assert node_marked >= 10 and closed >= 10
 
 
@@ -152,10 +153,10 @@ def test_cuts_of_lazy_trees_hand_down_the_loop_depth():
     # a spine forest runs the loop itself; its cuts and copies inherit the result
     for k in range(5):
         rng = RngStream(8).replicate(k)
-        tree = spine_forest(JUMPY.psi_at(0.0), 0.5, rng, 30, 20)[0]
+        tree = spine_forest(JUMPY.psi_at(0.0), 0.5, rng, 20)[0]
         assert "depth" not in vars(tree)
         assert_depth_handed_down(tree.tiled(2)[0])
-        assert_depth_handed_down(generate_marks(tree, JUMPY, (0.0, 1.0), rng).pruned_at(1.0))
+        assert_depth_handed_down(pruned(generate_marks(tree, JUMPY, (0.0, 1.0), rng), 1.0))
 
 
 # -- chain masses and the other growth arrays ----------------------------------
@@ -178,10 +179,9 @@ def test_growth_arrays_match_the_generation_loop(name, n_roots, cap):
         par, ks, offsets = _grow(scheme, RngStream(21, (n_roots,)).replicate(k), n_roots, cap)
         tree = _tree_from_growth(scheme, par, ks, offsets)
         ref = loop_tree_from_growth(scheme, par, ks, offsets)
-        for col in ("parent", "length", "kind", "delta", "mu"):
+        for col in ("parent", "length", "delta", "mu"):
             got, want = getattr(tree, col), getattr(ref, col)
             assert got.dtype == want.dtype and np.array_equal(got, want), col
-        assert tree.scale == ref.scale
         one_child += int(np.count_nonzero(ks == 1))
         many_child += int(np.count_nonzero(ks >= 3))
     assert (one_child > 0) == (name == "one-child")

@@ -160,6 +160,19 @@ def test_numeric_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_three(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, seed=7, replicates=500, resolution=100)
+
+    def hungry(cfg):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, "run_experiment", hungry)
+    assert run(["verify", "height_law", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_size_bias_with_a_subcritical_start_exits_two(tmp_path, capsys):
     # b_0 = 0.1 and alpha(0, q) = 1e-9: the star arm's spine, cut at rate
     # alpha(0, q) where the size-biased spine ends at rate b_q, would grow

@@ -24,11 +24,10 @@ from levytree.prune import (
     MarkedTree,
     _by_copy,
     _component_tips,
-    _pruned_forest,
     generate_marks,
 )
 from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_forest
-from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
+from levytree.tree import FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
@@ -577,9 +576,8 @@ def test_component_tips_of_closed_nodes_match_the_subtree_sweep():
     # probability about 0.63; it hangs a binary subtree and two leaves
     tree = FiniteTree(np.array([-1, 0, 1, 1, 1, 2, 2]),
                       np.array([0.0, 0.4, 0.3, 0.5, 0.6, 0.2, 0.3]),
-                      np.array([ROOT, INFINITE, BINARY, LEAF, LEAF, LEAF, LEAF], dtype=np.int8),
                       np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-                      np.array([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4]), 1.0)
+                      np.array([0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4]))
     forest, _ = tree.tiled(200)
     tips = subtree_tips_reference(forest)
     rng = RngStream(31).replicate(0)
@@ -602,8 +600,7 @@ def split_forest(marked, label, k):
     remap = np.full(len(forest), -1)
     remap[nodes] = np.arange(len(nodes))
     tree = FiniteTree(np.where(nodes == 0, -1, remap[forest.parent[nodes]]),
-                      forest.length[nodes], forest.kind[nodes], forest.delta[nodes],
-                      forest.mu[nodes], forest.scale)
+                      forest.length[nodes], forest.delta[nodes], forest.mu[nodes])
     assert "depth" not in tree.__dict__
     edges = remap[marked.edge_ids] >= 0
     at = remap[marked.node_ids] >= 0
@@ -677,11 +674,6 @@ def test_the_forest_reader_matches_per_tree_sweeps(seed, name):
                 assert got.mass[k] == pytest.approx(mass, rel=1e-12, abs=1e-300)
                 assert got.low_mass[k] == pytest.approx(low, rel=1e-12, abs=1e-300)
                 assert got.tall[k] == tall_removed_reference(tree, q, eps, attach_max)
-    path = marked.sigma_path(qs, label, size)
-    for k, tree in enumerate(trees):
-        want = [pruned_reference(tree, q, cap) for q in qs]
-        np.testing.assert_array_equal(path.height[:, k], [h for _, h, _ in want])
-        np.testing.assert_allclose(path.sigma[:, k], [m for m, _, _ in want], rtol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -689,7 +681,7 @@ def test_the_forest_reader_matches_per_tree_sweeps(seed, name):
 def test_first_cut_on_the_spine_matches_the_sweep(seed, fam):
     rng = RngStream(seed).replicate(0)
     size = 8
-    forest, label = spine_forest(fam.psi_at(0.0), 2.0, rng, 100, size)
+    forest, label = spine_forest(fam.psi_at(0.0), 2.0, rng, size)
     marked = generate_marks(forest, fam, (0.0, 1.0), rng)
     spines = [split_forest(marked, label, k) for k in range(size)]
     for q in (0.0, 0.5, 1.0):
@@ -708,12 +700,14 @@ def test_two_step_forest_matches_pruning_each_copy(seed, fam):
         forest, label = tree.tiled(size)
         for t, q in windows:
             marked = generate_marks(forest, fam, (t, q), rng)
-            copies = [split_forest(marked, label, k).pruned_at(q) for k in range(size)]
-            forest, label = _pruned_forest(marked, q, label)
+            copies = [split_forest(marked, label, k) for k in range(size)]
+            copies = [copy.pruned(q, np.zeros(len(copy.base), dtype=np.int64))[0]
+                      for copy in copies]
+            forest, label = marked.pruned(q, label)
             got = _by_copy(forest, label, size)
             for k, want in enumerate(copies):
-                assert got[k, 0] == pytest.approx(want.total_mass(), rel=1e-12, abs=1e-300)
-                assert got[k, 1] == want.height() and got[k, 2] == len(want)
+                assert got[k, 0] == pytest.approx(want.mu.sum(), rel=1e-12, abs=1e-300)
+                assert got[k, 1] == want.depth.max() and got[k, 2] == len(want)
 
 
 def test_girsanov_small_jump_family():

@@ -12,7 +12,7 @@ from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import DomainError, Mechanism, PointMass
 from levytree.prune import MarkedTree, generate_marks, two_step_consistency
 from levytree.sampler import GwScheme, RngStream, gw_tree
-from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
+from levytree.tree import FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.5, 3.0))
@@ -20,20 +20,32 @@ SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.5, 3.0))
 JUMPY = ShiftFamily(Mechanism(0.0, 0.2, (PointMass(1.0, 4.0),)), (-0.5, 3.0))
 
 
-def build(parents, lengths, kinds, deltas=None, mus=None, scale=1.0):
+def build(parents, lengths, deltas=None, mus=None):
     n = len(parents)
     return FiniteTree(
         np.array(parents, dtype=np.int64),
         np.array(lengths, dtype=float),
-        np.array(kinds, dtype=np.int8),
         np.zeros(n) if deltas is None else np.array(deltas, dtype=float),
         np.zeros(n) if mus is None else np.array(mus, dtype=float),
-        scale,
     )
 
 
 def single_edge(length=2.0, mu=1.0):
-    return build([-1, 0], [0.0, length], [ROOT, LEAF], mus=[0.0, mu])
+    return build([-1, 0], [0.0, length], mus=[0.0, mu])
+
+
+def pruned(mt, q):
+    """mt pruned at q, read as one replicate."""
+    return mt.pruned(q, np.zeros(len(mt.base), dtype=np.int64))[0]
+
+
+def assert_same_tree(got, want):
+    for name in ("parent", "length", "delta", "mu"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def has_child(tree):
+    return np.bincount(tree.parent[1:], minlength=len(tree)) > 0
 
 
 def marked(tree, window, edges=(), nodes=()):
@@ -55,46 +67,44 @@ def marked(tree, window, edges=(), nodes=()):
 
 def test_single_midedge_mark_trace():
     mt = marked(single_edge(2.0), (0.0, 2.0), edges=[(1, 1.0, 1.0)])
-    early = mt.pruned_at(0.5)
-    assert early is mt.base
-    late = mt.pruned_at(2.0)
+    assert_same_tree(pruned(mt, 0.5), mt.base)
+    late = pruned(mt, 2.0)
     assert len(late) == 2
-    assert late.height() == 1.0
-    assert late.kind[1] == LEAF
-    assert late.total_mass() == 0.0  # the atom sat above the cut
+    assert late.depth.max() == 1.0
+    assert late.delta[1] == 0.0 and not has_child(late)[1]
+    assert late.mu.sum() == 0.0  # the atom sat above the cut
 
 
 def test_prune_at_window_start_is_identity():
     mt = marked(single_edge(), (0.0, 2.0), edges=[(1, 1.0, 1.0)])
-    assert mt.pruned_at(0.0) is mt.base
+    assert_same_tree(pruned(mt, 0.0), mt.base)
 
 
 def test_node_mark_keeps_node_childless():
     t = build(
         [-1, 0, 1, 1, 1],
         [0.0, 1.0, 0.5, 0.5, 0.5],
-        [ROOT, INFINITE, LEAF, LEAF, LEAF],
         deltas=[0.0, 2.0, 0.0, 0.0, 0.0],
         mus=[0.0, 0.0, 0.1, 0.2, 0.3],
     )
     mt = marked(t, (0.0, 1.0), nodes=[(1, 0.7)])
-    before = mt.pruned_at(0.5)
+    before = pruned(mt, 0.5)
     assert len(before) == 5
-    after = mt.pruned_at(1.0)
+    after = pruned(mt, 1.0)
     assert len(after) == 2
-    assert after.kind[1] == INFINITE
-    assert after.delta[1] == 2.0
-    assert after.total_mass() == 0.0
-    assert after.height() == 1.0
+    # the closed node keeps its size and has no child
+    assert after.delta[1] == 2.0 and not has_child(after)[1]
+    assert after.mu.sum() == 0.0
+    assert after.depth.max() == 1.0
 
 
 def test_lowest_mark_wins_on_an_edge():
     mt = marked(
         single_edge(2.0), (0.0, 3.0),
         edges=[(1, 1.5, 0.5), (1, 0.25, 2.5), (1, 1.0, 1.0)])
-    assert mt.pruned_at(0.75).height() == 1.5
-    assert mt.pruned_at(1.5).height() == 1.0
-    assert mt.pruned_at(3.0).height() == 0.25
+    assert pruned(mt, 0.75).depth.max() == 1.5
+    assert pruned(mt, 1.5).depth.max() == 1.0
+    assert pruned(mt, 3.0).depth.max() == 0.25
 
 
 def test_mark_below_node_removes_whole_subtree():
@@ -102,19 +112,18 @@ def test_mark_below_node_removes_whole_subtree():
     t = build(
         [-1, 0, 1, 1],
         [0.0, 1.0, 1.0, 2.0],
-        [ROOT, BINARY, LEAF, LEAF],
         mus=[0.0, 0.0, 0.5, 0.25],
     )
     mt = marked(t, (0.0, 1.0), edges=[(1, 0.5, 0.8)])
-    out = mt.pruned_at(0.9)
+    out = pruned(mt, 0.9)
     assert len(out) == 2
-    assert out.height() == 0.5
+    assert out.depth.max() == 0.5
 
 
 def test_root_is_immune():
     mt = marked(single_edge(), (0.0, 1.0), edges=[(1, 0.5, 0.1), (1, 0.9, 0.2)])
-    out = mt.pruned_at(1.0)
-    assert out.kind[0] == ROOT
+    out = pruned(mt, 1.0)
+    assert out.parent[0] == -1
     assert len(out) == 2
 
 
@@ -122,19 +131,21 @@ def test_sigma_path_monotone_and_exit_time():
     t = build(
         [-1, 0, 1, 1],
         [0.0, 1.0, 1.0, 2.0],
-        [ROOT, BINARY, LEAF, LEAF],
         mus=[0.0, 0.0, 0.5, 0.25],
     )
     mt = marked(
         t, (0.0, 2.0),
         edges=[(3, 1.5, 0.5), (2, 0.5, 1.2), (1, 0.25, 1.8)])
-    path = mt.sigma_path([0.0, 0.4, 1.0, 1.5, 2.0])
-    np.testing.assert_allclose(path.sigma, [0.75, 0.75, 0.5, 0.0, 0.0])
-    np.testing.assert_allclose(path.height, [3.0, 3.0, 2.5, 2.5, 0.25])
-    assert path.sigma[0] == t.total_mass()
+    qs = np.array([0.0, 0.4, 1.0, 1.5, 2.0])
+    reads = [mt.read(q) for q in qs]
+    sigma = np.array([r.mass[0] for r in reads])
+    height = np.array([r.height[0] for r in reads])
+    np.testing.assert_allclose(sigma, [0.75, 0.75, 0.5, 0.0, 0.0])
+    np.testing.assert_allclose(height, [3.0, 3.0, 2.5, 2.5, 0.25])
+    assert sigma[0] == t.mu.sum()
     # exit time at h: the last grid time whose pruned tree still exceeds h
     for h, exit_q in ((2.1, 1.5), (0.5, 1.5), (0.2, 2.0), (5.0, None)):
-        above = path.q_grid[path.height > h]
+        above = qs[height > h]
         assert (above[-1] if len(above) else None) == exit_q
 
 
@@ -144,10 +155,11 @@ def test_pruned_trees_nest_along_the_grid():
     for k in range(10):
         tree = gw_tree(sch, stream.replicate(k), height_cap=1.0)
         mt = generate_marks(tree, SHIFT, (0.0, 2.0), stream.child(1).replicate(k))
-        path = mt.sigma_path(np.linspace(0.0, 2.0, 9))
-        assert np.all(np.diff(path.sigma) <= 1e-15)
-        assert np.all(np.diff(path.height) <= 1e-15)
-        sizes = [len(mt.pruned_at(q)) for q in path.q_grid]
+        qs = np.linspace(0.0, 2.0, 9)
+        reads = [mt.read(q) for q in qs]
+        assert np.all(np.diff([r.mass[0] for r in reads]) <= 1e-15)
+        assert np.all(np.diff([r.height[0] for r in reads]) <= 1e-15)
+        sizes = [len(pruned(mt, q)) for q in qs]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
@@ -173,8 +185,6 @@ def pruned_at_reference(mt, q):
     base = mt.base
     par = base.parent
     cut, hit, marked_node = cut_reference(mt, q)
-    if not cut.any():
-        return base
     live = mt.times <= q
     edge_first = np.full(len(par), np.inf)
     np.minimum.at(edge_first, mt.edge_ids[live], mt.offsets[live])
@@ -188,10 +198,8 @@ def pruned_at_reference(mt, q):
         np.concatenate([np.where(kept == 0, -1, remap[np.maximum(par[kept], 0)]),
                         remap[par[stubs]]]),
         np.concatenate([base.length[kept], edge_first[stubs]]),
-        np.concatenate([base.kind[kept], np.full(len(stubs), LEAF, dtype=np.int8)]),
         np.concatenate([base.delta[kept], np.zeros(len(stubs))]),
         np.concatenate([base.mu[kept], np.zeros(len(stubs))]),
-        base.scale,
     )
 
 
@@ -219,12 +227,23 @@ def probe_times(mt, rng):
 @given(seed=st.integers(0, 2**31 - 1), fam=st.sampled_from([LD, SHIFT, JUMPY]))
 def test_pruned_at_matches_the_node_sweep(seed, fam):
     mt = random_marked_tree(fam, seed)
+    label = np.arange(len(mt.base))
     for q in probe_times(mt, np.random.default_rng(seed)):
-        got = mt.pruned_at(q)
+        got, got_label = mt.pruned(q, label)
         want = pruned_at_reference(mt, q)
-        for name in ("parent", "length", "kind", "delta", "mu"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert (got is mt.base) == (want is mt.base)
+        assert_same_tree(got, want)
+        # a kept node keeps its label, a stub takes that of the edge it cuts
+        keep = ~cut_reference(mt, q)[0]
+        n_kept = int(keep.sum())
+        np.testing.assert_array_equal(got_label[:n_kept], label[keep])
+        cut_edges = got_label[n_kept:]
+        assert not keep[cut_edges].any()
+        np.testing.assert_array_equal(got_label[got.parent[n_kept:]], mt.base.parent[cut_edges])
+        # a closed node keeps its delta > 0 and loses every child
+        shut = mt.cuts_at(q)[3]
+        at = (np.cumsum(keep) - 1)[shut]
+        np.testing.assert_array_equal(got.delta[at], mt.base.delta[shut])
+        assert np.all(got.delta[at] > 0) and not has_child(got)[at].any()
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,7 +260,6 @@ def test_kill_times_on_a_hand_marked_tree():
     t = build(
         [-1, 0, 1, 1, 1],
         [0.0, 1.0, 0.5, 0.5, 0.5],
-        [ROOT, INFINITE, LEAF, LEAF, LEAF],
         deltas=[0.0, 2.0, 0.0, 0.0, 0.0],
     )
     mt = marked(t, (0.0, 1.0), edges=[(3, 0.25, 0.3), (1, 0.5, 0.9)], nodes=[(1, 0.6)])
@@ -257,7 +275,6 @@ def test_cuts_before_the_first_active_mark_keep_the_tree(edges, nodes, first):
     t = build(
         [-1, 0, 1, 1, 1],
         [0.0, 1.0, 0.5, 0.5, 0.5],
-        [ROOT, INFINITE, LEAF, LEAF, LEAF],
         deltas=[0.0, 2.0, 0.0, 0.0, 0.0],
     )
     mt = marked(t, (0.0, 1.0), edges=edges, nodes=nodes)
@@ -266,7 +283,7 @@ def test_cuts_before_the_first_active_mark_keep_the_tree(edges, nodes, first):
         np.testing.assert_array_equal(keep, np.ones(5, dtype=bool))
         assert stubs.dtype == closed.dtype == np.int64
         assert len(stubs) == len(stub_lengths) == len(closed) == 0
-        assert mt.pruned_at(q) is mt.base
+        assert_same_tree(pruned(mt, q), mt.base)
         assert "kill_times" not in mt.__dict__
     # the first active mark, on an edge or a node, switches to the full rule
     assert not mt.cuts_at(0.3)[0][first]
@@ -274,11 +291,11 @@ def test_cuts_before_the_first_active_mark_keep_the_tree(edges, nodes, first):
         with pytest.raises(DomainError):
             mt.cuts_at(q)
         with pytest.raises(DomainError):
-            mt.pruned_at(q)
+            pruned(mt, q)
     bare = marked(single_edge(), (0.0, 2.0))
-    assert bare.pruned_at(2.0) is bare.base
+    assert_same_tree(pruned(bare, 2.0), bare.base)
     with pytest.raises(DomainError):
-        bare.pruned_at(2.5)
+        pruned(bare, 2.5)
 
 
 # -- mark-law marginals -----------------------------------------------------------
@@ -300,12 +317,12 @@ def test_empty_window_has_no_marks():
     mt = generate_marks(single_edge(), LD, (1.0, 1.0), rng)
     assert len(mt) == 0
     assert len(mt.node_ids) == 0
-    assert mt.pruned_at(1.0) is mt.base
+    assert_same_tree(pruned(mt, 1.0), mt.base)
 
 
 def test_mark_times_lie_in_window_and_positions_on_edges():
     rng = RngStream(13).replicate(0)
-    t = build([-1, 0, 1], [0.0, 2.0, 3.0], [ROOT, BINARY, LEAF])
+    t = build([-1, 0, 1], [0.0, 2.0, 3.0])
     mt = generate_marks(t, LD, (0.5, 2.5), rng)
     assert np.all((mt.times >= 0.5) & (mt.times <= 2.5))
     assert np.all(mt.offsets > 0.0)
@@ -318,7 +335,6 @@ def test_node_unmark_frequency_matches_survival():
     t = build(
         [-1, 0, 1, 1, 1],
         [0.0, 1.0, 1.0, 1.0, 1.0],
-        [ROOT, INFINITE, LEAF, LEAF, LEAF],
         deltas=[0.0, delta, 0.0, 0.0, 0.0],
     )
     rng = RngStream(14).replicate(0)
@@ -386,10 +402,9 @@ def test_two_step_consistency_with_node_marks(monkeypatch):
     # SHIFT marks the many-child node (delta = 1) in the window (0, 1) with
     # probability about 0.63, cutting a binary subtree and two leaves
     tree = build([-1, 0, 1, 1, 1, 2, 2], [0.0, 0.4, 0.3, 0.5, 0.6, 0.2, 0.3],
-                 [ROOT, INFINITE, BINARY, LEAF, LEAF, LEAF, LEAF],
                  deltas=[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
                  mus=[0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4])
-    assert (tree.kind == INFINITE).any()
+    assert (tree.delta > 0).any()
     node_marks = []
 
     def counted(*args):

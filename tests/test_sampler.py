@@ -23,19 +23,19 @@ from levytree.sampler import (
     _grow,
     _level_generation,
     _tree_from_growth,
-    cap_crossings,
     exact_sigma_quadratic,
     gw_forest,
     gw_tree,
     population_run,
     spine_forest,
 )
-from levytree.tree import INFINITE, LEAF, ROOT
+from levytree.tree import FiniteTree
 
 QUAD = Mechanism(0.0, 1.0)
 SUB = Mechanism(1.0, 1.0)
 MIXED = Mechanism(0.5, 1.0, (PointMass(1.3, 0.8), GammaDensity(1.5, 2.0, 0.6)))
 JUMP_SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
+GAMMA_JUMPS = Mechanism(0.3, 1.0, (GammaDensity(1.5, 2.0, 0.6),))
 
 
 # -- rng plumbing -------------------------------------------------------------
@@ -142,6 +142,18 @@ def test_custom_gamma_adds_one_child_probability():
     assert sch.probs.sum() == pytest.approx(1.0)
 
 
+def cap_crossings(tree, cap):
+    """Edges crossing the level a hair below cap; an edge covers the band
+    (parent depth, depth].  Depths are running sums of 1/gamma, so a tree
+    grown to an aligned cap (cap * gamma integral) can land an ulp under
+    it, where the level itself would miss every crossing edge.  For a tree
+    grown to cap a, this count is `population_run`'s `at_cap` on the same
+    draws (and so Z_a = cap_crossings / n)."""
+    a = cap * (1.0 - 1e-9)
+    d = tree.depth
+    return int(np.count_nonzero((d[tree.parent[1:]] < a) & (a <= d[1:])))
+
+
 # -- single excursions ----------------------------------------------------------
 
 
@@ -150,20 +162,20 @@ def test_gw_tree_structure():
     tree = gw_tree(sch, RngStream(5).replicate(3))
     individuals = len(tree) - 1
     np.testing.assert_allclose(tree.length[1:], 1.0 / sch.gamma)
-    assert tree.total_mass() == pytest.approx(individuals * sch.mass_unit)
-    assert tree.kind[0] == ROOT
+    assert tree.mu.sum() == pytest.approx(individuals * sch.mass_unit)
+    assert tree.parent[0] == -1 and tree.delta[0] == 0.0
     counts = np.zeros(len(tree), dtype=int)
     for p in tree.parent[1:]:
         counts[p] += 1
-    leaves = tree.kind == LEAF
-    np.testing.assert_array_equal(counts[1:] == 0, leaves[1:])
+    # every individual's mass rides down to a leaf, and every leaf holds some
+    np.testing.assert_array_equal(counts[1:] == 0, tree.mu[1:] > 0)
 
 
 def test_gw_tree_deterministic_per_replicate():
     sch = GwScheme.build(MIXED, 30)
     one = gw_tree(sch, RngStream(9).replicate(4))
     two = gw_tree(sch, RngStream(9).replicate(4))
-    for col in ("parent", "length", "kind", "delta", "mu"):
+    for col in ("parent", "length", "delta", "mu"):
         np.testing.assert_array_equal(getattr(one, col), getattr(two, col))
 
 
@@ -173,7 +185,7 @@ def test_many_child_nodes_carry_their_size():
     seen = 0
     for k in range(200):
         t = gw_tree(sch, rng, height_cap=1.0)
-        inf_nodes = t.kind == INFINITE
+        inf_nodes = t.delta > 0
         seen += int(inf_nodes.sum())
         counts = np.zeros(len(t), dtype=int)
         for p in t.parent[1:]:
@@ -184,12 +196,24 @@ def test_many_child_nodes_carry_their_size():
     assert seen > 0
 
 
+@pytest.mark.parametrize("mech", [JUMP_SHIFT.psi_at(0.0), GAMMA_JUMPS], ids=["shift", "gamma"])
+def test_many_child_nodes_are_the_nodes_with_delta(mech):
+    sch = GwScheme.build(mech, 20)
+    many = 0
+    for k in range(10):
+        forest, _ = gw_forest(sch, RngStream(19).replicate(k), 30, height_cap=1.0)
+        _, ks, _ = _grow(sch, RngStream(19).replicate(k), 30, 1.0)
+        np.testing.assert_array_equal(np.flatnonzero(forest.delta > 0) - 1, np.flatnonzero(ks >= 3))
+        many += int(np.count_nonzero(ks >= 3))
+    assert many > 0
+
+
 def test_excursion_mass_estimator():
     # n * E[sigma] = 1/psi'(eta) = 1/b exactly at every resolution
     n, reps = 200, 4000
     sch = GwScheme.build(SUB, n)
     rng = RngStream(31).replicate(0)
-    sig = np.array([gw_tree(sch, rng).total_mass() for _ in range(reps)])
+    sig = np.array([gw_tree(sch, rng).mu.sum() for _ in range(reps)])
     est = n * sig.mean()
     se = n * sig.std() / math.sqrt(reps)
     assert abs(est - 1.0) < 4 * se
@@ -201,7 +225,7 @@ def test_tree_and_population_height_laws_agree():
     sch = GwScheme.build(QUAD, n)
     rng = RngStream(13).replicate(0)
     hits = sum(
-        gw_tree(sch, rng, height_cap=1.0).level_mass(a) > 0
+        cap_crossings(gw_tree(sch, rng, height_cap=1.0), a) > 0
         for _ in range(reps))
     p_tree = hits / reps
     run = population_run(sch, RngStream(13).replicate(1), reps, height_cap=a)
@@ -324,9 +348,9 @@ def test_exact_sigma_rejects_negative_drift():
 
 def test_spine_forest_chains():
     mech0 = JUMP_SHIFT.psi_at(0.0)
-    forest, label = spine_forest(mech0, 1.5, RngStream(60).replicate(0), 64, 40)
+    forest, label = spine_forest(mech0, 1.5, RngStream(60).replicate(0), 40)
     par, depth = forest.parent, forest.depth
-    assert label[0] == -1 and forest.scale == 1.0 / 64 and forest.total_mass() == 0.0
+    assert label[0] == -1 and forest.mu.sum() == 0.0
     np.testing.assert_array_equal(label[1:], np.sort(label[1:]))
     for k in range(40):
         nodes = np.flatnonzero(label == k)
@@ -334,8 +358,8 @@ def test_spine_forest_chains():
         np.testing.assert_array_equal(par[nodes], np.concatenate([[0], nodes[:-1]]))
         assert np.all(np.diff(depth[nodes]) > 0)
         assert depth[nodes[-1]] == pytest.approx(1.5, rel=1e-12)
-        assert forest.kind[nodes[-1]] == LEAF
-        assert np.all(forest.kind[nodes[:-1]] == INFINITE)
+        # every jump node is a many-child node, delta > 0; the leaf has none
+        assert forest.delta[nodes[-1]] == 0.0
         assert np.all(forest.delta[nodes[:-1]] == 1.0)
 
 
@@ -344,9 +368,12 @@ def test_spine_forest_jump_rate_and_sizes():
     # mass, and no jump node on a spine without jumps
     z0 = math.pi / 3.0
     base = Mechanism(0.0, 0.5, (PointMass(z0, 1.0), GammaDensity(2.0, 3.0, 0.5)))
-    n, reps, h = 64, 4000, 1.5
-    forest, label = spine_forest(base, h, RngStream(62).replicate(0), n, reps)
-    jumps = forest.kind == INFINITE
+    reps, h = 4000, 1.5
+    forest, label = spine_forest(base, h, RngStream(62).replicate(0), reps)
+    jumps = forest.delta > 0
+    # the jump nodes are the inner nodes of the chains
+    inner = np.bincount(forest.parent[1:], minlength=len(forest)) > 0
+    np.testing.assert_array_equal(jumps[1:], inner[1:])
     counts = np.bincount(label[jumps], minlength=reps)
     target_count = h * (z0 + 0.5 * 2.0 / 3.0)
     assert abs(counts.mean() - target_count) < 4 * counts.std() / math.sqrt(reps)
@@ -356,19 +383,19 @@ def test_spine_forest_jump_rate_and_sizes():
     share = z0 / target_count * h
     assert abs(atoms.mean() - share) < 4 * math.sqrt(share * (1 - share) / len(sizes))
     assert sps.kstest(sizes[~atoms], sps.gamma(3.0, scale=1.0 / 3.0).cdf).pvalue > 0.001
-    flat, flat_label = spine_forest(QUAD, h, RngStream(62).replicate(1), n, 50)
-    assert len(flat) == 51 and np.all(flat.kind[1:] == LEAF)
+    flat, flat_label = spine_forest(QUAD, h, RngStream(62).replicate(1), 50)
+    assert len(flat) == 51 and np.all(flat.delta == 0.0)
     np.testing.assert_array_equal(flat_label[1:], np.arange(50))
 
 
 def test_spine_forest_checks_the_node_budget_before_drawing_heights(monkeypatch):
     mech0 = JUMP_SHIFT.psi_at(0.0)
     with pytest.raises(NumericError, match="node budget"):
-        spine_forest(mech0, 1e12, RngStream(63).replicate(0), 100, 100)
+        spine_forest(mech0, 1e12, RngStream(63).replicate(0), 100)
     monkeypatch.setattr(sampler, "NODE_BUDGET", 100)
     rng = RngStream(63).replicate(0)
     with pytest.raises(NumericError, match="node budget of 100"):
-        spine_forest(mech0, 2.0, rng, 100, 100)
+        spine_forest(mech0, 2.0, rng, 100)
     ref = RngStream(63).replicate(0)
     ref.poisson(2.0, 100)
     assert rng.random() == ref.random()
@@ -514,8 +541,8 @@ def test_population_counts_match_grown_forest(seed, mech, gamma, cap):
     if cap is not None:
         # the tree readings the experiments used before the engine
         forest = _tree_from_growth(sch, par, ks, offsets)
-        assert round(cap_crossings(forest, cap) * n) == at_cap.sum()
-        assert forest.total_mass() == pytest.approx(totals.sum() * sch.mass_unit, rel=1e-12)
+        assert cap_crossings(forest, cap) == at_cap.sum()
+        assert forest.mu.sum() == pytest.approx(totals.sum() * sch.mass_unit, rel=1e-12)
 
 
 GROWERS = {
@@ -538,8 +565,8 @@ def test_forest_without_excursions_is_its_root():
     sch = GwScheme.build(SUB, 20)
     rng = RngStream(5).replicate(0)
     t, label = gw_forest(sch, rng, 0, height_cap=1.0)
-    assert len(t) == 1 and t.kind[0] == ROOT and label.tolist() == [-1]
-    assert t.total_mass() == 0.0 and t.depth.tolist() == [0.0]
+    assert len(t) == 1 and t.parent.tolist() == [-1] and label.tolist() == [-1]
+    assert t.mu.sum() == 0.0 and t.depth.tolist() == [0.0]
     # growing no excursion draws nothing
     assert rng.random() == RngStream(5).replicate(0).random()
 
@@ -568,9 +595,6 @@ def grow_reference(scheme, rng, n_roots, height_cap):
     par = np.concatenate([np.full(n_roots, -1, dtype=np.int64),
                           np.arange(len(ks), dtype=np.int64).repeat(ks)])
     return par, ks, offsets
-
-
-GAMMA_JUMPS = Mechanism(0.3, 1.0, (GammaDensity(1.5, 2.0, 0.6),))
 
 
 @pytest.mark.parametrize("mech, cap", [
@@ -631,14 +655,10 @@ def test_growth_node_budget_raises(monkeypatch):
 
 
 def test_cap_crossings_survives_aligned_depth_roundoff():
-    from levytree.sampler import cap_crossings
-    from levytree.tree import BINARY, FiniteTree
-
     # a path of 201 equal steps whose exact depth is 1; the float running
     # sum may land on either side of the cap, the count must not care
     m = 201
     parent = np.arange(-1, m)
     length = np.concatenate([[0.0], np.full(m, 1.0 / m)])
-    kind = np.concatenate([[ROOT], np.full(m - 1, BINARY), [LEAF]]).astype(np.int8)
-    t = FiniteTree(parent, length, kind, np.zeros(m + 1), np.zeros(m + 1), 1.0)
-    assert cap_crossings(t, 1.0) == 1.0
+    t = FiniteTree(parent, length, np.zeros(m + 1), np.zeros(m + 1))
+    assert cap_crossings(t, 1.0) == 1

@@ -1,8 +1,9 @@
 """Structural tests for finite measured trees.
 
-Statistics are checked against tiny hand-built trees whose heights, masses
-and crossing counts are computed by eye, and tiling against the tree it
-copies.
+The four-array format is checked against tiny hand-built trees whose
+heights and masses are read by eye, grown trees against their edge-length
+mass, tiling against the tree it copies, and validation against one input
+per rule.
 """
 
 import math
@@ -10,24 +11,23 @@ import math
 import numpy as np
 import pytest
 
-from levytree.mechanism import DomainError
-from levytree.tree import BINARY, INFINITE, LEAF, ROOT, FiniteTree
+from levytree.mechanism import DomainError, Mechanism
+from levytree.sampler import GwScheme, RngStream, gw_tree
+from levytree.tree import FiniteTree
 
 
-def build(parents, lengths, kinds, deltas=None, mus=None, scale=1.0):
+def build(parents, lengths, deltas=None, mus=None):
     n = len(parents)
     return FiniteTree(
         np.array(parents, dtype=np.int64),
         np.array(lengths, dtype=float),
-        np.array(kinds, dtype=np.int8),
         np.zeros(n) if deltas is None else np.array(deltas, dtype=float),
         np.zeros(n) if mus is None else np.array(mus, dtype=float),
-        scale,
     )
 
 
-def single_edge(length=2.0, mu=0.0, scale=1.0):
-    return build([-1, 0], [0.0, length], [ROOT, LEAF], mus=[0.0, mu], scale=scale)
+def single_edge(length=2.0, mu=0.0):
+    return build([-1, 0], [0.0, length], mus=[0.0, mu])
 
 
 def cherry():
@@ -35,35 +35,32 @@ def cherry():
     return build(
         [-1, 0, 1, 1],
         [0.0, 1.0, 1.0, 2.0],
-        [ROOT, BINARY, LEAF, LEAF],
         mus=[0.0, 0.0, 0.5, 0.25],
     )
 
 
-def random_tree(rng, n_nodes=40, scale=0.5):
-    """Random topology with kinds consistent with child counts."""
+def random_tree(rng, n_nodes=40):
+    """Random topology: a positive delta on nodes of one or three or more
+    children, mass on most leaves."""
     parents = [-1]
     for i in range(1, n_nodes):
         parents.append(int(rng.integers(0, i)))
     counts = np.zeros(n_nodes, dtype=int)
     for p in parents[1:]:
         counts[p] += 1
-    kinds, deltas, mus = [ROOT], [0.0], [0.0]
+    deltas, mus = [0.0], [0.0]
     for i in range(1, n_nodes):
         if counts[i] == 0:
-            kinds.append(LEAF)
             deltas.append(0.0)
             mus.append(float(rng.random() < 0.8) * float(rng.exponential(0.3)))
         elif counts[i] == 2:
-            kinds.append(BINARY)
             deltas.append(0.0)
             mus.append(0.0)
         else:
-            kinds.append(INFINITE)
             deltas.append(float(rng.exponential(1.0)) + 0.05)
             mus.append(0.0)
     lengths = [0.0] + list(rng.exponential(0.7, n_nodes - 1) + 1e-3)
-    return build(parents, lengths, kinds, deltas, mus, scale)
+    return build(parents, lengths, deltas, mus)
 
 
 # -- basic statistics ------------------------------------------------------
@@ -71,52 +68,18 @@ def random_tree(rng, n_nodes=40, scale=0.5):
 
 def test_height_and_mass_of_cherry():
     t = cherry()
-    assert t.height() == 3.0
-    assert t.total_mass() == 0.75
+    assert t.depth.max() == 3.0
+    assert t.mu.sum() == 0.75
     assert len(t) == 4
 
 
-def test_level_mass_single_edge():
-    t = single_edge(length=2.0, scale=0.3)
-    assert t.level_mass(1.0) == pytest.approx(0.3)
-    assert t.level_mass(2.0) == pytest.approx(0.3)
-    assert t.level_mass(2.0000001) == 0.0
-    assert t.level_mass(0.0) == 0.0
-
-
-def test_level_mass_root_only():
-    t = build([-1], [0.0], [ROOT])
-    assert t.level_mass(0.5) == 0.0
-    assert t.height() == 0.0
-    assert t.total_mass() == 0.0
-
-
-def test_level_mass_counts_crossings():
-    t = cherry()
-    assert t.level_mass(0.5) == 1.0
-    assert t.level_mass(1.5) == 2.0
-    assert t.level_mass(2.5) == 1.0
-
-
 def test_integral_of_level_mass_is_edge_length_mass():
-    # leaves carry scale * (chain length) so total mass equals the integral
-    t = build(
-        [-1, 0, 1, 1],
-        [0.0, 1.0, 1.0, 2.0],
-        [ROOT, BINARY, LEAF, LEAF],
-        mus=[0.0, 0.0, 2.0 * 0.5, 2.0 * 0.5],
-        scale=0.5,
-    )
-    delta = 1e-3
-    grid = np.arange(delta, t.height() + delta, delta)
-    approx = sum(t.level_mass(a) for a in grid) * delta
-    crossings_bound = 2.0
-    assert abs(approx - t.total_mass()) <= 2.0 * delta * crossings_bound
-
-
-def test_negative_level_rejected():
-    with pytest.raises(DomainError):
-        cherry().level_mass(-0.1)
+    # an individual is an edge of length 1/gamma and mass 1/(n gamma), so the
+    # level mass Z_a = (edges crossing a) / n integrates to the leaf atoms
+    sch = GwScheme.build(Mechanism(1.0, 1.0), 20)
+    for k in range(20):
+        t = gw_tree(sch, RngStream(4).replicate(k), height_cap=1.0)
+        assert t.mu.sum() == pytest.approx(t.length.sum() / sch.n, rel=1e-12)
 
 
 # -- tiling -------------------------------------------------------------------
@@ -128,15 +91,15 @@ def test_tiled_copies_keep_each_copy_whole():
         t = random_tree(rng)
         forest, label = t.tiled(3)
         m = len(t) - 1
-        assert len(forest) == 1 + 3 * m and forest.scale == t.scale
+        assert len(forest) == 1 + 3 * m
         np.testing.assert_array_equal(label, np.concatenate([[-1], np.arange(3).repeat(m)]))
         for k in range(3):
             nodes = 1 + k * m + np.arange(m)
             np.testing.assert_array_equal(forest.parent[nodes], np.where(
                 t.parent[1:] == 0, 0, t.parent[1:] + k * m))
-            for col in ("length", "kind", "delta", "mu", "depth"):
+            for col in ("length", "delta", "mu", "depth"):
                 np.testing.assert_array_equal(getattr(forest, col)[nodes], getattr(t, col)[1:])
-        assert forest.total_mass() == pytest.approx(3 * t.total_mass(), rel=1e-12)
+        assert forest.mu.sum() == pytest.approx(3 * t.mu.sum(), rel=1e-12)
     forest, label = single_edge().tiled(0)
     assert len(forest) == 1 and label.tolist() == [-1]
 
@@ -146,41 +109,38 @@ def test_tiled_copies_keep_each_copy_whole():
 
 def test_constructor_rejects_bad_shapes():
     with pytest.raises(DomainError):
-        build([-1, 0], [0.0, 0.0], [ROOT, LEAF])  # zero edge length
+        build([-1, 0], [0.0, 0.0])  # zero edge length
     with pytest.raises(DomainError):
-        build([-1, 1], [0.0, 1.0], [ROOT, LEAF])  # parent not below child
+        build([-1, 1], [0.0, 1.0])  # parent not below child
     with pytest.raises(DomainError):
-        build([-1, 0], [0.0, 1.0], [ROOT, ROOT])  # two roots
+        build([-1, 0, 1], [0.0, 1.0, 1.0], mus=[0.0, 1.0, 0.0])  # mass off-leaf
     with pytest.raises(DomainError):
-        build([-1, 0], [0.0, 1.0], [ROOT, BINARY], mus=[0.0, 1.0])  # mass off-leaf
-    with pytest.raises(DomainError):
-        build([-1, 0], [0.0, 1.0], [ROOT, INFINITE])  # infinite node needs delta
-    with pytest.raises(DomainError):
-        build([-1, 0], [0.0, 1.0], [ROOT, LEAF], scale=0.0)
+        build([-1, 0], [0.0, 1.0], deltas=[0.0, -1.0])  # negative node size
 
 
 def test_delta_only_on_infinite_nodes():
+    # delta > 0 is what makes a node of infinite degree, which the root never is
     with pytest.raises(DomainError):
-        build([-1, 0], [0.0, 1.0], [ROOT, LEAF], deltas=[0.0, 1.0])
-    t = build([-1, 0, 1], [0.0, 1.0, 1.0], [ROOT, INFINITE, LEAF], deltas=[0.0, 2.5, 0.0])
+        build([-1, 0], [0.0, 1.0], deltas=[1.0, 0.0])
+    t = build([-1, 0, 1], [0.0, 1.0, 1.0], deltas=[0.0, 2.5, 0.0])
     assert t.delta[1] == 2.5
+    np.testing.assert_array_equal(np.flatnonzero(t.delta > 0), [1])
 
 
 @pytest.mark.parametrize("args, message", [
-    (([-1, 0], [0.0], [ROOT, LEAF]), "nonempty and of equal length"),
-    (([], [], []), "nonempty and of equal length"),
-    (([0, 0], [0.0, 1.0], [ROOT, LEAF]), "node 0 must be the root"),
-    (([-1, 0], [0.0, 1.0], [LEAF, LEAF]), "node 0 must be the root"),
-    (([-1, 0], [0.5, 1.0], [ROOT, LEAF]), "node 0 must be the root"),
-    (([-1, 1], [0.0, 1.0], [ROOT, LEAF]), "topologically ordered"),
-    (([-1, -1], [0.0, 1.0], [ROOT, LEAF]), "topologically ordered"),
-    (([-1, 0], [0.0, 0.0], [ROOT, LEAF]), "edge lengths must be positive"),
-    (([-1, 0], [0.0, 1.0], [ROOT, ROOT]), "more than one root"),
-    (([-1, 0], [0.0, 1.0], [ROOT, INFINITE]), "infinite nodes need a positive delta"),
-    (([-1, 0], [0.0, 1.0], [ROOT, LEAF], [0.0, 1.0]), "delta lives on infinite nodes"),
-    (([-1, 0], [0.0, 1.0], [ROOT, BINARY], None, [0.0, 1.0]), "mass atoms live on leaves"),
-    (([-1, 0], [0.0, 1.0], [ROOT, LEAF], None, [0.0, -1.0]), "mass atoms live on leaves"),
-    (([-1, 0], [0.0, 1.0], [ROOT, LEAF], None, None, 0.0), "need scale > 0"),
+    (([-1, 0], [0.0]), "nonempty and of equal length"),
+    (([], []), "nonempty and of equal length"),
+    (([0, 0], [0.0, 1.0]), "node 0 must be the root"),
+    (([-1, 0], [0.0, 1.0], [0.5, 0.0]), "node 0 must be the root"),
+    (([-1, 0], [0.5, 1.0]), "node 0 must be the root"),
+    (([-1, 1], [0.0, 1.0]), "topologically ordered"),
+    (([-1, -1], [0.0, 1.0]), "topologically ordered"),
+    (([-1, 0], [0.0, 0.0]), "edge lengths must be positive"),
+    (([-1, 0], [0.0, 1.0], [0.0, -1.0]), "node sizes delta must be nonnegative"),
+    (([-1, 0], [0.0, 1.0], [0.0, math.nan]), "node sizes delta must be nonnegative"),
+    (([-1, 0], [0.0, 1.0], None, [1.0, 0.0]), "mass atoms live on leaves"),
+    (([-1, 0, 1], [0.0, 1.0, 1.0], None, [0.0, 1.0, 0.0]), "mass atoms live on leaves"),
+    (([-1, 0], [0.0, 1.0], None, [0.0, -1.0]), "mass atoms live on leaves"),
 ])
 def test_every_validation_message_has_an_input(args, message):
     with pytest.raises(DomainError, match=message):
