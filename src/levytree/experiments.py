@@ -28,10 +28,11 @@ the memory of one forest.  A spine cut draw marks one `spine_forest` of all
 its replicates and reads it with `MarkedTree.first_cut`; two_step_markov
 prunes tiled copies of its base tree the same way.
 
-height_law, sigma_laplace and special_markov_intensity score a rare count,
-whose sample standard error shrinks along with a low estimate; they report
-the standard error their oracle implies instead (the score form), and a
-negative null variance, which no law allows, fails the point.
+height_law, exit_tail_remark, sigma_laplace, special_markov_intensity and
+size_bias's pruned arm average values that rare events carry, whose sample
+standard error shrinks along with a low estimate; they report the standard
+error their oracle implies instead (the score form), and a negative null
+variance, which no law allows, fails the point.
 """
 
 from __future__ import annotations
@@ -583,9 +584,14 @@ def _size_bias(cfg, identity):
         points = []
         for lam in cfg.lambda_grid or (2.0,):
             want = identity(fam, q, lam)
+            # b_q n sigma e^{-lam sigma} has null variance n b_q^2 N[sigma^2 e^{-2 lam sigma}]
+            # - want^2, with N[sigma^2 e^{-2 lam sigma}] = psi_q''(u2) / psi_q'(u2)^3
+            u2 = mech_q.psi_inverse(2.0 * lam)
+            second = b_q * b_q * mech_q.d2psi(u2) / mech_q.dpsi(u2) ** 3
             points += [
                 Point(f"q={q:g},lam={lam:g},pruned", want,
-                      lambda n, sig, lam=lam, b_q=b_q: b_q * n * sig * np.exp(-lam * sig)),
+                      lambda n, sig, lam=lam, b_q=b_q: b_q * n * sig * np.exp(-lam * sig),
+                      stat=_null_mean_se(lambda n, s=second, w=want: n * s - w * w)),
                 Point(f"q={q:g},lam={lam:g},star", want,
                       lambda n, sig, lam=lam: np.exp(-lam * sig), side=1),
             ]

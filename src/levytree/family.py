@@ -20,11 +20,18 @@ conjugate time qbar(q).
 
 AdmissibleFamily checks every input of these public methods, and of
 mark_times, in one place: t and q finite and inside the window with
-t <= q, delta > 0, u in (0, 1), and q < 0 for qbar.  A family supplies
-only data (b_at, beta_at, weights_at, weight_rates_at, to_dict) and
-formulas: _alpha, and where the defaults do not fit, _node_survival,
-_node_mark_time, _qbar and _mark_times.  The hooks only ever see checked
-input.
+t <= q, delta > 0, u in (0, 1), and q < 0 for qbar.  The hooks only ever
+see checked input.
+
+A family is a subclass of AdmissibleFamily; each built-in one round-trips
+through JSON (to_dict, family_from_dict).  It supplies data (b_at, beta_at,
+weights_at, weight_rates_at, to_dict) and the closed form _alpha.  Each
+other hook has a default, which a built-in family runs:
+
+* _node_survival, keyed off the nearest atom: LinearDriftFamily;
+* _node_mark_time by root-finding, its per-node loop _node_mark_times and
+  the trapezoid _mark_times: ReflectedFamily;
+* _qbar by root-finding on b: TruncationFamily.
 """
 
 import math
@@ -42,11 +49,8 @@ _QBAR_TOL = 1e-9
 
 
 class AdmissibleFamily(ABC):
-    """Base class wiring weights and drift into mechanisms and kernels.
-
-    Subclasses provide b_at, beta_at, weights_at, weight_rates_at and
-    _alpha; the window must contain 0 and c stays constant across it.
-    """
+    """Base class wiring weights and drift into mechanisms and kernels; the
+    window must contain 0 and c stays constant across it."""
 
     def __init__(self, window, c, shapes, left_closed=None):
         t0, t1 = float(window[0]), float(window[1])
@@ -566,98 +570,6 @@ class ReflectedFamily(AdmissibleFamily):
 
     def to_dict(self):
         return {"type": "reflected", "negative": self.negative.to_dict()}
-
-
-class CustomFamily(AdmissibleFamily):
-    """Family described by callables on a finite window.
-
-    beta and the weight rates are tabulated eagerly on an even grid (step
-    1e-4 of the window) and integrated by cumulative Simpson; off-node
-    queries finish the partial end intervals with three-point Simpson, so
-    alpha is additive to machine precision.  Not serializable.
-    """
-
-    def __init__(self, window, c, b0, beta, shapes=(), weights=None, weight_rates=None,
-                 node_survival_fn=None, left_closed=True):
-        super().__init__(window, c, shapes, left_closed)
-        t0, t1 = self.window
-        if not (math.isfinite(t0) and math.isfinite(t1)):
-            raise DomainError("custom families need a finite window")
-        if self.shapes and (weights is None or weight_rates is None):
-            raise DomainError("jump-carrying custom families need weights and rates")
-        self._beta_fn = beta
-        self._weights_fn = weights
-        self._rates_fn = weight_rates
-        self._survival_fn = node_survival_fn
-        self.b0 = float(b0)
-        self._beta_table = _CumTable(beta, t0, t1)
-        if np.any(self._beta_table.values < 0.0):
-            raise DomainError("beta must be nonnegative on the window")
-        self._fm = np.array([s.unit_first_moment for s in self.shapes])
-        self._w_start = self.weights_at(t0)
-        if self.shapes:
-            rate0 = np.min([np.min(self._rates(x)) for x in self._beta_table.nodes[:: 500]])
-            if rate0 < 0.0:
-                raise DomainError("weight rates must be nonnegative on the window")
-
-    def _rates(self, q):
-        return np.asarray(self._rates_fn(q), dtype=float)
-
-    def b_at(self, q):
-        drift = self._beta_table.between(self.window[0], q)
-        jump = float(np.sum(self._fm * (self._w_start - self.weights_at(q))))
-        return self.b0 + drift + jump
-
-    def beta_at(self, q):
-        return float(self._beta_fn(q))
-
-    def weights_at(self, q):
-        if self._weights_fn is None:
-            return np.zeros(0)
-        return np.asarray(self._weights_fn(q), dtype=float)
-
-    def weight_rates_at(self, q):
-        if self._rates_fn is None:
-            return np.zeros(0)
-        return self._rates(q)
-
-    def _alpha(self, t, q):
-        return self._beta_table.between(t, q)
-
-    def _node_survival(self, t, q, delta):
-        if self._survival_fn is not None:
-            return float(self._survival_fn(t, q, delta))
-        return super()._node_survival(t, q, delta)
-
-    def to_dict(self):
-        raise DomainError("custom families built from callables have no JSON form")
-
-
-class _CumTable:
-    """Cumulative integral of a scalar function on an even grid."""
-
-    def __init__(self, fn, lo, hi, steps=10000):
-        self.fn = fn
-        self.lo = lo
-        self.dx = (hi - lo) / steps
-        self.nodes = np.linspace(lo, hi, steps + 1)
-        self.values = np.array([float(fn(x)) for x in self.nodes])
-        self.cum = integrate.cumulative_simpson(self.values, dx=self.dx, initial=0.0)
-
-    def _simp3(self, a, b):
-        if a == b:
-            return 0.0
-        return (b - a) / 6.0 * (self.fn(a) + 4.0 * self.fn(0.5 * (a + b)) + self.fn(b))
-
-    def between(self, t, q):
-        j0 = math.ceil((t - self.lo) / self.dx - 1e-12)
-        j1 = math.floor((q - self.lo) / self.dx + 1e-12)
-        j0 = max(0, min(j0, len(self.nodes) - 1))
-        j1 = max(0, min(j1, len(self.nodes) - 1))
-        if j1 < j0:
-            return self._simp3(t, q)
-        return (self.cum[j1] - self.cum[j0]
-                + self._simp3(t, self.nodes[j0]) + self._simp3(self.nodes[j1], q))
 
 
 # -- admissibility report --------------------------------------------------------

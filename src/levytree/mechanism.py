@@ -511,6 +511,6 @@ def _tail_time_quad(mech, v, power=1):
 
     if v >= lam_big:
         return _quad(far, 0.0, 1.0 / v)
-    near = lambda s: math.exp(s) / mech.psi(eta + math.exp(s)) ** power
+    near = lambda s: math.exp(s) / mech._at_root.psi(math.exp(s)) ** power
     head = _quad(near, math.log(v - eta), math.log(lam_big - eta))
     return head + _quad(far, 0.0, 1.0 / lam_big)

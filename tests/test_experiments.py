@@ -293,6 +293,16 @@ def test_rare_count_points_report_their_null_standard_error():
         assert row.oracle == v
         assert row.stderr == pytest.approx(math.sqrt((2 * n * v - v * v) / reps), rel=1e-12)
 
+    # b_q n sigma e^{-lam sigma}: n b_q^2 psi''(u2) / psi'(u2)^3 - (b_q / psi'(u1))^2,
+    # with b_q = 1, psi'' = 2 and psi' = 1 + 2u for psi_1 = lam + lam^2
+    rows = run_experiment(cfg_for("size_bias", replicates=reps, q_grid=(1.0,),
+                                  lambda_grid=(1.0, 2.0)))
+    pruned = [row for row in rows if row.point.endswith(",pruned")]
+    for row, lam in zip(pruned, (1.0, 2.0), strict=True):
+        u1, u2 = inv(lam), inv(2.0 * lam)
+        want = math.sqrt((2 * n * 2.0 / (1.0 + 2.0 * u2) ** 3 - (1.0 / (1.0 + 2.0 * u1)) ** 2) / reps)
+        assert row.stderr == pytest.approx(want, rel=1e-12)
+
     cfg = cfg_for("special_markov_intensity", replicates=reps, height_cap=1.0, q_grid=(1.0,))
     (row,) = run_experiment(cfg)
     tall, low = fine_arm_draws(cfg).T

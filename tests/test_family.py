@@ -3,11 +3,13 @@
 Closed forms used here are worked out independently of the implementation:
 the shift family has w_i(q) = w_i e^{-z_i q} and b_q = b + 2cq +
 sum w z (1 - e^{-zq}); the pure-drift family has psi_q = q*b_rate*lam +
-c*lam^2 with eta_q = -q*b_rate/c.  A custom family is pointed at the same
-data as a shift family so every quadrature-backed path can be compared to
-an analytic twin.
+c*lam^2 with eta_q = -q*b_rate/c.  CustomShift, a family defined here the
+one way a family is defined (a subclass of AdmissibleFamily), carries the
+data of SHIFT_TWIN and none of its closed-form hooks, so every base-class
+default is compared with an analytic twin.
 """
 
+import inspect
 import json
 import math
 
@@ -19,7 +21,6 @@ from hypothesis import strategies as st
 from levytree.family import (
     AdmissibilityReport,
     AdmissibleFamily,
-    CustomFamily,
     LinearDriftFamily,
     ReflectedFamily,
     ShiftFamily,
@@ -37,38 +38,37 @@ TRUNC_BASE = Mechanism(0.1, 0.8, (PointMass(0.6, 0.7), PointMass(1.5, 0.4)))
 TRUNC = TruncationFamily(TRUNC_BASE, h0=2.0, slope=1.0, g_rate=0.3, window=(-1.0, 1.2))
 REFL_NEG = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.2, 0.5),)), window=(-0.8, 0.1))
 REFL = ReflectedFamily(REFL_NEG)
-
-
-def make_custom_shift_twin():
-    # same data as ShiftFamily(Mechanism(0, 0.5, PointMass(1, 0.8)), (-1, 1))
-    w0, z, c = 0.8, 1.0, 0.5
-    b0 = 2.0 * c * -1.0 + w0 * z * (1.0 - math.exp(z))
-    return CustomFamily(
-        window=(-1.0, 1.0),
-        c=c,
-        b0=b0,
-        beta=lambda q: 2.0 * c,
-        shapes=(PointMass(z, 1.0),),
-        weights=lambda q: [w0 * math.exp(-z * q)],
-        weight_rates=lambda q: [z * w0 * math.exp(-z * q)],
-    )
-
-
-CUSTOM_TWIN = make_custom_shift_twin()
 SHIFT_TWIN = ShiftFamily(Mechanism(0.0, 0.5, (PointMass(1.0, 0.8),)), window=(-1.0, 1.0))
 
 
-def make_custom_quadratic():
-    # b_q = q + q^2/4, c = 1: analytic alpha(t, q) = (q - t) + (q^2 - t^2)/4
-    return CustomFamily(
-        window=(-1.0, 1.0),
-        c=1.0,
-        b0=-0.75,
-        beta=lambda q: 1.0 + 0.5 * q,
-    )
+class CustomShift(AdmissibleFamily):
+    """SHIFT_TWIN's data, with every hook but _alpha left to the base class."""
+
+    W0, Z, C = 0.8, 1.0, 0.5
+
+    def __init__(self):
+        super().__init__((-1.0, 1.0), self.C, (PointMass(self.Z, 1.0),))
+
+    def b_at(self, q):
+        return 2.0 * self.C * q + self.W0 * self.Z * -math.expm1(-self.Z * q)
+
+    def beta_at(self, q):
+        return 2.0 * self.C
+
+    def weights_at(self, q):
+        return np.array([self.W0 * math.exp(-self.Z * q)])
+
+    def weight_rates_at(self, q):
+        return self.Z * self.weights_at(q)
+
+    def _alpha(self, t, q):
+        return 2.0 * self.C * (q - t)
+
+    def to_dict(self):
+        raise DomainError("CustomShift has no JSON form")
 
 
-CUSTOM_QUAD = make_custom_quadratic()
+CUSTOM = CustomShift()
 
 
 # -- psi_at -----------------------------------------------------------------
@@ -112,7 +112,7 @@ def test_zeta_linear_drift():
 
 
 def test_zeta_at_zero_is_zero():
-    for fam in (SHIFT, LD, TRUNC, REFL, CUSTOM_TWIN):
+    for fam in (SHIFT, LD, TRUNC, REFL, CUSTOM):
         assert fam.zeta(0.0, 0.0) == 0.0
 
 
@@ -130,8 +130,7 @@ def test_zeta_is_time_derivative_of_psi():
         (SHIFT, (-0.3, 0.4, 1.7, 2.6)),
         (LD, (-1.5, 0.2, 3.0)),
         (REFL, (-0.6, -0.2, 0.25, 0.6)),
-        (CUSTOM_TWIN, (-0.7, 0.1, 0.8)),
-        (CUSTOM_QUAD, (-0.5, 0.3)),
+        (CUSTOM, (-0.7, 0.1, 0.8)),
     ]
     for fam, qs in cases:
         for q in qs:
@@ -210,7 +209,7 @@ def test_truncation_hazard_is_infinite_after_drop():
 
 
 def test_node_survival_nearest_atom_default():
-    fam = CUSTOM_TWIN
+    fam = CUSTOM
     # single atom at z=1: any size keys off it
     want = fam.mz(-0.5, 0.5, 0)
     assert fam.node_survival(-0.5, 0.5, 0.97) == pytest.approx(want, rel=1e-12)
@@ -236,6 +235,34 @@ def test_truncation_node_mark_time_is_the_drop_time():
     assert TRUNC.node_mark_time(0.0, 0.6, 0.37) == math.inf  # drops at 1.4 > window end
 
 
+# -- the base-class defaults against the shift closed forms -------------------------
+
+
+def test_base_class_defaults_match_the_shift_closed_forms():
+    # CUSTOM runs each default on SHIFT_TWIN's data; SHIFT_TWIN runs its closed form
+    for q in (-0.8, -0.2, 0.0, 0.6):
+        for lam in (0.0, 0.4, 3.0):
+            assert CUSTOM.zeta(q, lam) == pytest.approx(SHIFT_TWIN.zeta(q, lam), rel=1e-14, abs=1e-15)
+    for t, q in ((-1.0, 1.0), (-0.4, 0.3), (0.2, 0.2)):
+        want = SHIFT_TWIN.node_survival(t, q, 1.0)
+        assert CUSTOM.node_survival(t, q, 1.0) == pytest.approx(want, rel=1e-14)
+    u = np.random.default_rng(5).random(200)
+    for t in (-0.9, -0.3, 0.4):
+        got = CUSTOM.node_mark_times(t, np.ones(len(u)), u)
+        want = SHIFT_TWIN.node_mark_times(t, np.ones(len(u)), u)
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        assert np.isinf(want).any() and np.isfinite(want).any()
+        np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)],
+                                   rtol=0.0, atol=1e-12)
+    for t in (-0.7, -0.3):
+        got, want = CUSTOM.gamma_and_U_density(t), SHIFT_TWIN.gamma_and_U_density(t)
+        assert got == pytest.approx(want, rel=1e-9)
+    got, want = check_admissibility(CUSTOM), check_admissibility(SHIFT_TWIN)
+    assert got.passed and want.passed
+    for name in AdmissibilityReport.__dataclass_fields__:
+        assert getattr(got, name).worst == pytest.approx(getattr(want, name).worst, abs=1e-12)
+
+
 # -- the input contract of the pruning methods ------------------------------------
 
 
@@ -244,7 +271,7 @@ CONTRACT_FAMILIES = {
     "lineardrift": LD_FIN,
     "truncation": TRUNC,
     "reflected": REFL,
-    "custom": CUSTOM_QUAD,
+    "custom": CUSTOM,
 }
 
 
@@ -357,8 +384,7 @@ def test_alpha_additivity():
     for fam, (t, mid, q) in [
         (SHIFT, (-0.2, 0.9, 2.5)),
         (REFL, (-0.7, -0.1, 0.65)),
-        (CUSTOM_TWIN, (-0.9, 0.05, 0.85)),
-        (CUSTOM_QUAD, (-0.8, 0.2, 0.95)),
+        (CUSTOM, (-0.9, 0.05, 0.85)),
     ]:
         whole = fam.alpha(t, q)
         parts = fam.alpha(t, mid) + fam.alpha(mid, q)
@@ -367,20 +393,14 @@ def test_alpha_additivity():
 
 def test_every_family_supplies_alpha_as_the_drift_integral():
     # the base class has no quadrature fallback, so each family's own
-    # closed form or table is what runs; it must integrate its beta
+    # closed form is what runs; it must integrate its beta
     from scipy.integrate import quad
 
     assert "_alpha" in AdmissibleFamily.__abstractmethods__
     for fam, (t, q) in [(SHIFT, (-0.2, 2.5)), (LD, (-1.0, 2.0)), (TRUNC, (0.0, 1.0)),
-                        (REFL, (-0.7, 0.65)), (CUSTOM_QUAD, (-0.8, 0.95))]:
+                        (REFL, (-0.7, 0.65))]:
         want, _ = quad(fam.beta_at, t, q, epsabs=1e-12)
         assert fam.alpha(t, q) == pytest.approx(want, abs=1e-9)
-
-
-def test_custom_alpha_against_closed_form():
-    for t, q in [(-1.0, 1.0), (-0.33, 0.87), (0.1, 0.1001)]:
-        want = (q - t) + (q * q - t * t) / 4.0
-        assert CUSTOM_QUAD.alpha(t, q) == pytest.approx(want, abs=1e-12)
 
 
 def test_reflected_alpha_matches_drift_integral():
@@ -398,7 +418,7 @@ def test_kernel_drift_identity():
         (LD, (-2.0, 5.0)),
         (TRUNC, (-0.8, 1.1)),
         (REFL, (-0.75, 0.6)),
-        (CUSTOM_TWIN, (-0.95, 0.9)),
+        (CUSTOM, (-0.95, 0.9)),
     ]:
         fm = np.array([s.unit_first_moment for s in fam.shapes])
         jump = float(np.sum(fm * (fam.weights_at(t) - fam.weights_at(q)))) if fm.size else 0.0
@@ -407,7 +427,7 @@ def test_kernel_drift_identity():
 
 
 def test_b_monotone_in_q():
-    for fam in (SHIFT, LD, TRUNC, REFL, CUSTOM_QUAD):
+    for fam in (SHIFT, LD, TRUNC, REFL, CUSTOM):
         lo = max(fam.window[0], -3.0)
         hi = min(fam.window[1], 3.0)
         qs = np.linspace(lo, hi, 41)
@@ -420,18 +440,26 @@ def test_b_monotone_in_q():
 
 def test_mark_times_stay_in_slice():
     rng = np.random.default_rng(7)
-    for fam, (t, q) in [(SHIFT, (0.2, 1.8)), (REFL, (-0.5, 0.5)), (CUSTOM_QUAD, (-0.9, 0.9))]:
+    for fam, (t, q) in [(SHIFT, (0.2, 1.8)), (REFL, (-0.5, 0.5)), (CUSTOM, (-0.9, 0.9))]:
         times = fam.mark_times(t, q, rng, 500)
         assert times.shape == (500,)
         assert np.all((times >= t) & (times <= q))
 
 
 def test_mark_times_follow_the_drift_density():
-    # density (1 + theta/2) / 2 on [-1, 1]: E[T] = (1/2) int t (1 + t/2) dt = 1/6
-    rng = np.random.default_rng(11)
-    times = CUSTOM_QUAD.mark_times(-1.0, 1.0, rng, 40000)
+    # the trapezoid default inverts the cumulative drift: for a constant beta
+    # it maps the shift family's uniforms to the same uniform times
+    got = CUSTOM.mark_times(-0.9, 0.7, np.random.default_rng(11), 1000)
+    want = SHIFT_TWIN.mark_times(-0.9, 0.7, np.random.default_rng(11), 1000)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    # the reflected beta varies: the mean is int t beta / alpha
+    from scipy.integrate import quad
+
+    t, q = -0.7, 0.6
+    times = REFL.mark_times(t, q, np.random.default_rng(12), 40000)
+    mean = quad(lambda x: x * REFL.beta_at(x), t, q, epsabs=1e-12)[0] / REFL.alpha(t, q)
     se = times.std() / math.sqrt(len(times))
-    assert abs(times.mean() - 1.0 / 6.0) < 4.0 * se
+    assert abs(times.mean() - mean) < 4.0 * se
 
 
 def test_mark_times_need_positive_alpha():
@@ -440,7 +468,7 @@ def test_mark_times_need_positive_alpha():
         fam.mark_times(0.0, 1.0, np.random.default_rng(0), 4)
 
 
-@pytest.mark.parametrize("fam", [SHIFT, LD, TRUNC, REFL, CUSTOM_QUAD],
+@pytest.mark.parametrize("fam", [SHIFT, LD, TRUNC, REFL, CUSTOM],
                          ids=["shift", "lineardrift", "truncation", "reflected", "custom"])
 def test_mark_times_on_a_degenerate_slice(fam):
     rng = np.random.default_rng(0)
@@ -506,15 +534,21 @@ def test_qbar_shift_conjugacy():
 
 
 def test_qbar_generic_solver_on_custom_family():
-    q = -1.0
-    want = 2.0 * (math.sqrt(1.75) - 1.0)  # b_qbar = -b_q for b_q = q + q^2/4
-    got = CUSTOM_QUAD.qbar(q)
-    assert got == pytest.approx(want, rel=1e-10)
-    mech = CUSTOM_QUAD.psi_at(q)
-    eta = CUSTOM_QUAD.eta_at(q)
-    grid = np.linspace(0.1, 10.0, 40)
-    gap = np.max(np.abs(CUSTOM_QUAD.psi_at(got).psi(grid) - mech.psi(eta + grid)))
-    assert gap < 1e-9
+    # root-finding on b, which is not linear in q here, against q + eta_q
+    for q in (-0.8, -0.5, -0.1):
+        got = CUSTOM.qbar(q)
+        assert got == pytest.approx(q + SHIFT_TWIN.eta_at(q), rel=1e-10)
+        mech = CUSTOM.psi_at(q)
+        grid = np.linspace(0.1, 10.0, 40)
+        gap = np.max(np.abs(CUSTOM.psi_at(got).psi(grid) - mech.psi(mech.eta + grid)))
+        assert gap < 1e-9
+    assert CUSTOM.qbar(-0.9) is None and SHIFT_TWIN.qbar(-0.9) is None  # past the window
+    # an atomless truncation family is psi_q = q lam / 2 + lam^2: qbar(q) = -q
+    fam = family_from_dict({"type": "truncation", "base": {"b": 0.0, "c": 1.0, "m": []},
+                            "h0": 1.0, "slope": 0.0, "g_rate": 0.5, "window": [-1.0, 1.0]})
+    assert type(fam)._qbar is AdmissibleFamily._qbar
+    for q in (-0.9, -0.5, -0.1):
+        assert fam.qbar(q) == pytest.approx(-q, rel=1e-12)
 
 
 def test_reflected_qbar_is_reflection():
@@ -531,7 +565,7 @@ def test_gamma_and_density_linear_drift():
 
 
 def test_qbar_derivative_matches_gamma():
-    for fam, t in [(LD, -0.8), (CUSTOM_QUAD, -0.6)]:
+    for fam, t in [(LD, -0.8), (CUSTOM, -0.6)]:
         gamma, _ = fam.gamma_and_U_density(t)
         h = 1e-6
         dqbar = (fam.qbar(t + h) - fam.qbar(t - h)) / (2.0 * h)
@@ -616,14 +650,12 @@ def test_linear_drift_report_passes():
 def test_shift_and_reflected_reports_pass():
     assert check_admissibility(SHIFT).passed
     assert check_admissibility(REFL).passed
-    assert check_admissibility(CUSTOM_TWIN).passed
+    assert check_admissibility(CUSTOM).passed
 
 
 def test_negative_kernel_drift_rejected_at_construction():
     with pytest.raises(DomainError):
         LinearDriftFamily(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        CustomFamily(window=(-1.0, 1.0), c=1.0, b0=0.0, beta=lambda q: -1.0)
 
 
 def test_truncation_with_rising_ceiling_fails_h1():
@@ -665,7 +697,7 @@ def reference_cocycle(fam, ts):
 
 
 COCYCLE_FAMILIES = [
-    SHIFT, LD_FIN, TRUNC, REFL, CUSTOM_TWIN, CUSTOM_QUAD,
+    SHIFT, LD_FIN, TRUNC, REFL, CUSTOM, SHIFT_TWIN,
     ShiftFamily(Mechanism(0.0, 0.5, (PointMass(0.7, 0.8), PointMass(2.5, 0.3))), window=(-1.0, 1.0)),
     # atom z=1.5 drops at q=0.5: zero weights from mid-window on
     TruncationFamily(TRUNC_BASE, h0=1.0, slope=1.0, window=(-1.0, 0.6)),
@@ -705,11 +737,6 @@ def test_shift_rejects_density_primitives():
         TruncationFamily(base, h0=2.0, slope=1.0, window=(-1.0, 1.0))
 
 
-def test_custom_family_needs_finite_window():
-    with pytest.raises(DomainError):
-        CustomFamily(window=(-math.inf, 1.0), c=1.0, b0=0.0, beta=lambda q: 1.0)
-
-
 def test_reflection_needs_critical_origin():
     with pytest.raises(DomainError):
         ReflectedFamily(ShiftFamily(Mechanism(0.3, 1.0, ()), window=(-1.0, 0.5)))
@@ -727,14 +754,25 @@ def test_family_json_roundtrip():
         assert clone.psi_at(q).psi(1.7) == fam.psi_at(q).psi(1.7)
 
 
+def _concrete_families(cls=AdmissibleFamily):
+    """Concrete subclasses of cls that the package defines, at any depth."""
+    for sub in cls.__subclasses__():
+        if not inspect.isabstract(sub) and sub.__module__ == "levytree.family":
+            yield sub
+        yield from _concrete_families(sub)
+
+
+def test_every_family_class_round_trips_through_json():
+    examples = {type(fam): fam for fam in (SHIFT, LD, TRUNC, REFL)}
+    assert set(_concrete_families()) == set(examples)
+    for cls, fam in examples.items():
+        clone = family_from_dict(json.loads(json.dumps(fam.to_dict())))
+        assert type(clone) is cls and clone.to_dict() == fam.to_dict()
+
+
 def test_infinite_window_serializes_as_null():
     blob = json.loads(json.dumps(LD.to_dict()))
     assert blob["window"] == [None, None]
-
-
-def test_custom_family_has_no_json_form():
-    with pytest.raises(DomainError):
-        CUSTOM_TWIN.to_dict()
 
 
 def test_unknown_family_type_rejected():

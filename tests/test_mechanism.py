@@ -131,6 +131,25 @@ def test_tail_time_against_mpmath():
             assert mech.tail_time(v) == pytest.approx(want, rel=1e-9)
 
 
+def test_tail_time_just_above_eta():
+    # psi(eta + x) cancels to psi'(eta) x plus the rounding of psi(eta); the
+    # near chart reads the conjugate at eta, which has no such floor, and
+    # converges without a quadrature warning, which pytest turns into an error
+    mech = MIXED_SUPER
+    eta = mech.eta
+    for d in (1e-8, 1e-10, 1e-11):
+        x0 = (eta + d) - eta
+        with mpmath.workdps(30):
+            root = mp_psi(mech, eta)
+            near = lambda s: mpmath.exp(s) / (mp_psi(mech, eta + mpmath.exp(s)) - root)
+            far = lambda x: 1 / (mp_psi(mech, eta + x) - root)
+            want = mpmath.quad(near, [mpmath.log(x0), 0]) + mpmath.quad(far, [1, mpmath.inf])
+        assert mech.tail_time(eta + d) == pytest.approx(float(want), rel=1e-12)
+    u = mech.u_of(0.5, eta + 1e-8)
+    assert eta < u < eta + 1e-8
+    assert mech.tail_time(u) - mech.tail_time(eta + 1e-8) == pytest.approx(0.5, rel=1e-7)
+
+
 def test_tail_time_power2_against_mpmath():
     for mech in (SUB, MIXED):
         for v in (0.4, 1.0, 7.0):
