@@ -147,9 +147,13 @@ class PointResult:
 def _forest_chunks(scheme, cap, size):
     """Replicate counts of the forests that grow size excursions below cap,
     one after another: balanced, each at most max(1, NODE_TARGET // E), where
-    E is the expected number of individuals of one excursion."""
+    E is the expected number of individuals of one excursion, summed until a
+    term m^g leaves it unchanged or it reaches NODE_TARGET: at any cap, the
+    chunks of the full sum over the generations below cap."""
     m = 1.0 - scheme.mech.b / scheme.gamma
-    e = sum(m**g for g in range(_level_generation(scheme.gamma, cap) + 1))
+    e, g, top = 0.0, 0, _level_generation(scheme.gamma, cap)
+    while g <= top and e < NODE_TARGET and e + m**g != e:
+        e, g = e + m**g, g + 1
     chunks = -(-size // max(1, int(NODE_TARGET // e)))
     base, extra = divmod(size, chunks)
     return [base + 1] * extra + [base] * (chunks - extra)

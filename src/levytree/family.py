@@ -20,8 +20,13 @@ conjugate time qbar(q).
 
 AdmissibleFamily checks every input of these public methods, and of
 mark_times, in one place: t and q finite and inside the window with
-t <= q, delta > 0, u in (0, 1), and q < 0 for qbar.  The hooks only ever
-see checked input.
+t <= q, delta > 0, u in (0, 1), q < 0 for qbar, and alpha(t, q) > 0 for
+a nonempty mark_times.  The hooks only ever see checked input.
+
+node_mark_time is scalar and the one node-mark path: prune.generate_marks
+calls it per many-child node.  Those are few (a handful in a jump forest of
+10^5 nodes, about 2 000 on a spine forest), so a bulk closed form would save
+under a millisecond and round the same time a second way.
 
 A family is a subclass of AdmissibleFamily; each built-in one round-trips
 through JSON (to_dict, family_from_dict).  It supplies data (b_at, beta_at,
@@ -29,8 +34,8 @@ weights_at, weight_rates_at, to_dict) and the closed form _alpha.  Each
 other hook has a default, which a built-in family runs:
 
 * _node_survival, keyed off the nearest atom: LinearDriftFamily;
-* _node_mark_time by root-finding, its per-node loop _node_mark_times and
-  the trapezoid _mark_times: ReflectedFamily;
+* _node_mark_time by root-finding and the trapezoid _mark_times:
+  ReflectedFamily;
 * _qbar by root-finding on b: TruncationFamily.
 """
 
@@ -176,27 +181,16 @@ class AdmissibleFamily(ABC):
             raise DomainError(f"need node size > 0, got {delta}")
         return self._node_mark_time(t, delta, u)
 
-    def node_mark_times(self, t, delta, u):
-        """node_mark_time(t, delta[i], u[i]) over arrays of node sizes and
-        uniforms."""
-        self._check_time(t, "t")
-        delta, u = np.asarray(delta, dtype=float), np.asarray(u, dtype=float)
-        bad = ~((0.0 < u) & (u < 1.0))
-        if bad.any():
-            raise DomainError(f"need u in (0, 1), got {u[bad][0]}")
-        bad = ~(delta > 0)
-        if bad.any():
-            raise DomainError(f"need node size > 0, got {delta[bad][0]}")
-        return self._node_mark_times(t, delta, u)
-
     def mark_times(self, t, q, rng, size):
         """iid mark times on [t, q] with density beta / alpha(t, q); size 0
-        gives an empty array, and t == q, with no density, allows no other."""
+        gives an empty array, and alpha(t, q) = 0, with no density, allows
+        no other."""
         self._check_interval(t, q)
         if size == 0:
             return np.zeros(0)
-        if t == q:
-            raise DomainError(f"alpha({t}, {q}) = 0: no mark-time density")
+        total = self._alpha(t, q)
+        if not total > 0.0:
+            raise DomainError(f"alpha({t}, {q}) = {total:g}: no mark-time density")
         return self._mark_times(t, q, rng, size)
 
     def qbar(self, q):
@@ -232,14 +226,7 @@ class AdmissibleFamily(ABC):
             hi = min(t1, t + 2.0 * (hi - t))
         return brentq(lambda s: self._node_survival(t, s, delta) - target, t, hi, xtol=1e-14)
 
-    def _node_mark_times(self, t, delta, u):
-        # one scalar call per node; families with a closed form map in bulk
-        return np.array([self._node_mark_time(t, d, x) for d, x in zip(delta.tolist(), u.tolist())])
-
     def _mark_times(self, t, q, rng, size):
-        total = self._alpha(t, q)
-        if total <= 0.0:
-            raise DomainError(f"alpha({t}, {q}) = {total}: no mark-time density")
         grid = np.linspace(t, q, 1025)
         dens = np.array([self.beta_at(x) for x in grid])
         cum = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
@@ -267,11 +254,6 @@ class AdmissibleFamily(ABC):
     def eta_at(self, q):
         """Largest root of psi_q."""
         return self.psi_at(q).eta
-
-    def t_infinity(self):
-        """Window infimum and whether the family extends to it."""
-        t0 = self.window[0]
-        return t0, (self.left_closed and math.isfinite(t0))
 
     def _require_critical_origin(self):
         if self.psi_at(0.0).criticality() != "critical":
@@ -314,8 +296,6 @@ class _ConstantKernelFamily(AdmissibleFamily):
         return self._beta * (q - t)
 
     def _mark_times(self, t, q, rng, size):
-        if self._beta <= 0.0:
-            raise DomainError(f"alpha({t}, {q}) = 0: no mark-time density")
         return t + (q - t) * rng.random(size)
 
     def _to_dict(self, kind, **params):
@@ -366,11 +346,6 @@ class ShiftFamily(_AtomicBaseFamily):
         tm = t - math.log1p(-u) / delta
         return tm if tm <= self.window[1] else math.inf
 
-    def _node_mark_times(self, t, delta, u):
-        # numpy's log1p may differ from math.log1p in the last bit
-        tm = t - np.log1p(-u) / delta
-        return np.where(tm <= self.window[1], tm, np.inf)
-
     def _qbar(self, q):
         self._require_critical_origin()
         qb = q + self.eta_at(q)
@@ -406,9 +381,6 @@ class LinearDriftFamily(_ConstantKernelFamily):
 
     def _node_mark_time(self, t, delta, u):
         return math.inf
-
-    def _node_mark_times(self, t, delta, u):
-        return np.full(len(delta), np.inf)
 
     def _qbar(self, q):
         return -q if -q <= self.window[1] else None
@@ -467,12 +439,6 @@ class TruncationFamily(_AtomicBaseFamily):
         if td <= t:
             return t
         return td if td <= self.window[1] else math.inf
-
-    def _node_mark_times(self, t, delta, u):
-        if self.slope <= 0.0:
-            return np.full(len(delta), np.inf)
-        td = (self.h0 - delta) / self.slope
-        return np.where(td <= t, t, np.where(td <= self.window[1], td, np.inf))
 
     def to_dict(self):
         return self._to_dict("truncation", base=self.base.to_dict(), h0=self.h0,

@@ -104,8 +104,7 @@ def ascension_density(fam, q):
 
 def boundary_mass(fam):
     """Mass of {A = t_inf}: zero or infinite, by whether the window attains it."""
-    _, attained = fam.t_infinity()
-    return math.inf if attained else 0.0
+    return math.inf if fam.left_closed else 0.0
 
 
 def tree_at_ascension(fam, q, lam):
@@ -117,9 +116,8 @@ def tree_at_ascension(fam, q, lam):
     """
     _check_lam(lam)
     _check_critical_origin(fam)
-    t_inf, _ = fam.t_infinity()
-    if not t_inf < q < 0.0:
-        raise DomainError(f"need q in ({t_inf}, 0), got {q}")
+    if not fam.window[0] < q < 0.0:
+        raise DomainError(f"need q in ({fam.window[0]}, 0), got {q}")
     if lam == 0.0:
         return 1.0
     mech = fam.psi_at(q)
@@ -132,10 +130,9 @@ def boundary_ascension(fam, lam):
     Only defined when the window actually attains its infimum.
     """
     _check_lam(lam)
-    t_inf, attained = fam.t_infinity()
-    if not attained:
+    if not fam.left_closed:
         raise DomainError("the window does not attain its infimum")
-    mech = fam.psi_at(t_inf)
+    mech = fam.psi_at(fam.window[0])
     return mech.psi_inverse(lam) - mech.eta
 
 
@@ -161,9 +158,8 @@ def exit_time_laws(fam, q, q0, h):
     psi_q', both at eta_q), so they sum to one as q0 -> q.
     """
     _check_critical_origin(fam)
-    t_inf, _ = fam.t_infinity()
-    if not t_inf < q < q0 < 0.0:
-        raise DomainError(f"need {t_inf} < q < q0 < 0, got q={q}, q0={q0}")
+    if not fam.window[0] < q < q0 < 0.0:
+        raise DomainError(f"need {fam.window[0]} < q < q0 < 0, got q={q}, q0={q0}")
     if not h > 0.0:
         raise DomainError(f"need a positive height, got {h}")
     mech_q = fam.psi_at(q)

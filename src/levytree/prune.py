@@ -23,6 +23,9 @@ components over removed nodes.
 Binary nodes never receive node marks: their mass is 2/n under the
 discretization and the mark probability vanishes in the limit, so only
 the many-child nodes, those with delta > 0, participate.
+`generate_marks` maps one uniform per such node, in node order, through
+the family's scalar `node_mark_time`, the one node-mark path: these nodes
+are few beside the edges, so a per-node call costs little.
 """
 
 from __future__ import annotations
@@ -182,15 +185,8 @@ def _component_tips(par, depth, keep, closed):
 
 
 def generate_marks(tree, fam, window, rng):
-    """Draw the skeleton and node mark families over the window."""
+    """Draw both mark families over the window; fam.alpha checks the window."""
     t, t_max = float(window[0]), float(window[1])
-    if not t <= t_max:
-        raise DomainError(f"mark window is reversed: [{t}, {t_max}]")
-    lo, hi = fam.window
-    if not (lo <= t and t_max <= hi):
-        raise DomainError(
-            f"window [{t}, {t_max}] outside the family domain [{lo}, {hi}]")
-
     alpha = fam.alpha(t, t_max)
     if alpha > 0.0:
         counts = rng.poisson(alpha * tree.length[1:])
@@ -206,7 +202,9 @@ def generate_marks(tree, fam, window, rng):
 
     # one uniform per many-child node, in node order
     inf_nodes = np.flatnonzero(tree.delta > 0.0)
-    node_times = fam.node_mark_times(t, tree.delta[inf_nodes], rng.random(len(inf_nodes)))
+    u = rng.random(len(inf_nodes))
+    node_times = np.array([fam.node_mark_time(t, d, x)
+                           for d, x in zip(tree.delta[inf_nodes].tolist(), u.tolist())])
     hit = node_times <= t_max
     return MarkedTree(tree, (t, t_max), edge_ids, offsets, times,
                       inf_nodes[hit].astype(np.int64), node_times[hit])

@@ -335,6 +335,26 @@ def test_forest_chunks_are_a_function_of_the_config():
                 GwScheme.build(fam.psi_at(q), n), cap, size)
 
 
+def test_forest_chunks_match_the_full_sum_and_return_at_any_cap():
+    def full_sum_chunks(scheme, cap, size):
+        m = 1.0 - scheme.mech.b / scheme.gamma
+        e = sum(m**g for g in range(math.ceil(cap * scheme.gamma - 1e-9)))
+        return -(-size // max(1, int(experiments.NODE_TARGET // e)))
+
+    for fam, q, n in ((LD, 0.0, 100), (LD, 1.0, 100), (SHIFT, 0.0, 100), (SHIFT, 1.0, 200)):
+        scheme = GwScheme.build(fam.psi_at(q), n)
+        for cap in (0.5, 2.0, 20.0, 200.0):
+            for size in (1, 1000, 123_457):
+                chunks = experiments._forest_chunks(scheme, cap, size)
+                assert len(chunks) == full_sum_chunks(scheme, cap, size)
+    # a cap of 1e9 spans 2e11 generations: the critical sum passes NODE_TARGET,
+    # the subcritical one stops moving at its limit 1/(1 - m) = 201
+    critical = GwScheme.build(LD.psi_at(0.0), 100)
+    assert experiments._forest_chunks(critical, 1e9, 100) == [1] * 100
+    sub = GwScheme.build(LD.psi_at(1.0), 100)
+    assert experiments._forest_chunks(sub, 1e9, 1000) == experiments._forest_chunks(sub, 200.0, 1000)
+
+
 @pytest.mark.parametrize("name", ["prune_marginal", "special_markov_intensity",
                                   "exit_tail_remark"])
 def test_equal_configs_give_equal_csv_bytes_over_many_forests(name, tmp_path, monkeypatch):

@@ -29,6 +29,8 @@ from levytree.family import (
     family_from_dict,
 )
 from levytree.mechanism import DomainError, GammaDensity, Mechanism, PointMass
+from levytree.prune import generate_marks
+from levytree.tree import FiniteTree
 
 SHIFT_BASE = Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),))
 SHIFT = ShiftFamily(SHIFT_BASE, window=(-0.5, 3.0))
@@ -39,6 +41,8 @@ TRUNC = TruncationFamily(TRUNC_BASE, h0=2.0, slope=1.0, g_rate=0.3, window=(-1.0
 REFL_NEG = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.2, 0.5),)), window=(-0.8, 0.1))
 REFL = ReflectedFamily(REFL_NEG)
 SHIFT_TWIN = ShiftFamily(Mechanism(0.0, 0.5, (PointMass(1.0, 0.8),)), window=(-1.0, 1.0))
+SHORT_SHIFT = ShiftFamily(SHIFT_BASE, window=(-0.5, 1.0))
+FLAT_TRUNC = TruncationFamily(TRUNC_BASE, h0=2.0, slope=0.0, window=(-1.0, 1.2))
 
 
 class CustomShift(AdmissibleFamily):
@@ -228,11 +232,19 @@ def test_node_mark_time_beyond_window_is_inf():
     fam = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), window=(0.0, 0.1))
     assert fam.node_mark_time(0.0, 1.0, 0.9) == math.inf
     assert LD.node_mark_time(0.0, 1.0, 0.5) == math.inf
+    # 0.05 + log(2) / delta against the window end 1.0
+    assert SHORT_SHIFT.node_mark_time(0.05, 0.5, 0.5) == math.inf
+    assert SHORT_SHIFT.node_mark_time(0.05, 3.0, 0.5) == pytest.approx(
+        0.05 + math.log(2.0) / 3.0, rel=1e-14)
 
 
 def test_truncation_node_mark_time_is_the_drop_time():
     assert TRUNC.node_mark_time(0.0, 1.5, 0.37) == pytest.approx(0.5, rel=1e-14)
     assert TRUNC.node_mark_time(0.0, 0.6, 0.37) == math.inf  # drops at 1.4 > window end
+    assert TRUNC.node_mark_time(0.6, 1.5, 0.37) == 0.6  # dropped at 0.5, before t
+    # a flat ceiling never drops an atom
+    for t, delta in ((-0.5, 0.6), (0.0, 1.5), (0.05, 2.0)):
+        assert FLAT_TRUNC.node_mark_time(t, delta, 0.37) == math.inf
 
 
 # -- the base-class defaults against the shift closed forms -------------------------
@@ -248,8 +260,8 @@ def test_base_class_defaults_match_the_shift_closed_forms():
         assert CUSTOM.node_survival(t, q, 1.0) == pytest.approx(want, rel=1e-14)
     u = np.random.default_rng(5).random(200)
     for t in (-0.9, -0.3, 0.4):
-        got = CUSTOM.node_mark_times(t, np.ones(len(u)), u)
-        want = SHIFT_TWIN.node_mark_times(t, np.ones(len(u)), u)
+        got = np.array([CUSTOM.node_mark_time(t, 1.0, x) for x in u])
+        want = np.array([SHIFT_TWIN.node_mark_time(t, 1.0, x) for x in u])
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         assert np.isinf(want).any() and np.isfinite(want).any()
         np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)],
@@ -301,15 +313,6 @@ def _bad_calls(fam):
         calls.append((f"node_mark_time(0, 1, {u})", lambda u=u: fam.node_mark_time(0.0, 1.0, u)))
     for q in (t0 - 1.0, nan, -inf, 0.0, 0.5, t1 + 1.0):
         calls.append((f"qbar({q})", lambda q=q: fam.qbar(q)))
-    for t in (t0 - 1.0, t1 + 1.0, nan, -inf, inf):
-        calls.append((f"node_mark_times({t}, [1], [0.5])",
-                      lambda t=t: fam.node_mark_times(t, [1.0], [0.5])))
-    for delta in (0.0, -1.0, nan):
-        calls.append((f"node_mark_times(0, [1, {delta}], [0.5, 0.5])",
-                      lambda d=delta: fam.node_mark_times(0.0, [1.0, d], [0.5, 0.5])))
-    for u in (0.0, 1.0, -0.5, 7.0, nan):
-        calls.append((f"node_mark_times(0, [1, 1], [0.5, {u}])",
-                      lambda u=u: fam.node_mark_times(0.0, [1.0, 1.0], [0.5, u])))
     return calls
 
 
@@ -326,32 +329,35 @@ def test_every_family_rejects_bad_pruning_inputs(name):
     assert not accepted, f"{name} accepted {accepted}"
 
 
-BULK_FAMILIES = dict(
-    CONTRACT_FAMILIES,
-    short_shift=ShiftFamily(SHIFT_BASE, window=(-0.5, 1.0)),
-    flat_truncation=TruncationFamily(TRUNC_BASE, h0=2.0, slope=0.0, window=(-1.0, 1.2)),
-)
+MARK_FAMILIES = dict(CONTRACT_FAMILIES, short_shift=SHORT_SHIFT, flat_truncation=FLAT_TRUNC)
 
 
-@pytest.mark.parametrize("name", sorted(BULK_FAMILIES))
-def test_bulk_node_mark_times_match_the_scalar_path(name):
-    fam = BULK_FAMILIES[name]
+@pytest.mark.parametrize("name", sorted(MARK_FAMILIES))
+def test_generate_marks_maps_the_scalar_node_mark_time(name):
+    # a spine of many-child nodes, each with a leaf
+    fam = MARK_FAMILIES[name]
+    k = 60
     rng = np.random.default_rng(3)
-    u = rng.random(300)
-    delta = np.concatenate([rng.uniform(0.05, 3.0, 296), [0.6, 1.5, 1.0, 2.0]])
-    for t in (-0.5, 0.0, 0.05):
-        bulk = fam.node_mark_times(t, delta, u)
-        scalar = np.array([fam.node_mark_time(t, d, x) for d, x in zip(delta, u)])
-        assert bulk.shape == scalar.shape
-        if isinstance(fam, ShiftFamily):
-            # numpy's vectorized log1p may round apart from math.log1p in the
-            # last bit, which t - log1p(-u) / delta carries as a few 1e-16
-            np.testing.assert_array_equal(np.isinf(bulk), np.isinf(scalar))
-            fin = np.isfinite(scalar)
-            np.testing.assert_allclose(bulk[fin], scalar[fin], rtol=1e-14, atol=1e-14)
-        else:
-            np.testing.assert_array_equal(bulk, scalar)
-    assert fam.node_mark_times(0.0, np.zeros(0), np.zeros(0)).shape == (0,)
+    parent = np.concatenate([[-1], np.arange(k), np.arange(1, k + 1)])
+    delta = np.concatenate([[0.0], rng.uniform(0.05, 3.0, k), np.zeros(k)])
+    mu = np.concatenate([np.zeros(k + 1), np.ones(k)])
+    tree = FiniteTree(parent, np.concatenate([[0.0], rng.uniform(0.1, 1.0, 2 * k)]), delta, mu)
+    t, t_max = -0.3, 0.8
+    marks = generate_marks(tree, fam, (t, t_max), np.random.default_rng(19))
+    # a twin generator replays the skeleton draws, then the node uniforms
+    twin = np.random.default_rng(19)
+    alpha = fam.alpha(t, t_max)
+    if alpha > 0.0:
+        total = int(twin.poisson(alpha * tree.length[1:]).sum())
+        twin.random(total)
+        fam.mark_times(t, t_max, twin, total)
+    nodes = np.flatnonzero(delta > 0.0)
+    u = twin.random(k)
+    want = np.array([fam.node_mark_time(t, d, x) for d, x in zip(delta[nodes].tolist(), u.tolist())])
+    hit = want <= t_max
+    assert hit.any() == (name not in ("lineardrift", "flat_truncation"))
+    np.testing.assert_array_equal(marks.node_ids, nodes[hit])
+    np.testing.assert_array_equal(marks.node_times, want[hit])
 
 
 def test_interval_errors_name_the_first_bad_input():
@@ -478,7 +484,7 @@ def test_mark_times_on_a_degenerate_slice(fam):
         fam.mark_times(0.2, 0.2, rng, 3)
 
 
-# -- eta, t_infinity, qbar, gamma ----------------------------------------------------
+# -- eta, window infimum, qbar, gamma ----------------------------------------------------
 
 
 def test_eta_linear_drift():
@@ -495,11 +501,11 @@ def test_eta_from_root_finder_agrees_with_closed_form():
 
 
 def test_t_infinity_flags():
-    assert LD.t_infinity() == (-math.inf, False)
-    assert LD_FIN.t_infinity() == (-1.0, True)
-    assert SHIFT.t_infinity() == (-0.5, True)
+    # the window infimum, and whether the family extends to it
     open_fam = LinearDriftFamily(1.0, 1.0, window=(-1.0, 1.0), left_closed=False)
-    assert open_fam.t_infinity() == (-1.0, False)
+    for fam, t_inf, attained in ((LD, -math.inf, False), (LD_FIN, -1.0, True),
+                                 (SHIFT, -0.5, True), (open_fam, -1.0, False)):
+        assert fam.window[0] == t_inf and fam.left_closed is attained
 
 
 def test_qbar_linear_drift():

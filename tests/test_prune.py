@@ -371,6 +371,18 @@ def test_window_outside_family_domain_rejected():
         generate_marks(single_edge(), SHIFT, (-1.0, 0.5), RngStream(1).replicate(0))
 
 
+def test_bad_mark_windows_raise_the_family_messages():
+    # generate_marks checks nothing itself: fam.alpha rejects the window
+    cases = [((0.5, 0.2), r"need t <= q, got t=0.5 > q=0.2"),
+             ((-1.0, 0.5), r"t=-1.0 outside window \[-0.5, 3.0\]"),
+             ((0.0, 4.0), r"q=4.0 outside window \[-0.5, 3.0\]"),
+             ((math.nan, 1.0), r"t=nan outside window \[-0.5, 3.0\]"),
+             ((0.0, math.nan), r"q=nan outside window \[-0.5, 3.0\]")]
+    for window, message in cases:
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            generate_marks(single_edge(), SHIFT, window, RngStream(1).replicate(0))
+
+
 # -- markov two-step ---------------------------------------------------------------
 
 
