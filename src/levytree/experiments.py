@@ -21,7 +21,9 @@ and the deterministic mz_cocycle keep their own row code.
 
 Each side of an arm is one draw of all its replicates from the one generator
 of its stream, so an estimate depends on (seed, path, replicate count) alone.
-A counts draw is one `population_run` or exact-sampler call.  A pruning draw
+A counts draw is one `population_run` or exact-sampler call; height_law's
+is one run capped at its highest level, whose per-replicate last generation
+says which of the levels each replicate crosses.  A pruning draw
 grows marked forests, read by `MarkedTree.read`, one after another from that
 generator; `_forest_chunks` sizes them from the config alone, which bounds
 the memory of one forest.  A spine cut draw marks one `spine_forest` of all
@@ -326,21 +328,26 @@ def _experiment(name, oracle, layout, description):
 
 
 @_experiment("height_law", Mechanism.v_of, "banded",
-             "n*P(one excursion crosses level a) against v(a); q_grid holds the levels a")
+             "n*P(one excursion crosses level a) against v(a); q_grid holds the levels a, "
+             "all read from one counts run per side capped at the highest")
 def _height_law(cfg, v_of):
     mech = cfg.family.psi_at(0.0)
     heights = cfg.q_grid or (0.5, 1.0, 2.0)
     if not all(a > 0.0 for a in heights):
         raise ConfigError("height_law needs positive levels in q_grid")
-    groups = []
-    for j, a in enumerate(heights):
+    points = []
+    for k, a in enumerate(heights):
         v = v_of(mech, a)
         # n * 1{crosses a} with P(crosses) = v / n has variance n v - v^2
-        point = Point(f"a={a:g}", v, lambda n, x: n * x,
-                      stat=_null_mean_se(lambda n, v=v: n * v - v * v))
-        groups.append(Group((j,), (_counts(mech, lambda run: (run.at_cap > 0).astype(float), a),),
-                            [point]))
-    return groups
+        points.append(Point(f"a={a:g}", v, lambda n, x, k=k: n * x[:, k],
+                            stat=_null_mean_se(lambda n, v=v: n * v - v * v)))
+
+    def crossings(run):
+        """Column k: 1{the replicate crosses heights[k]}."""
+        return np.column_stack([run.last_gen >= _level_generation(run.gamma, a)
+                                for a in heights]).astype(float)
+
+    return [Group((0,), (_counts(mech, crossings, max(heights)),), points)]
 
 
 @_experiment("sigma_laplace", laws.sigma_laplace, "banded",

@@ -33,7 +33,8 @@ through JSON (to_dict, family_from_dict).  It supplies data (b_at, beta_at,
 weights_at, weight_rates_at, to_dict) and the closed form _alpha.  Each
 other hook has a default, which a built-in family runs:
 
-* _node_survival, keyed off the nearest atom: LinearDriftFamily;
+* _node_survival, keyed off the nearest atom: LinearDriftFamily and
+  ReflectedFamily;
 * _node_mark_time by root-finding and the trapezoid _mark_times:
   ReflectedFamily;
 * _qbar by root-finding on b: TruncationFamily.
@@ -395,8 +396,11 @@ class TruncationFamily(_AtomicBaseFamily):
     With an atomic base the kernel is singular in time: an atom leaves at
     the single instant h crosses its site, psi_q jumps there, and zeta only
     carries the drift part g_rate.  check_admissibility reports the gap
-    instead of smoothing it over.  A node of size delta is marked exactly
-    when the ceiling crosses delta, so node_mark_time is deterministic.
+    instead of smoothing it over.  A node of size delta survives [t, q]
+    iff the ceiling stays >= delta on all of it, which for a linear ceiling
+    is at both ends; so it is marked at t when it is above the ceiling
+    there, else when a falling ceiling crosses delta, and node_mark_time is
+    deterministic.
     """
 
     def __init__(self, base, h0, slope, g_rate=0.0, window=(-1.0, 1.0), left_closed=None):
@@ -430,14 +434,14 @@ class TruncationFamily(_AtomicBaseFamily):
         return np.zeros_like(self._w0)
 
     def _node_survival(self, t, q, delta):
-        return 1.0 if delta <= self.ceiling(q) else 0.0
+        return 1.0 if delta <= min(self.ceiling(t), self.ceiling(q)) else 0.0
 
     def _node_mark_time(self, t, delta, u):
+        if delta > self.ceiling(t):
+            return t
         if self.slope <= 0.0:
             return math.inf
         td = (self.h0 - delta) / self.slope
-        if td <= t:
-            return t
         return td if td <= self.window[1] else math.inf
 
     def to_dict(self):
@@ -514,22 +518,6 @@ class ReflectedFamily(AdmissibleFamily):
     def eta_at(self, q):
         self._check_time(q)
         return self.negative.eta_at(q) if q <= 0 else 0.0
-
-    def _node_survival(self, t, q, delta):
-        i = self._nearest_atom(delta)
-        if i is None:
-            return 1.0
-
-        def factor(s):
-            if s <= 0:
-                return self.negative.weights_at(s)[i]
-            w = self.negative.weights_at(-s)[i]
-            return w * math.exp(-delta * self.negative.eta_at(-s))
-
-        ft = factor(t)
-        if ft == 0.0:
-            raise DomainError(f"primitive {i} is degenerate at t={t} (zero weight)")
-        return factor(q) / ft
 
     def _qbar(self, q):
         return -q

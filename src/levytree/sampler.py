@@ -32,11 +32,14 @@ doubling blocks, walking the generations over prefix sums.
 
 `population_run` is the counts-only mode of the same scheme, for every
 offspring law: it evolves the generation sizes of many replicates at once
-and builds no tree, so mass and the count at the cap (heights, Z_a,
-sigma) come from it.  Experiments that mark and prune grow many
-replicates as one tree, with `gw_forest` or, for the immortal spine,
-`spine_forest`, whose node -> replicate label lets `MarkedTree.read` and
-`MarkedTree.first_cut` reduce every replicate at once.
+and builds no tree, so mass, the count at the cap and each replicate's
+last generation (heights, Z_a, sigma) come from it.  One run capped at the
+highest of several levels answers every level: a replicate crosses level
+a iff its last generation reaches the generation crossing a.
+Experiments that mark and prune grow many replicates as one tree, with
+`gw_forest` or, for the immortal spine, `spine_forest`, whose node ->
+replicate label lets `MarkedTree.read` and `MarkedTree.first_cut` reduce
+every replicate at once.
 """
 
 from __future__ import annotations
@@ -377,13 +380,22 @@ def spine_forest(mech0, h, rng, size):
 
 @dataclass(frozen=True)
 class PopulationRun:
-    """Generation counts of a scheme, no trees materialized: individuals
-    born up to the stop generation, and those of the cap's generation."""
+    """Generation counts of a scheme, no trees materialized, by replicate:
+
+    * totals: individuals born up to the stop generation;
+    * at_cap: individuals of the cap's generation, the stop generation;
+    * last_gen: the last generation holding an individual, at most the
+      stop generation (-1 for a replicate that starts empty), so at_cap > 0
+      exactly where last_gen is the stop generation, and the replicate
+      crosses a level a below the cap exactly where last_gen >=
+      `_level_generation(gamma, a)`.
+    """
 
     n: int
     gamma: float
     totals: np.ndarray
     at_cap: np.ndarray
+    last_gen: np.ndarray
 
     def sigma(self):
         """Mass born up to the stop generation, by replicate."""
@@ -396,13 +408,14 @@ class PopulationRun:
 
 def _level_generation(gamma, a):
     """The generation crossing level a, inf for a = None (no cap):
-    individuals of generation g span (g/gamma, (g+1)/gamma].  The one
+    individuals of generation g span (g/gamma, (g+1)/gamma], and the
+    roundoff allowance never takes a level below generation 0.  The one
     check of a height cap."""
     if a is None:
         return math.inf
     if not 0.0 < a < math.inf:
         raise DomainError(f"height cap must be positive and finite, got {a}")
-    return int(math.ceil(a * gamma - 1e-9)) - 1
+    return max(0, int(math.ceil(a * gamma - 1e-9)) - 1)
 
 
 def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_survival=1.0):
@@ -414,7 +427,8 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     every edge independently, which realizes skeleton pruning.  Totals
     accumulate up to extinction or generation `_level_generation(gamma,
     height_cap)`, the one crossing the cap, whose counts are `at_cap`
-    (zero without a cap).  Critical runs need a cap.
+    (zero without a cap), and `last_gen` is the last generation each
+    replicate reaches.  Critical runs need a cap.
 
     Each generation draws the offspring of all live replicates in one
     `GwScheme.offspring_totals` call, and the counts are those of the tree
@@ -432,8 +446,8 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     if not 0.0 < edge_survival <= 1.0:
         raise DomainError(f"edge survival must be in (0, 1], got {edge_survival}")
     n, gamma = scheme.n, scheme.gamma
-    last_gen = _level_generation(gamma, height_cap)
-    if last_gen == math.inf and scheme.mech.criticality() == "critical":
+    stop = _level_generation(gamma, height_cap)
+    if stop == math.inf and scheme.mech.criticality() == "critical":
         raise DomainError("critical run needs a height cap")
 
     if init is None:
@@ -450,11 +464,13 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
 
     totals = z.copy()
     at_cap = np.zeros(replicates, dtype=np.int64)
+    last_gen = np.full(replicates, -1, dtype=np.int64)
     idx = np.flatnonzero(z > 0)
     z = z[idx]
     g = 0
     while len(idx) > 0:
-        if g >= last_gen:
+        last_gen[idx] = g
+        if g >= stop:
             at_cap[idx] = z
             break
         kids = scheme.offspring_totals(rng, z)
@@ -465,4 +481,4 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
         idx = idx[keep]
         z = kids[keep]
         g += 1
-    return PopulationRun(n, gamma, totals, at_cap)
+    return PopulationRun(n, gamma, totals, at_cap, last_gen)

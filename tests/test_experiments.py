@@ -26,8 +26,10 @@ from levytree.prune import (
     _component_tips,
     generate_marks,
 )
-from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_forest
+from levytree.sampler import (GwScheme, RngStream, _grow, _level_generation, gw_forest, gw_tree,
+                              population_run, spine_forest)
 from levytree.tree import FiniteTree
+from test_sampler import _forest_counts_by_root
 
 LD = LinearDriftFamily(1.0, 1.0)
 SHIFT = ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.25, 3.0))
@@ -353,6 +355,8 @@ def test_forest_chunks_match_the_full_sum_and_return_at_any_cap():
     assert experiments._forest_chunks(critical, 1e9, 100) == [1] * 100
     sub = GwScheme.build(LD.psi_at(1.0), 100)
     assert experiments._forest_chunks(sub, 1e9, 1000) == experiments._forest_chunks(sub, 200.0, 1000)
+    # a cap below the roundoff allowance still grows generation 0
+    assert experiments._forest_chunks(critical, 1e-12, 100) == [100]
 
 
 @pytest.mark.parametrize("name", ["prune_marginal", "special_markov_intensity",
@@ -383,6 +387,52 @@ def test_height_law_quadratic():
     assert [r.point for r in rows] == ["a=0.5", "a=1"]
     assert rows[0].oracle == pytest.approx(2.0, rel=1e-12)
     assert all(r.passed for r in rows)
+
+
+# parent bytes of one-level height_law configs, from before the levels
+# shared one run: a single level draws exactly what it drew alone
+ONE_LEVEL_HEIGHT_LAW = {
+    0.5: "height_law,a=0.5,1.3,0.386079952574,1.50185514214,0.266999080668,true\n",
+    1.0: "height_law,a=1,0.6,0.26149423204,0.686146317748,0.307706175869,true\n",
+}
+
+
+@pytest.mark.parametrize("a", sorted(ONE_LEVEL_HEIGHT_LAW))
+def test_one_level_height_law_keeps_its_csv_bytes(a, tmp_path):
+    fam = {"type": "shift", "window": [-0.25, 3.0], "left_closed": True,
+           "base": {"b": 0.0, "c": 1.0, "m": [{"type": "point", "z": 1.0, "w": 1.0},
+                                              {"type": "point", "z": 0.5, "w": 2.0}]}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": fam, "params": {
+        "seed": 17, "resolution": 100, "replicates": 2000, "q_grid": [a]}}))
+    out = tmp_path / "out.csv"
+    assert cli.main(["verify", "height_law", "--config", str(cfg), "--out", str(out)]) == 0
+    header = "experiment,point,mc_estimate,mc_stderr,oracle_value,z_score,pass\n"
+    assert out.read_text() == header + ONE_LEVEL_HEIGHT_LAW[a]
+
+
+def test_height_law_reads_its_top_level_from_a_run_capped_there():
+    cfg = cfg_for("height_law", replicates=400, q_grid=(1.0, 0.25, 0.5))
+    cols = fine_arm_draws(cfg)
+    assert cols.shape == (400, 3)
+    rng = RngStream(cfg.seed).child(0, 1).generator()
+    run = population_run(GwScheme.build(LD.psi_at(0.0), 200), rng, 400, height_cap=1.0)
+    np.testing.assert_array_equal(cols[:, 0], run.at_cap > 0)
+    assert 0 < cols[:, 0].sum() < cols[:, 2].sum() < cols[:, 1].sum() < 400
+
+
+def test_height_law_lower_levels_match_a_grown_jump_forest():
+    levels = (0.1, 0.4, 0.2)
+    cfg = cfg_for("height_law", family=SHIFT, replicates=400, q_grid=levels)
+    cols = fine_arm_draws(cfg)
+    scheme = GwScheme.build(SHIFT.psi_at(0.0), 200)
+    rng = RngStream(cfg.seed).child(0, 1).generator()
+    par, _, offsets = _grow(scheme, rng, 400, max(levels))
+    for k, a in enumerate(levels):
+        _, at_gen, _ = _forest_counts_by_root(
+            par, offsets, 400, _level_generation(scheme.gamma, a))
+        np.testing.assert_array_equal(cols[:, k], at_gen > 0)
+    assert 0 < cols[:, 1].sum() < cols[:, 2].sum() < cols[:, 0].sum() < 400
 
 
 def test_height_law_counts_trees_at_aligned_cap():

@@ -43,6 +43,7 @@ REFL = ReflectedFamily(REFL_NEG)
 SHIFT_TWIN = ShiftFamily(Mechanism(0.0, 0.5, (PointMass(1.0, 0.8),)), window=(-1.0, 1.0))
 SHORT_SHIFT = ShiftFamily(SHIFT_BASE, window=(-0.5, 1.0))
 FLAT_TRUNC = TruncationFamily(TRUNC_BASE, h0=2.0, slope=0.0, window=(-1.0, 1.2))
+RISING_TRUNC = TruncationFamily(TRUNC_BASE, h0=2.0, slope=-1.0, window=(-1.0, 1.2))
 
 
 class CustomShift(AdmissibleFamily):
@@ -247,6 +248,41 @@ def test_truncation_node_mark_time_is_the_drop_time():
         assert FLAT_TRUNC.node_mark_time(t, delta, 0.37) == math.inf
 
 
+def test_truncation_marks_a_node_above_the_ceiling_at_once():
+    # delta = 2.5 sits above the ceiling 2 at t = 0, whatever the slope
+    for fam in (FLAT_TRUNC, RISING_TRUNC, TRUNC):
+        assert fam.node_mark_time(0.0, 2.5, 0.37) == 0.0
+        assert [fam.node_survival(0.0, q, 2.5) for q in (0.0, 0.5, 0.9, 1.2)] == [0.0] * 4
+    # below the ceiling at t, a rising ceiling never drops it
+    assert RISING_TRUNC.node_survival(-0.3, 1.2, 1.5) == 1.0
+    assert RISING_TRUNC.node_mark_time(-0.3, 1.5, 0.37) == math.inf
+
+
+NODE_FAMILIES = {
+    "shift": SHIFT, "lineardrift": LD_FIN, "truncation": TRUNC, "flat_truncation": FLAT_TRUNC,
+    "rising_truncation": RISING_TRUNC, "reflected": REFL, "custom": CUSTOM,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_FAMILIES))
+def test_node_mark_time_and_survival_agree(name):
+    # survival is nonincreasing in q, and the node is marked by q iff its
+    # mark probability over [t, q] reaches u, away from ties
+    fam = NODE_FAMILIES[name]
+    lo, hi = fam.window
+    grid = np.linspace(lo, hi, 9)[1:-1]
+    for t in grid[:-1]:
+        qs = [t] + [q for q in grid if q > t] + [hi]
+        for delta in (0.3, 0.6, 1.0, 1.5, 2.5):
+            surv = [fam.node_survival(t, q, delta) for q in qs]
+            assert all(b <= a for a, b in zip(surv, surv[1:])), (t, delta, surv)
+            for u in (0.1, 0.37, 0.8):
+                tm = fam.node_mark_time(t, delta, u)
+                for q, s in zip(qs, surv):
+                    if abs(tm - q) > 1e-9 and abs(1.0 - s - u) > 1e-9:
+                        assert (tm <= q) == (1.0 - s >= u), (t, q, delta, u, tm, s)
+
+
 # -- the base-class defaults against the shift closed forms -------------------------
 
 
@@ -355,7 +391,7 @@ def test_generate_marks_maps_the_scalar_node_mark_time(name):
     u = twin.random(k)
     want = np.array([fam.node_mark_time(t, d, x) for d, x in zip(delta[nodes].tolist(), u.tolist())])
     hit = want <= t_max
-    assert hit.any() == (name not in ("lineardrift", "flat_truncation"))
+    assert hit.any() == (name != "lineardrift")
     np.testing.assert_array_equal(marks.node_ids, nodes[hit])
     np.testing.assert_array_equal(marks.node_times, want[hit])
 

@@ -451,7 +451,8 @@ def test_population_deterministic():
 def _reference_quadratic_run(mech, n, rng, replicates, init=None,
                              height_cap=None, edge_survival=1.0):
     """The mechanism-based generation loop the engine replaced, kept as the
-    reference for the quadratic law: (totals, counts at the cap)."""
+    reference for the quadratic law: (totals, counts at the cap, last
+    generation reached, -1 where a replicate starts empty)."""
     b, c = mech.b, mech.c
     gamma = b + 2.0 * c * n
     p2 = c * n / gamma
@@ -464,10 +465,12 @@ def _reference_quadratic_run(mech, n, rng, replicates, init=None,
         z = rng.binomial(z, edge_survival)
     totals = z.copy()
     at_cap = np.zeros(replicates, dtype=np.int64)
+    reached = np.full(replicates, -1, dtype=np.int64)
     idx = np.flatnonzero(z > 0)
     z = z[idx]
     g = 0
     while len(idx) > 0:
+        reached[idx] = g
         if last_gen is not None and g >= last_gen:
             at_cap[idx] = z
             break
@@ -479,7 +482,7 @@ def _reference_quadratic_run(mech, n, rng, replicates, init=None,
         idx = idx[keep]
         z = kids[keep]
         g += 1
-    return totals, at_cap
+    return totals, at_cap, reached
 
 
 @pytest.mark.parametrize("init", [None, 0.5])
@@ -499,23 +502,48 @@ def test_population_quadratic_matches_reference_loop(mech, levels, cap, init, ed
             continue  # a critical run needs a cap
         run = population_run(GwScheme.build(mech, n), RngStream(95).replicate(0), reps,
                              init=init, height_cap=height_cap, edge_survival=edge_survival)
-        totals, at_cap = _reference_quadratic_run(
+        totals, at_cap, reached = _reference_quadratic_run(
             mech, n, RngStream(95).replicate(0), reps, init=init,
             height_cap=height_cap, edge_survival=edge_survival)
         np.testing.assert_array_equal(run.totals, totals)
         np.testing.assert_array_equal(run.at_cap, at_cap)
+        np.testing.assert_array_equal(run.last_gen, reached)
+        if height_cap is not None:
+            stop = _level_generation(run.gamma, height_cap)
+            np.testing.assert_array_equal(run.at_cap > 0, run.last_gen == stop)
         assert run.gamma == mech.b + 2.0 * mech.c * n
 
 
+def test_caps_below_the_first_generation_stop_there():
+    # a cap under the 1e-9 roundoff allowance is still generation 0's level
+    sch = GwScheme.build(SUB, 20)
+    assert _level_generation(sch.gamma, 1e-12) == 0 == _level_generation(sch.gamma, 0.5 / sch.gamma)
+    run = population_run(sch, RngStream(5).replicate(0), 100, height_cap=1e-12)
+    assert run.at_cap.tolist() == [1] * 100 and run.last_gen.tolist() == [0] * 100
+
+
+def test_population_replicates_that_start_empty_reach_no_generation():
+    run = population_run(GwScheme.build(QUAD, 50), RngStream(96).replicate(0), 300,
+                         init=0.01, height_cap=0.5)
+    _, _, reached = _reference_quadratic_run(QUAD, 50, RngStream(96).replicate(0), 300,
+                                             init=0.01, height_cap=0.5)
+    np.testing.assert_array_equal(run.last_gen, reached)
+    assert 0 < np.count_nonzero(run.last_gen == -1) < 300
+    np.testing.assert_array_equal(run.last_gen == -1, run.totals == 0)
+
+
 def _forest_counts_by_root(par, offsets, n_roots, gen):
-    """Individuals, and generation `gen`'s individuals, below each root."""
+    """Individuals, generation `gen`'s individuals, and the last generation
+    holding an individual, below each root."""
     root = np.arange(len(par))
-    for lo, hi in zip(offsets[1:-1], offsets[2:]):
+    last = np.zeros(n_roots, dtype=np.int64)
+    for g, (lo, hi) in enumerate(zip(offsets[1:-1], offsets[2:]), 1):
         root[lo:hi] = root[par[lo:hi]]
+        last[root[lo:hi]] = g
     at_gen = np.zeros(n_roots, dtype=np.int64)
     if gen + 1 < len(offsets):
         at_gen = np.bincount(root[offsets[gen]:offsets[gen + 1]], minlength=n_roots)
-    return np.bincount(root, minlength=n_roots), at_gen
+    return np.bincount(root, minlength=n_roots), at_gen, last
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -535,9 +563,11 @@ def test_population_counts_match_grown_forest(seed, mech, gamma, cap):
     par, ks, offsets = _grow(sch, RngStream(seed).replicate(1), reps, cap)
     # no cap: the run goes extinct, and its count at the cap is 0
     gen = len(offsets) if cap is None else _level_generation(sch.gamma, cap)
-    totals, at_cap = _forest_counts_by_root(par, offsets, reps, gen)
+    totals, at_cap, last = _forest_counts_by_root(par, offsets, reps, gen)
     np.testing.assert_array_equal(run.totals, totals)
     np.testing.assert_array_equal(run.at_cap, at_cap)
+    np.testing.assert_array_equal(run.last_gen, last)
+    np.testing.assert_array_equal(run.at_cap > 0, run.last_gen == gen)
     if cap is not None:
         # the tree readings the experiments used before the engine
         forest = _tree_from_growth(sch, par, ks, offsets)
