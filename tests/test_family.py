@@ -258,31 +258,6 @@ def test_truncation_marks_a_node_above_the_ceiling_at_once():
     assert RISING_TRUNC.node_mark_time(-0.3, 1.5, 0.37) == math.inf
 
 
-NODE_FAMILIES = {
-    "shift": SHIFT, "lineardrift": LD_FIN, "truncation": TRUNC, "flat_truncation": FLAT_TRUNC,
-    "rising_truncation": RISING_TRUNC, "reflected": REFL, "custom": CUSTOM,
-}
-
-
-@pytest.mark.parametrize("name", sorted(NODE_FAMILIES))
-def test_node_mark_time_and_survival_agree(name):
-    # survival is nonincreasing in q, and the node is marked by q iff its
-    # mark probability over [t, q] reaches u, away from ties
-    fam = NODE_FAMILIES[name]
-    lo, hi = fam.window
-    grid = np.linspace(lo, hi, 9)[1:-1]
-    for t in grid[:-1]:
-        qs = [t] + [q for q in grid if q > t] + [hi]
-        for delta in (0.3, 0.6, 1.0, 1.5, 2.5):
-            surv = [fam.node_survival(t, q, delta) for q in qs]
-            assert all(b <= a for a, b in zip(surv, surv[1:])), (t, delta, surv)
-            for u in (0.1, 0.37, 0.8):
-                tm = fam.node_mark_time(t, delta, u)
-                for q, s in zip(qs, surv):
-                    if abs(tm - q) > 1e-9 and abs(1.0 - s - u) > 1e-9:
-                        assert (tm <= q) == (1.0 - s >= u), (t, q, delta, u, tm, s)
-
-
 # -- the base-class defaults against the shift closed forms -------------------------
 
 
@@ -394,6 +369,28 @@ def test_generate_marks_maps_the_scalar_node_mark_time(name):
     assert hit.any() == (name != "lineardrift")
     np.testing.assert_array_equal(marks.node_ids, nodes[hit])
     np.testing.assert_array_equal(marks.node_times, want[hit])
+
+
+NODE_FAMILIES = dict(MARK_FAMILIES, rising_truncation=RISING_TRUNC)
+
+
+@pytest.mark.parametrize("name", sorted(NODE_FAMILIES))
+def test_node_mark_time_and_survival_agree(name):
+    # survival is nonincreasing in q, and the node is marked by q iff its
+    # mark probability over [t, q] reaches u, away from ties
+    fam = NODE_FAMILIES[name]
+    lo, hi = fam.window
+    grid = np.linspace(lo, hi, 9)[1:-1]
+    for t in grid[:-1]:
+        qs = [t] + [q for q in grid if q > t] + [hi]
+        for delta in (0.3, 0.6, 1.0, 1.5, 2.5):
+            surv = [fam.node_survival(t, q, delta) for q in qs]
+            assert all(b <= a for a, b in zip(surv, surv[1:])), (t, delta, surv)
+            for u in (0.1, 0.37, 0.8):
+                tm = fam.node_mark_time(t, delta, u)
+                for q, s in zip(qs, surv):
+                    if abs(tm - q) > 1e-9 and abs(1.0 - s - u) > 1e-9:
+                        assert (tm <= q) == (1.0 - s >= u), (t, q, delta, u, tm, s)
 
 
 def test_interval_errors_name_the_first_bad_input():
