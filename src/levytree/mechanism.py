@@ -12,6 +12,10 @@ or a Gamma(k, rho) density with weight w,
 
     w * ((rho/(rho+lam))**k - 1 + k*lam/rho).
 
+Both are O(lam**2) differences of O(lam) parts, so psi sums a term as a
+short series where its argument is below 1e-3 (`series_below` in lam), and
+keeps its second order at any lam.
+
 Conventions used throughout the package:
 
 * criticality is read off the sign of b = psi'(0): b > 0 subcritical,
@@ -63,6 +67,29 @@ def _over_x(fn, x):
     underflow to needs the series.
     """
     return fn(x) / x if x else 1.0
+
+
+# below this size the jump terms' e^y - 1 - y and r - log1p(r) are summed
+# as series (error under 1e-18 relative): directly they cancel, to an
+# error of about 1e-16 / |y|
+_SERIES_BELOW = 1e-3
+
+
+def _exp_series(y):
+    return y * y * (0.5 + y * (1 / 6 + y * (1 / 24 + y * (1 / 120 + y / 720))))
+
+
+def _log1p_series(r):
+    return r * r * (0.5 - r * (1 / 3 - r * (0.25 - r * (0.2 - r * (1 / 6 - r / 7)))))
+
+
+def _exp_excess(y):
+    """e^y - 1 - y for a float or an array y."""
+    if not isinstance(y, np.ndarray):
+        return _exp_series(y) if -_SERIES_BELOW < y < _SERIES_BELOW else np.expm1(y) - y
+    small = np.abs(y) < _SERIES_BELOW
+    # the series only sees small y, so a large one cannot overflow it
+    return np.where(small, _exp_series(np.where(small, y, 0.0)), np.expm1(y) - y)
 
 
 def brentq(f, lo, hi, **tol):
@@ -129,6 +156,14 @@ class PointMass:
         x = lam * self.z
         return self.w * (np.expm1(-x) + x)
 
+    @property
+    def series_below(self):
+        return _SERIES_BELOW / self.z
+
+    def small_term(self, lam):
+        """term for |lam| < series_below, where its difference cancels."""
+        return self.w * _exp_series(-lam * self.z)
+
     def dterm(self, lam):
         # d/dlam = w*z*(1 - e^{-lam z})
         return -self.w * self.z * np.expm1(-lam * self.z)
@@ -187,6 +222,16 @@ class GammaDensity:
     def term(self, lam):
         r = np.asarray(lam, dtype=float) / self.rho
         return self.w * (np.expm1(-self.k * np.log1p(r)) + self.k * r)
+
+    @property
+    def series_below(self):
+        return _SERIES_BELOW * self.rho
+
+    def small_term(self, lam):
+        """term for |lam| < series_below, where its difference cancels:
+        (1 + r)^-k - 1 + k r = (e^y - 1 - y) + k (r - log1p(r)), y = -k log1p(r)."""
+        r = lam / self.rho
+        return self.w * (_exp_excess(-self.k * np.log1p(r)) + self.k * _log1p_series(r))
 
     def dterm(self, lam):
         # d/dlam = w*(k/rho)*(1 - (rho/(rho+lam))^{k+1})
@@ -268,18 +313,34 @@ class Mechanism:
     c: float
     m: tuple = field(default_factory=tuple)
 
+    _series_below = 0.0  # |lam| below which some jump term takes its series in psi
+
     def __post_init__(self):
         object.__setattr__(self, "m", tuple(self.m))
         if not (math.isfinite(self.b) and math.isfinite(self.c)) or self.c < 0:
             raise DomainError(f"need finite b and c >= 0, got b={self.b}, c={self.c}")
         for p in self.m:
             p.validate()
+        if self.m:
+            object.__setattr__(self, "_series_below", max([p.series_below for p in self.m]))
 
     # ------------------------------------------------------------ evaluation
 
     def psi(self, lam):
-        lam = np.asarray(lam, dtype=float) if not np.isscalar(lam) else lam
+        scalar = isinstance(lam, (float, int))  # np.float64 is a float
+        if not scalar:
+            lam = np.asarray(lam, dtype=float)
         out = self.b * lam + self.c * lam * lam
+        # a jump term sums its series below its own bound on |lam|
+        if scalar and abs(lam) < self._series_below:
+            for p in self.m:
+                out = out + (p.small_term(lam) if abs(lam) < p.series_below else p.term(lam))
+            return out
+        if not scalar and self.m and np.count_nonzero(np.abs(lam) < self._series_below):
+            for p in self.m:
+                small = np.abs(lam) < p.series_below
+                out = out + np.where(small, p.small_term(np.where(small, lam, 0.0)), p.term(lam))
+            return out
         for p in self.m:
             out = out + p.term(lam)
         return out
@@ -337,8 +398,14 @@ class Mechanism:
         if self.psi(hi) == 0.0:
             return hi
         lo = hi * 1e-12
-        if self.psi(lo) >= 0:  # pragma: no cover - b < 0 forces psi(lo) < 0
-            raise NumericError("failed to bracket the largest root")
+        if not self.psi(lo) < 0:
+            # b < 0 makes psi negative near 0, but where psi is subnormal b * lo
+            # underflows: halve down from hi to where psi is not positive
+            lo = 0.5 * hi
+            for _ in range(1100):  # past the smallest subnormal
+                if self.psi(lo) <= 0:
+                    break
+                hi, lo = lo, 0.5 * lo
         # products of psi values underflow near a tiny root; 2^k ~ 1/hi^2 moves no iterate
         scale = math.ldexp(1.0, max(-1000, min(1000, -2 * math.frexp(hi)[1])))
         root = brentq(lambda x: scale * self.psi(x), lo, hi, xtol=1e-300, rtol=8.9e-16)
@@ -428,8 +495,8 @@ class Mechanism:
         """Laplace flow: solves integral_u^lam dr/psi(r) = a.
 
         The flow contracts toward eta from both sides: u lies between lam
-        and eta, and u -> v_of(a) as lam -> inf.  Inputs within 1e-12 of
-        eta (or lam = 0) are fixed points and returned unchanged.  With jumps,
+        and eta, and u -> v_of(a) as lam -> inf.  Inputs within a relative
+        1e-12 of eta (or lam = 0) are fixed points and returned unchanged.  With jumps,
         _newton_chart solves from lam on ln(u - eta) or ln(eta - u).
         """
         self._require_grey("u_of")
@@ -438,7 +505,7 @@ class Mechanism:
         if a == 0:
             return float(lam)
         eta = self.eta
-        if lam == 0.0 or abs(lam - eta) < 1e-12 * max(1.0, eta):
+        if lam == 0.0 or abs(lam - eta) <= 1e-12 * eta:
             return float(lam) if lam == 0.0 else eta
         if not self.m or lam > eta:
             # x b / (e^{ab}(b + c x) - c x), the flow of b x + c x^2 without the
@@ -451,9 +518,14 @@ class Mechanism:
             s = _newton_chart(self._rate, math.log(x), tail, math.log(flow), a + tail)
             return float(eta + math.exp(s))
         # pole at t = ln(eta) (psi(0) = 0); h rises from 1/psi'(eta) to h(t_lam)
+        # so t moves by at most a psi'(eta): where that rounds away, u is lam
         h = lambda t: self._rate(t, -1.0)
         t_lam = math.log(eta - lam)
-        start = t_lam - a / max(float(h(t_lam)), 1.0 / self._at_root.b)
+        if t_lam - a * self._at_root.b == t_lam:
+            return float(lam)
+        # Newton on log F needs F(start) > 0: start at least a float below t_lam
+        start = min(t_lam - a / max(float(h(t_lam)), 1.0 / self._at_root.b),
+                    math.nextafter(t_lam, -math.inf))
         return float(eta - math.exp(_newton_chart(h, t_lam, 0.0, start, a, math.log(eta))))
 
     # ------------------------------------------------------------- conjugation

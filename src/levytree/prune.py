@@ -189,7 +189,11 @@ def generate_marks(tree, fam, window, rng):
     t, t_max = float(window[0]), float(window[1])
     alpha = fam.alpha(t, t_max)
     if alpha > 0.0:
-        counts = rng.poisson(alpha * tree.length[1:])
+        # a tree of equal edges (every grown forest) takes one scalar rate:
+        # the same counts and generator state as one rate per edge, sooner
+        length = tree.length[1:]
+        equal = len(length) and length.min() == length.max()
+        counts = rng.poisson(alpha * length[0] if equal else alpha * length, len(length))
         total = int(counts.sum())
         edge_ids = np.repeat(np.arange(1, len(tree)), counts)
         # (0, len]: a zero offset would make a zero-length stub

@@ -35,7 +35,11 @@ offspring law: it evolves the generation sizes of many replicates at once
 and builds no tree, so mass, the count at the cap and each replicate's
 last generation (heights, Z_a, sigma) come from it.  One run capped at the
 highest of several levels answers every level: a replicate crosses level
-a iff its last generation reaches the generation crossing a.
+a iff its last generation reaches the generation crossing a.  Most of a
+run's generations hold a few survivors, so once at most `TAIL_REPLICATES`
+replicates are alive the run leaves numpy for a plain Python loop, with
+the same draws in the same order: numpy's scalar binomial yields the values
+of its array call and leaves the generator where that call would.
 Experiments that mark and prune grow many replicates as one tree, with
 `gw_forest` or, for the immortal spine, `spine_forest`, whose node ->
 replicate label lets `MarkedTree.read` and `MarkedTree.first_cut` reduce
@@ -418,6 +422,11 @@ def _level_generation(gamma, a):
     return max(0, int(math.ceil(a * gamma - 1e-9)) - 1)
 
 
+# live replicates at or below which `population_run` leaves numpy: a Python
+# step per replicate then costs less than the fixed cost of an array call
+TAIL_REPLICATES = 8
+
+
 def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_survival=1.0):
     """Evolve the generation counts of many replicates of one scheme.
 
@@ -430,9 +439,9 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     (zero without a cap), and `last_gen` is the last generation each
     replicate reaches.  Critical runs need a cap.
 
-    Each generation draws the offspring of all live replicates in one
-    `GwScheme.offspring_totals` call, and the counts are those of the tree
-    samplers:
+    While more than TAIL_REPLICATES replicates are alive, each generation
+    draws the offspring of all of them in one `GwScheme.offspring_totals`
+    call, and the counts are those of the tree samplers:
 
     * a law on {0, 2} (quadratic at the minimal rate) draws
       2 * Binomial(z, c*n/gamma) per replicate;
@@ -442,6 +451,10 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
       on the same generator;
     * both stop at the cap's generation, which is `_grow`'s
       `max_children_gen`.
+
+    Then `_population_tail` finishes the run in plain Python with the same
+    draws in the same order, so the counts are those of the numpy loop run
+    to the end.
     """
     if not 0.0 < edge_survival <= 1.0:
         raise DomainError(f"edge survival must be in (0, 1], got {edge_survival}")
@@ -468,11 +481,11 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     idx = np.flatnonzero(z > 0)
     z = z[idx]
     g = 0
-    while len(idx) > 0:
+    while len(idx) > TAIL_REPLICATES:
         last_gen[idx] = g
         if g >= stop:
             at_cap[idx] = z
-            break
+            return PopulationRun(n, gamma, totals, at_cap, last_gen)
         kids = scheme.offspring_totals(rng, z)
         if edge_survival < 1.0:
             kids = rng.binomial(kids, edge_survival)
@@ -481,4 +494,49 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
         idx = idx[keep]
         z = kids[keep]
         g += 1
+    if len(idx):
+        born, last, cap = _population_tail(scheme, rng, z.tolist(), g, stop, edge_survival)
+        totals[idx] += born
+        last_gen[idx] = last
+        at_cap[idx] = cap
     return PopulationRun(n, gamma, totals, at_cap, last_gen)
+
+
+def _population_tail(scheme, rng, counts, g, stop, edge_survival):
+    """The generations of `population_run` from g on, for the few replicates
+    alive at g with counts > 0 individuals, one Python step each.
+
+    A law on {0, 2} draws one scalar binomial per replicate in replicate
+    order, which yields the values of one array call and leaves rng where
+    it would; other laws keep one `offspring_totals` call per generation.
+    Thinning draws one scalar binomial per replicate after them.  Returns,
+    by replicate, the individuals born from generation g + 1 on, the last
+    generation reached and the count at the cap."""
+    p2, binomial = scheme._binary_p2, rng.binomial
+    born = [0] * len(counts)
+    last = [0] * len(counts)
+    cap = [0] * len(counts)
+    live = list(range(len(counts)))  # positions of the live replicates
+    while live:
+        if g >= stop:
+            for j, k in zip(live, counts):
+                last[j] = g
+                cap[j] = k
+            break
+        if p2 is not None:
+            kids = [2 * binomial(k, p2) for k in counts]
+        else:
+            kids = scheme.offspring_totals(rng, np.array(counts, dtype=np.int64)).tolist()
+        if edge_survival < 1.0:
+            kids = [binomial(k, edge_survival) for k in kids]
+        alive, counts = [], []
+        for j, k in zip(live, kids):
+            born[j] += k
+            if k:
+                alive.append(j)
+                counts.append(k)
+            else:
+                last[j] = g
+        live = alive
+        g += 1
+    return born, last, cap

@@ -120,6 +120,37 @@ def test_psi_small_lambda_cancellation():
     assert got > 0
 
 
+@pytest.mark.parametrize("prim", [PointMass(1.0, 1.0), GammaDensity(1.5, 2.0, 0.6)])
+@pytest.mark.parametrize("lam", [1e-20, 1e-12, 1e-8, 9.99e-4, 1e-3, 0.01])
+def test_jump_terms_keep_their_second_order(prim, lam):
+    # the series below |y| = 1e-3 and the direct form above it both keep the
+    # lam^2 term that expm1(-lam z) + lam z cancels to nothing at small lam
+    mech = Mechanism(0.0, 1.0, (prim,))
+    with mpmath.workdps(80):
+        want = float(mp_psi(mech, mpmath.mpf(lam)))
+        wants = [float(mp_psi(mech, mpmath.mpf(x))) for x in (lam, 2.0 * lam)]
+    assert mech.psi(lam) == pytest.approx(want, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(mech.psi(np.array([lam, 2.0 * lam])), wants, rtol=1e-12, atol=0.0)
+
+
+def test_tiny_roots_see_the_jumps():
+    # psi = b lam + (c + w z^2 / 2) lam^2 + O(lam^3) near a root of 1e-25
+    mech = Mechanism(-3.4e-25, 1.0, (PointMass(1.0, 1.0),))
+    assert mech.eta == pytest.approx(3.4e-25 / 1.5, rel=1e-12, abs=0.0)
+    # a flow of psi'(eta) = 3.4e-25 over a = 1 moves eta / 2 by no float
+    assert mech.u_of(1.0, mech.eta / 2.0) == mech.eta / 2.0
+    # psi subnormal at its root: bracketed, not raised
+    deep = Mechanism(-8.75e-163, 0.7, (PointMass(2.77, 1.21), PointMass(1.51, 1.24)))
+    assert 0.0 < deep.eta <= 8.75e-163 / 0.7
+    assert deep.u_of(1.0, deep.eta / 2.0) == deep.eta / 2.0
+    # a root of 6.7e-14, where the flow of lam = eta / 1000 moves its chart
+    # coordinate by less than a float from the first guess: the quadratic
+    # psi of the same second order, in closed form, to the O(lam z) left out
+    near = Mechanism(-1e-13, 1.0, (PointMass(1.0, 1.0),))
+    lam = near.eta / 1000.0
+    assert near.u_of(1.0, lam) == pytest.approx(Mechanism(-1e-13, 1.5).u_of(1.0, lam), rel=1e-9)
+
+
 # ------------------------------------------------------- quadrature vs oracle
 
 
@@ -249,6 +280,18 @@ def test_v_and_u_return_float():
 def test_u_fixed_points():
     assert SUB.u_of(2.0, 0.0) == 0.0
     assert SUPER.u_of(2.0, SUPER.eta) == pytest.approx(SUPER.eta, rel=1e-12)
+
+
+def test_u_fixed_point_band_is_relative_to_eta():
+    # psi(eta + x) = bt x + c x^2 with bt = psi'(eta) = 1e-20: the flow moves
+    # lam = eta / 2 by the closed form bt x e^{-bt a} / (bt + c x (1 - e^{-bt a}))
+    mech, a = Mechanism(-1e-20, 1.0), 1.0
+    eta, bt = mech.eta, mech.dpsi(mech.eta)
+    x = -eta / 2.0
+    want = eta + bt * x * math.exp(-bt * a) / (bt - mech.c * x * math.expm1(-bt * a))
+    assert want == pytest.approx(5e-21, rel=1e-9, abs=0.0)
+    assert mech.u_of(a, eta / 2.0) == pytest.approx(want, rel=1e-9, abs=0.0)
+    assert mech.u_of(a, eta * (1.0 + 1e-13)) == eta
 
 
 def test_dv_da_equals_minus_psi_spot():
@@ -411,8 +454,10 @@ def invert_tail_reference(mech, a, lam=math.inf):
     the Newton one replaced: a bracket stepped by whole tail quadratures,
     brentq over them, then up to three polishing steps."""
     eta = mech.eta
-    if abs(lam - eta) < 1e-12 * max(1.0, eta):  # u_of's fixed points
+    if abs(lam - eta) <= 1e-12 * eta:  # u_of's fixed points
         return eta
+    if lam < eta and math.log(eta - lam) - a * mech.dpsi(eta) == math.log(eta - lam):
+        return lam  # a flow shorter than the chart resolves, as u_of reads it
     if lam < eta:  # chart r = eta - e^t
         g = lambda t: math.exp(t) / (-mech.psi(eta - math.exp(t)))
         t_lam = math.log(eta - lam)

@@ -11,7 +11,7 @@ from levytree import prune
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import DomainError, Mechanism, PointMass
 from levytree.prune import MarkedTree, generate_marks, two_step_consistency
-from levytree.sampler import GwScheme, RngStream, gw_tree
+from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_forest
 from levytree.tree import FiniteTree
 
 LD = LinearDriftFamily(1.0, 1.0)
@@ -364,6 +364,38 @@ def test_marks_deterministic_per_replicate():
     b = generate_marks(t, LD, (0.0, 2.0), RngStream(16).replicate(3))
     np.testing.assert_array_equal(a.offsets, b.offsets)
     np.testing.assert_array_equal(a.times, b.times)
+
+
+class PerEdgeRates:
+    """A generator whose poisson takes one rate per draw, as an array, and
+    records whether it was handed a scalar rate."""
+
+    def __init__(self, rng):
+        self.rng, self.scalar_rates = rng, []
+
+    def poisson(self, lam, size=None):
+        self.scalar_rates.append(np.ndim(lam) == 0)
+        return self.rng.poisson(np.broadcast_to(lam, size if size is not None else np.shape(lam)))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("forest, scalar", [
+    (lambda rng: gw_forest(GwScheme.build(JUMPY.psi_at(0.0), 50), rng, 200, 0.5)[0], True),
+    (lambda rng: spine_forest(JUMPY.psi_at(0.0), 2.0, rng, 200)[0], False),
+])
+def test_equal_edges_draw_the_marks_of_one_rate_per_edge(forest, scalar):
+    # a grown forest's edges are all 1/gamma long and take one scalar rate;
+    # spine edges differ and keep one rate each
+    tree = forest(RngStream(61).replicate(0))
+    fast, slow = RngStream(62).replicate(0), PerEdgeRates(RngStream(62).replicate(0))
+    got = generate_marks(tree, JUMPY, (0.0, 1.5), fast)
+    want = generate_marks(tree, JUMPY, (0.0, 1.5), slow)
+    assert slow.scalar_rates == [scalar] and len(got) > 0
+    for name in ("edge_ids", "offsets", "times", "node_ids", "node_times"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(fast.random(7), slow.rng.random(7))
 
 
 def test_window_outside_family_domain_rejected():

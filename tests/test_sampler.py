@@ -514,6 +514,69 @@ def test_population_quadratic_matches_reference_loop(mech, levels, cap, init, ed
         assert run.gamma == mech.b + 2.0 * mech.c * n
 
 
+def _reference_run(scheme, rng, replicates, init=None, height_cap=None, edge_survival=1.0):
+    """The per-generation vectorized loop that `population_run` runs until
+    few replicates are alive, kept as the reference for every law:
+    (totals, counts at the cap, last generation reached)."""
+    n = scheme.n
+    stop = _level_generation(scheme.gamma, height_cap)
+    if init is None:
+        z = np.ones(replicates, dtype=np.int64)
+    else:
+        z = rng.poisson(np.asarray(init, dtype=float) * n, replicates).astype(np.int64)
+    if edge_survival < 1.0:
+        z = rng.binomial(z, edge_survival)
+    totals = z.copy()
+    at_cap = np.zeros(replicates, dtype=np.int64)
+    last_gen = np.full(replicates, -1, dtype=np.int64)
+    idx = np.flatnonzero(z > 0)
+    z = z[idx]
+    g = 0
+    while len(idx) > 0:
+        last_gen[idx] = g
+        if g >= stop:
+            at_cap[idx] = z
+            break
+        kids = scheme.offspring_totals(rng, z)
+        if edge_survival < 1.0:
+            kids = rng.binomial(kids, edge_survival)
+        totals[idx] += kids
+        keep = kids > 0
+        idx = idx[keep]
+        z = kids[keep]
+        g += 1
+    return totals, at_cap, last_gen
+
+
+@pytest.mark.parametrize("tail", [None, 0, 10**6])  # None: the package's TAIL_REPLICATES
+@pytest.mark.parametrize("cap", [None, 0.3, "aligned", 1e-12])
+@pytest.mark.parametrize("mech, gamma", [
+    (SUB, None),  # quadratic at the minimal rate: the law on {0, 2}
+    (SUB, 60.0),  # quadratic above it: a one-child term
+    (JUMP_SHIFT.psi_at(0.5), None),
+    (GAMMA_JUMPS, None),
+])
+def test_population_run_matches_the_vectorized_loop(monkeypatch, mech, gamma, cap, tail):
+    # the Python tail draws what the vectorized loop draws, for every law,
+    # and leaves the generator where the loop leaves it
+    if tail is not None:
+        monkeypatch.setattr(sampler, "TAIL_REPLICATES", tail)
+    sch = GwScheme.build(mech, 20, gamma=gamma)
+    if cap == "aligned":
+        cap = 9 / sch.gamma  # an exact generation boundary
+    for reps in (0, 1, 8, 9, 300):
+        for init in (None, 0.3, np.linspace(0.05, 0.6, reps)):
+            for edge_survival in (1.0, 0.6):
+                rng, ref = RngStream(97).replicate(reps), RngStream(97).replicate(reps)
+                run = population_run(sch, rng, reps, init=init, height_cap=cap,
+                                     edge_survival=edge_survival)
+                totals, at_cap, last_gen = _reference_run(sch, ref, reps, init, cap, edge_survival)
+                np.testing.assert_array_equal(run.totals, totals)
+                np.testing.assert_array_equal(run.at_cap, at_cap)
+                np.testing.assert_array_equal(run.last_gen, last_gen)
+                np.testing.assert_array_equal(rng.random(7), ref.random(7))
+
+
 def test_caps_below_the_first_generation_stop_there():
     # a cap under the 1e-9 roundoff allowance is still generation 0's level
     sch = GwScheme.build(SUB, 20)
