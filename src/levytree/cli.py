@@ -13,6 +13,7 @@ not fit in memory.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -263,8 +264,15 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    """The parser, built on first use and kept: parse_args starts each call
+    from a fresh namespace, so no parsed value carries over."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, DomainError) as err:

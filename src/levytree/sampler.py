@@ -55,7 +55,7 @@ from functools import cached_property
 import numpy as np
 
 from .mechanism import DomainError, Mechanism, NumericError
-from .tree import FiniteTree, _with_depth
+from .tree import FiniteTree, _grown
 
 
 @dataclass(frozen=True)
@@ -203,11 +203,15 @@ def _grow(scheme, rng, n_roots, height_cap):
 
     Individual i takes `offspring_of` the i-th uniform of rng, and the
     cap's generation draws none.  Uniforms come in doubling blocks, the
-    first as large as generation 0; at the end rng is put back and redraws
-    exactly the uniforms used, as one draw per generation would leave it."""
+    first as large as generation 0; at the end `_skip_uniforms` leaves rng
+    where drawing exactly the uniforms used would, as one draw per
+    generation does.  rng must draw from Philox, as `RngStream`'s do."""
     # generation g is born at depth g/gamma; only gens born strictly below
     # the cap exist
     max_children_gen = _level_generation(scheme.gamma, height_cap)
+    if not isinstance(rng.bit_generator, np.random.Philox):
+        raise DomainError("growth needs a Philox generator, as RngStream makes; "
+                          f"got {type(rng.bit_generator).__name__}")
     start = rng.bit_generator.state
     # csum[i]: offspring of individuals 0..i-1 over the uniforms drawn
     csum = np.zeros(1, dtype=np.int64)
@@ -234,8 +238,7 @@ def _grow(scheme, rng, n_roots, height_cap):
             raise NumericError(
                 f"tree growth passed the node budget of {NODE_BUDGET} individuals")
         s, e = e, e + cur
-    rng.bit_generator.state = start
-    rng.random(used)
+    _skip_uniforms(rng, start, used)
     ks = np.zeros(e, dtype=np.int64)
     ks[:used] = np.diff(csum[:used + 1])
     # children follow their parents' order, generation after generation
@@ -244,10 +247,36 @@ def _grow(scheme, rng, n_roots, height_cap):
     return par, ks, offsets
 
 
+def _skip_uniforms(rng, start, used):
+    """Put the Philox generator rng where `used` doubles drawn from its
+    state `start` leave it.  Philox makes four 64-bit words per counter
+    step into a buffer, and a double takes one word; drawing doubles never
+    touches the buffered 32-bit half (has_uint32, uinteger).  So the words
+    left in start's buffer only move buffer_pos; past them, the counter
+    skips every full block, and the last 1-4 words are drawn to fill the
+    buffer as the redraw would."""
+    bits = rng.bit_generator
+    pos = start["buffer_pos"]
+    if used <= 4 - pos:
+        start["buffer_pos"] = pos + used
+        bits.state = start
+        return
+    rest = used - (4 - pos)
+    blocks = (rest - 1) // 4
+    bits.state = start
+    bits.advance(blocks)  # also clears the buffer and the 32-bit half
+    rng.random(rest - 4 * blocks)
+    if start["has_uint32"]:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = start["has_uint32"], start["uinteger"]
+        bits.state = state
+
+
 def _tree_from_growth(scheme, par, ks, offsets):
     """The tree of a `_grow` result, node i + 1 for individual i, with its
-    depth handed down: generation g sits at the running sum of g + 1 steps
-    of 1/gamma, the same additions the depth loop makes."""
+    depth and generations handed down: generation g starts at node
+    offsets[g] + 1 and sits at the running sum of g + 1 steps of 1/gamma,
+    the same additions the depth loop makes."""
     total = len(par)
     step = 1.0 / scheme.gamma
     size = total + 1
@@ -289,7 +318,7 @@ def _tree_from_growth(scheme, par, ks, offsets):
     depth = np.empty(size)
     depth[0] = 0.0
     depth[1:] = levels.repeat(np.diff(offsets))
-    return _with_depth(FiniteTree(parent, length, delta, mu), depth)
+    return _grown(parent, length, delta, mu, depth, np.add(offsets, 1))
 
 
 def gw_tree(scheme, rng, height_cap=None):

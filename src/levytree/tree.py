@@ -15,6 +15,15 @@ generation), `cut` (kept depths, plus stub lengths over the stub's parent
 depth) and tiled copies of a tree (each copy's depths).  Each node then
 gets the loop's float addition on the loop's operands, so the bits match.
 Every other tree (spines, hand-built trees) runs the loop on first use.
+
+A grown tree also hands down its generations: `generations[g]` is the
+first node of generation g, the root's children being generation 0, and
+each generation's parents lie in the one before it, so a pass down the
+generations visits every parent before its children.  Other trees have
+`generations` None.  Growth builds its trees by rule, so `_grown` sets
+their fields without the checks of `__post_init__`; the tests compare
+every column of grown trees with trees built through the checks.  Every
+other builder validates.
 """
 
 from dataclasses import dataclass
@@ -31,6 +40,9 @@ class FiniteTree:
     length: np.ndarray
     delta: np.ndarray
     mu: np.ndarray
+
+    # generation start nodes of a grown tree (see the module docstring)
+    generations = None
 
     def __post_init__(self):
         parent = np.asarray(self.parent, dtype=np.int64)
@@ -103,6 +115,17 @@ class FiniteTree:
             np.concatenate([[-1], np.where(par > 0, par + copy * m, 0)]), column(self.length),
             column(self.delta), column(self.mu),
         ), column(self.depth)), np.concatenate([[-1], copy])
+
+
+def _grown(parent, length, delta, mu, depth, generations):
+    """A tree of the growth builder, which guarantees what `__post_init__`
+    checks: int64 and float64 columns of one length, the root first, parents
+    before children, positive edges, nonnegative sizes and atoms on leaves
+    only.  depth and generations are handed down as they are."""
+    generations.flags.writeable = False
+    tree = object.__new__(FiniteTree)
+    vars(tree).update(parent=parent, length=length, delta=delta, mu=mu, generations=generations)
+    return _with_depth(tree, depth)
 
 
 def _with_depth(tree, depth):

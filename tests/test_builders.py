@@ -3,7 +3,9 @@
 Galton-Watson growth (`_tree_from_growth`), `FiniteTree.cut` (so also
 `MarkedTree.pruned`) and `FiniteTree.tiled` give a tree its depth and its
 leaf atoms directly instead of running the loops kept here as the
-reference.  Equality is `np.array_equal`, never closeness: depths sit on
+reference.  Growth also hands down its generations and skips the checks of
+`FiniteTree.__post_init__`, so its columns are compared with a tree built
+through them.  Equality is `np.array_equal`, never closeness: depths sit on
 the 1/gamma level lattice, where one ulp moves `height > a` and
 level-crossing readings, and so the CSV bytes.
 """
@@ -179,9 +181,17 @@ def test_growth_arrays_match_the_generation_loop(name, n_roots, cap):
         par, ks, offsets = _grow(scheme, RngStream(21, (n_roots,)).replicate(k), n_roots, cap)
         tree = _tree_from_growth(scheme, par, ks, offsets)
         ref = loop_tree_from_growth(scheme, par, ks, offsets)
+        # growth skips FiniteTree's checks; ref went through them
         for col in ("parent", "length", "delta", "mu"):
             got, want = getattr(tree, col), getattr(ref, col)
             assert got.dtype == want.dtype and np.array_equal(got, want), col
+        # generation g's parents lie in generation g - 1, the root's children in 0
+        gens = tree.generations
+        assert np.array_equal(gens, np.add(offsets, 1)) and gens[-1] == len(tree)
+        assert not gens.flags.writeable and ref.generations is None
+        for g, (lo, hi) in enumerate(zip(gens[:-1], gens[1:])):
+            above = tree.parent[lo:hi]
+            assert np.all(above == 0) if g == 0 else np.all((above >= gens[g - 1]) & (above < lo))
         one_child += int(np.count_nonzero(ks == 1))
         many_child += int(np.count_nonzero(ks >= 3))
     assert (one_child > 0) == (name == "one-child")

@@ -93,6 +93,18 @@ def test_flags_override_config_params(tmp_path):
     assert run(argv + ["--seed", "4", "--replicates", "500", "--resolution", "100"]) == 0
 
 
+def test_a_seed_flag_does_not_carry_over_to_the_next_call(tmp_path):
+    # main keeps one parser; a call without --seed reads the config's seed
+    cfg = write_config(tmp_path, seed=7, replicates=300, resolution=100, q_grid=[0.5])
+    flagged, plain, seven = (tmp_path / name for name in ("s4.csv", "plain.csv", "s7.csv"))
+    verify = ["verify", "height_law", "--config", cfg, "--out"]
+    assert run(verify + [str(flagged), "--seed", "4"]) in (0, 1)
+    assert run(verify + [str(plain)]) in (0, 1)
+    assert cli._parser() is cli._parser()
+    assert run(verify + [str(seven), "--seed", "7"]) in (0, 1)
+    assert plain.read_bytes() == seven.read_bytes() != flagged.read_bytes()
+
+
 def test_statistical_failure_exits_one(tmp_path):
     cfg = write_config(
         tmp_path,

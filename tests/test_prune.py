@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from levytree import prune
 from levytree.family import LinearDriftFamily, ShiftFamily
-from levytree.mechanism import DomainError, Mechanism, PointMass
+from levytree.mechanism import DomainError, GammaDensity, Mechanism, PointMass
 from levytree.prune import MarkedTree, generate_marks, two_step_consistency
 from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_forest
 from levytree.tree import FiniteTree
@@ -264,6 +264,94 @@ def test_kill_times_on_a_hand_marked_tree():
     )
     mt = marked(t, (0.0, 1.0), edges=[(3, 0.25, 0.3), (1, 0.5, 0.9)], nodes=[(1, 0.6)])
     np.testing.assert_array_equal(mt.kill_times, [math.inf, 0.9, 0.6, 0.3, 0.6])
+
+
+def kill_times_reference(mt):
+    """Kill times by pointer jumping over every node: each round takes the
+    minimum with the node 2^k generations up."""
+    par = mt.base.parent
+    kill = np.full(len(par), np.inf)
+    node = np.full(len(par), np.inf)
+    np.minimum.at(kill, mt.edge_ids, mt.times)
+    np.minimum.at(node, mt.node_ids, mt.node_times)
+    kill[1:] = np.minimum(kill[1:], node[par[1:]])
+    kill[0] = np.inf
+    anc = np.maximum(par, 0)
+    while anc.any():
+        kill = np.minimum(kill, kill[anc])
+        anc = anc[anc]
+    return kill
+
+
+# name -> (scheme whose trees are grown, family that marks them)
+KILL_SCHEMES = {
+    "quadratic": (lambda: GwScheme.build(LD.psi_at(0.0), 40), LD),
+    "shift": (lambda: GwScheme.build(SHIFT.psi_at(0.0), 40), SHIFT),
+    "gamma": (lambda: GwScheme.build(Mechanism(0.0, 0.5, (GammaDensity(1.5, 2.0, 0.6),)), 40),
+              JUMPY),
+}
+
+
+def kill_times_twins(tree, fam, seed):
+    """The kill times of tree marked over (0, 1.5), and the reference's."""
+    mt = generate_marks(tree, fam, (0.0, 1.5), RngStream(seed).replicate(1))
+    return mt.kill_times, kill_times_reference(mt)
+
+
+@pytest.mark.parametrize("width", [0, prune.SWEEP_WIDTH, math.inf], ids=["sweep", "default", "jump"])
+@pytest.mark.parametrize("name", sorted(KILL_SCHEMES))
+@pytest.mark.parametrize("cap", [0.5, "aligned"])
+def test_kill_times_of_grown_forests_match_pointer_jumping(monkeypatch, width, name, cap):
+    monkeypatch.setattr(prune, "SWEEP_WIDTH", width)
+    make, fam = KILL_SCHEMES[name]
+    scheme = make()
+    if cap == "aligned":
+        cap = math.floor(0.4 * scheme.gamma) / scheme.gamma  # a generation boundary
+    swept = 0
+    for k in range(6):
+        tree = gw_forest(scheme, RngStream(70 + k).replicate(0), 30 * (k + 1), cap)[0]
+        got, want = kill_times_twins(tree, fam, 70 + k)
+        assert np.array_equal(got, want) and not got.flags.writeable
+        swept += prune._sweeps_generations(tree)
+    if width == 0:
+        assert swept == 6
+    elif width == math.inf:
+        assert swept == 0
+    else:  # the default sweeps the wider forests only
+        assert 0 < swept < 6
+
+
+@pytest.mark.parametrize("width", [0, prune.SWEEP_WIDTH, math.inf], ids=["sweep", "default", "jump"])
+def test_kill_times_of_deep_excursions_match_pointer_jumping(monkeypatch, width):
+    # the deepest of 300 critical one-excursion trees: 7 of them run 100 to
+    # 320 generations, 4 of those fewer than 64 nodes wide on average
+    monkeypatch.setattr(prune, "SWEEP_WIDTH", width)
+    scheme = GwScheme.build(LD.psi_at(0.0), 20)
+    deep = narrow = 0
+    for k in range(300):
+        tree = gw_tree(scheme, RngStream(80).replicate(k), height_cap=8.0)
+        generations = len(tree.generations) - 1
+        if generations < 100:
+            continue
+        deep += 1
+        narrow += len(tree) - 1 < 64 * generations
+        got, want = kill_times_twins(tree, LD, k)
+        assert np.array_equal(got, want)
+    assert deep == 7 and narrow == 4
+
+
+def test_kill_times_of_spine_tiled_and_cut_trees_match_pointer_jumping():
+    # trees with no generations keep pointer jumping
+    for k in range(4):
+        rng = RngStream(90).replicate(k)
+        spine = spine_forest(JUMPY.psi_at(0.0), 1.0, rng, 30)[0]
+        grown = gw_forest(GwScheme.build(JUMPY.psi_at(0.0), 30), rng, 40, 0.5)[0]
+        cut = pruned(generate_marks(grown, JUMPY, (0.0, 0.5), rng), 0.5)
+        for tree in (spine, grown.tiled(3)[0], cut, spine.tiled(2)[0]):
+            assert tree.generations is None
+            got, want = kill_times_twins(tree, JUMPY, k)
+            assert np.array_equal(got, want)
+            assert (got < np.inf).any()
 
 
 @pytest.mark.parametrize("edges, nodes, first", [

@@ -680,6 +680,28 @@ def grow_reference(scheme, rng, n_roots, height_cap):
     return par, ks, offsets
 
 
+def _buffered_uint32(rng):
+    rng.integers(0, 2**32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+
+
+# draws made before growth starts: a fresh generator (an empty Philox
+# buffer), 1-3 of the buffer's four words spent, and half a word held back
+ENTRY_DRAWS = (lambda rng: None, lambda rng: rng.random(1), lambda rng: rng.random(2),
+               lambda rng: rng.random(3), _buffered_uint32)
+
+
+def assert_same_state(rng, ref_rng):
+    """The whole bit generator state dicts are equal: counter, key, buffer,
+    buffer_pos and the buffered 32-bit half."""
+    got, want = rng.bit_generator.state, ref_rng.bit_generator.state
+    assert got.keys() == want.keys() and got["state"].keys() == want["state"].keys()
+    for part in (got, want):
+        part.update(part.pop("state"))
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
 @pytest.mark.parametrize("mech, cap", [
     (QUAD, 0.5),
     (JUMP_SHIFT.psi_at(0.0), 0.5),
@@ -693,18 +715,37 @@ def test_block_growth_matches_per_generation_growth(mech, cap):
     extinct = 0
     for seed in range(12):
         for n_roots in (0, 1, 3, 60):
-            rng, ref_rng = RngStream(seed).replicate(n_roots), RngStream(seed).replicate(n_roots)
-            par, ks, offsets = _grow(sch, rng, n_roots, cap)
-            want_par, want_ks, want_offsets = grow_reference(sch, ref_rng, n_roots, cap)
-            assert par.dtype == want_par.dtype and np.array_equal(par, want_par)
-            assert ks.dtype == want_ks.dtype and np.array_equal(ks, want_ks)
-            assert offsets == want_offsets
-            # the generator is left where per-generation draws leave it
-            np.testing.assert_array_equal(rng.random(7), ref_rng.random(7))
+            for enter in ENTRY_DRAWS:
+                rng, ref_rng = RngStream(seed).replicate(n_roots), RngStream(seed).replicate(n_roots)
+                enter(rng), enter(ref_rng)
+                par, ks, offsets = _grow(sch, rng, n_roots, cap)
+                want_par, want_ks, want_offsets = grow_reference(sch, ref_rng, n_roots, cap)
+                assert par.dtype == want_par.dtype and np.array_equal(par, want_par)
+                assert ks.dtype == want_ks.dtype and np.array_equal(ks, want_ks)
+                assert offsets == want_offsets
+                # the generator is left where per-generation draws leave it
+                assert_same_state(rng, ref_rng)
             if cap is not None and n_roots:
                 extinct += len(offsets) - 1 <= _level_generation(sch.gamma, cap)
     if cap is not None and cap > 0.01:
         assert extinct > 0  # some forests die out before the cap
+
+
+def test_skipping_uniforms_leaves_the_state_of_drawing_them():
+    for enter in ENTRY_DRAWS:
+        for used in list(range(40)) + [255, 256, 257, 1003]:
+            rng, ref_rng = RngStream(3).replicate(used), RngStream(3).replicate(used)
+            enter(rng), enter(ref_rng)
+            start = rng.bit_generator.state
+            rng.random(used + 37)  # overshoot, as growth's blocks do
+            sampler._skip_uniforms(rng, start, used)
+            ref_rng.random(used)
+            assert_same_state(rng, ref_rng)
+
+
+def test_growth_rejects_other_bit_generators():
+    with pytest.raises(DomainError, match="Philox"):
+        _grow(GwScheme.build(QUAD, 10), np.random.default_rng(0), 1, 0.5)
 
 
 @pytest.mark.parametrize("budget", [50, 200, 1000])
