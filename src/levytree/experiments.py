@@ -21,6 +21,9 @@ and the deterministic mz_cocycle keep their own row code.
 
 Each side of an arm is one draw of all its replicates from the one generator
 of its stream, so an estimate depends on (seed, path, replicate count) alone.
+A draw at resolution n takes its offspring law from `GwScheme.build(mech,
+n)`, whose cache shares one scheme among the draws, plans and calls of a
+process that ask for the same mechanism and resolution.
 A counts draw is one `population_run` or exact-sampler call; height_law's
 is one run capped at its highest level, whose per-replicate last generation
 says which of the levels each replicate crosses.  A pruning draw
@@ -272,22 +275,18 @@ def _need_cap(cfg):
     return cfg.height_cap
 
 
-def _schemes(mech):
-    """GwScheme.build(mech, n) by n, built once per resolution."""
-    return functools.cache(lambda n: GwScheme.build(mech, n))
-
-
 def _counts(mech, reading, cap=None):
     """Draws reading(run) of the counts engine grown to cap, one replicate per excursion."""
-    scheme = _schemes(mech)
-    return lambda n, rng, size: reading(population_run(scheme(n), rng, size, height_cap=cap))
+    return lambda n, rng, size: reading(
+        population_run(GwScheme.build(mech, n), rng, size, height_cap=cap))
 
 
-def _forest_draw(schemes, cap, read):
+def _forest_draw(mech, cap, read):
     """Draws stacking read(scheme, rng, forest, label, k) over forests of
-    k excursions grown below cap, k running over `_forest_chunks`."""
+    k excursions of mech's scheme grown below cap, k running over
+    `_forest_chunks`."""
     def draw(n, rng, size):
-        scheme = schemes(n)
+        scheme = GwScheme.build(mech, n)
         return np.concatenate([read(scheme, rng, *gw_forest(scheme, rng, k, cap), k)
                                for k in _forest_chunks(scheme, cap, size)])
 
@@ -382,7 +381,7 @@ def _prune_marginal(cfg, psi_at):
     if not all(q > 0.0 for q in qs):
         raise ConfigError("prune_marginal needs q > 0")
     heights = (cap / 4.0, cap / 2.0)
-    base = _schemes(fam.psi_at(0.0))
+    base = fam.psi_at(0.0)
 
     def tails(scheme, rng, forest, label, size, q=None):
         """Columns mass, 1{height > a} by a, pruned at q unless q is None."""
@@ -395,7 +394,7 @@ def _prune_marginal(cfg, psi_at):
     groups = []
     for j, q in enumerate(qs):
         draws = (_forest_draw(base, cap, functools.partial(tails, q=q)),
-                 _forest_draw(_schemes(psi_at(fam, q)), cap, tails))
+                 _forest_draw(psi_at(fam, q), cap, tails))
         points = [Point(f"q={q:g},lam={lam:g}", None,
                         lambda n, x, lam=lam: n * -np.expm1(-lam * x[:, 0]))
                   for lam in cfg.lambda_grid or (0.5, 1.0, 2.0)]
@@ -411,14 +410,14 @@ def _special_markov(cfg, intensity):
     fam = cfg.family
     cap = _need_cap(cfg)
     eps = cap / 4.0
-    schemes = _schemes(fam.psi_at(0.0))
+    mech0 = fam.psi_at(0.0)
 
     def attach_max(scheme):
         # keep two generations of slack so a clipped component can still
         # prove it passed eps
         return cap - eps - 2.0 / scheme.gamma
 
-    coarse = schemes(cfg.resolution)
+    coarse = GwScheme.build(mech0, cfg.resolution)
     if attach_max(coarse) < 1.0 / coarse.gamma:
         raise ConfigError(f"height_cap {cap:g} leaves no retained mass at resolution "
                           f"{cfg.resolution}: no node lies at depth <= {attach_max(coarse):g}")
@@ -431,7 +430,7 @@ def _special_markov(cfg, intensity):
     groups = []
     for j, q in enumerate(cfg.q_grid or (1.0,)):
         theta = intensity(fam, 0.0, q, eps)
-        draw = _forest_draw(schemes, cap, functools.partial(removed_and_mass, q=q))
+        draw = _forest_draw(mech0, cap, functools.partial(removed_and_mass, q=q))
         groups.append(Group((j,), (draw,), [
             Point(f"q={q:g},eps={eps:g}", theta, stat=_poisson_ratio_se(theta))]))
     return groups
@@ -521,13 +520,11 @@ def _exit_tail(cfg, v_of):
     points = [Point(f"qp={q:g},h={h:g}", v, lambda n, x, k=k: x[:, k],
                     stat=_null_mean_se(lambda n, v=v: n * v - v * v))
               for k, (q, v) in enumerate(zip(qs, vs))]
-    schemes = _schemes(fam.psi_at(0.0))
-
     def exits(scheme, rng, forest, label, size):
         marked = generate_marks(forest, fam, (0.0, qs[-1]), rng)
         return scheme.n * np.column_stack([marked.read(q, label, size).height > h for q in qs])
 
-    return [Group((), (_forest_draw(schemes, cap, exits),), points)]
+    return [Group((), (_forest_draw(fam.psi_at(0.0), cap, exits),), points)]
 
 
 def _spine_cuts(fam, q, h, rng, size):
@@ -577,7 +574,7 @@ def _size_bias(cfg, identity):
     if fam.shapes:
         raise ConfigError("size_bias covers quadratic families; the spine arm thins grafts "
                           "through the population engine")
-    schemes0 = _schemes(fam.psi_at(0.0))
+    mech0 = fam.psi_at(0.0)
     groups = []
     for j, q in enumerate(cfg.q_grid or (1.0,)):
         mech_q = fam.psi_at(q)
@@ -607,7 +604,7 @@ def _size_bias(cfg, identity):
                       lambda n, sig, lam=lam: np.exp(-lam * sig), side=1),
             ]
         star = lambda n, rng, size, q=q, b_q=b_q: _star_mass_draws(
-            fam, q, b_q, schemes0(n), rng, size)
+            fam, q, b_q, GwScheme.build(mech0, n), rng, size)
         groups.append(Group((j,), (_counts(mech_q, PopulationRun.sigma), star), points))
     return groups
 

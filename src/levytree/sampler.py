@@ -23,9 +23,11 @@ experiments:
   leaf atoms (each individual's mass rides down first-child edges to
   the leaf that ends the chain).
 
-A `GwScheme` is the offspring law at resolution n and nothing more.  The
-height cap, below which a tree is grown, is an argument of each grower
-(`gw_tree`, `gw_forest`, `population_run`), None for no cap, and
+A `GwScheme` is the offspring law at resolution n and nothing more, and
+`GwScheme.build` hands equal arguments one immutable scheme from a bounded
+cache, so repeated in-process calls build each law once.  The height cap,
+below which a tree is grown, is an argument of each grower (`gw_tree`,
+`gw_forest`, `population_run`), None for no cap, and
 `_level_generation` is where it is checked.  `GwScheme.offspring_of` maps
 uniforms to offspring counts by prefix compares, and `_grow` draws them in
 doubling blocks, walking the generations over prefix sums.
@@ -39,7 +41,9 @@ a iff its last generation reaches the generation crossing a.  Most of a
 run's generations hold a few survivors, so once at most `TAIL_REPLICATES`
 replicates are alive the run leaves numpy for a plain Python loop, with
 the same draws in the same order: numpy's scalar binomial yields the values
-of its array call and leaves the generator where that call would.
+of its array call and leaves the generator where that call would, and any
+other law reads its offspring from chunks of uniforms mapped once, as
+`_grow` does, then skips the generator to where the uniforms used leave it.
 Experiments that mark and prune grow many replicates as one tree, with
 `gw_forest` or, for the immortal spine, `spine_forest`, whose node ->
 replicate label lets `MarkedTree.read` and `MarkedTree.first_cut` reduce
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -91,55 +95,11 @@ class GwScheme:
 
     @classmethod
     def build(cls, mech, n, gamma=None):
-        if mech.criticality() == "supercritical":
-            raise DomainError("scheme needs a (sub)critical mechanism; "
-                              "sample supercritical windows through the conjugate")
-        if not mech.is_grey:
-            raise DomainError("scheme needs c > 0")
-        n = int(n)
-        if n < 1:
-            raise DomainError(f"resolution n must be a positive integer, got {n}")
-
-        b, c = mech.b, mech.c
-        jump_mean = sum(p.w * p.unit_first_moment for p in mech.m)
-        ks1 = np.array([1])
-        jump_at_1 = float(sum(p.gw_pmf(n, ks1)[0] for p in mech.m))
-        gamma_min = b + 2.0 * c * n + jump_mean - jump_at_1 / n
-        if gamma is None:
-            gamma = gamma_min
-        elif gamma < gamma_min * (1.0 - 1e-12):
-            raise DomainError(
-                f"gamma = {gamma} below the minimal rate {gamma_min}")
-
-        kmax = 2
-        for p in mech.m:
-            kmax = max(kmax, p.gw_quantile(n, 1.0 - 1e-14) + 2)
-        ks = np.arange(kmax + 1)
-        probs = np.zeros(kmax + 1)
-        probs[0] = mech.psi(n) / (n * gamma)
-        probs[2] += c * n / gamma
-        if mech.m:
-            jump = np.zeros(kmax + 1)
-            for p in mech.m:
-                jump += p.gw_pmf(n, ks)
-            probs[2:] += jump[2:] / (n * gamma)
-            a1 = -b * n - 2.0 * c * n * n + jump[1] - n * jump_mean
-        else:
-            a1 = -b * n - 2.0 * c * n * n
-        probs[1] = 1.0 + a1 / (n * gamma)
-
-        if np.any(probs < -1e-12):
-            raise NumericError(f"negative offspring coefficient: min {probs.min()}")
-        probs = np.maximum(probs, 0.0)
-        tail = 1.0 - probs.sum()
-        if tail > 1e-12:
-            raise NumericError(f"offspring tail {tail} above truncation budget")
-        probs = probs / probs.sum()
-        mean = float(np.arange(kmax + 1) @ probs)
-        if abs(mean - (1.0 - b / gamma)) > 1e-8:
-            raise NumericError(f"offspring mean {mean} != 1 - b/gamma")
-
-        return cls(mech, n, float(gamma), probs)
+        """The scheme of mech at resolution n and branching rate gamma, None
+        for the minimal rate.  Equal (mech, n, gamma) share one scheme while
+        it is among the SCHEME_CACHE last built; a failed build is kept by
+        no one, so it raises again on every call."""
+        return _build_scheme(mech, n, gamma)
 
     @cached_property
     def _cum(self):
@@ -185,6 +145,65 @@ class GwScheme:
         return np.add.reduceat(ks, np.cumsum(counts) - counts)
 
 
+# schemes kept per process: a build evaluates scipy's Poisson pmf and ppf
+# for each jump part, and in-process callers repeat a few (mech, n, gamma)
+SCHEME_CACHE = 64
+
+
+@lru_cache(maxsize=SCHEME_CACHE)
+def _build_scheme(mech, n, gamma):
+    if mech.criticality() == "supercritical":
+        raise DomainError("scheme needs a (sub)critical mechanism; "
+                          "sample supercritical windows through the conjugate")
+    if not mech.is_grey:
+        raise DomainError("scheme needs c > 0")
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"resolution n must be a positive integer, got {n}")
+
+    b, c = mech.b, mech.c
+    jump_mean = sum(p.w * p.unit_first_moment for p in mech.m)
+    ks1 = np.array([1])
+    jump_at_1 = float(sum(p.gw_pmf(n, ks1)[0] for p in mech.m))
+    gamma_min = b + 2.0 * c * n + jump_mean - jump_at_1 / n
+    if gamma is None:
+        gamma = gamma_min
+    elif gamma < gamma_min * (1.0 - 1e-12):
+        raise DomainError(
+            f"gamma = {gamma} below the minimal rate {gamma_min}")
+
+    kmax = 2
+    for p in mech.m:
+        kmax = max(kmax, p.gw_quantile(n, 1.0 - 1e-14) + 2)
+    ks = np.arange(kmax + 1)
+    probs = np.zeros(kmax + 1)
+    probs[0] = mech.psi(n) / (n * gamma)
+    probs[2] += c * n / gamma
+    if mech.m:
+        jump = np.zeros(kmax + 1)
+        for p in mech.m:
+            jump += p.gw_pmf(n, ks)
+        probs[2:] += jump[2:] / (n * gamma)
+        a1 = -b * n - 2.0 * c * n * n + jump[1] - n * jump_mean
+    else:
+        a1 = -b * n - 2.0 * c * n * n
+    probs[1] = 1.0 + a1 / (n * gamma)
+
+    if np.any(probs < -1e-12):
+        raise NumericError(f"negative offspring coefficient: min {probs.min()}")
+    probs = np.maximum(probs, 0.0)
+    tail = 1.0 - probs.sum()
+    if tail > 1e-12:
+        raise NumericError(f"offspring tail {tail} above truncation budget")
+    probs = probs / probs.sum()
+    mean = float(np.arange(kmax + 1) @ probs)
+    if abs(mean - (1.0 - b / gamma)) > 1e-8:
+        raise NumericError(f"offspring mean {mean} != 1 - b/gamma")
+
+    probs.setflags(write=False)  # shared by every caller of the cache
+    return GwScheme(mech, n, float(gamma), probs)
+
+
 # individuals one growth may hold: over 20x the largest tree (about 1.1
 # million individuals) that the acceptance configs grow
 NODE_BUDGET = 25_000_000
@@ -198,8 +217,10 @@ NODE_TARGET = 30_000
 def _grow(scheme, rng, n_roots, height_cap):
     """Generation-major growth of n_roots >= 0 ancestors below height_cap
     (None for no cap).  Returns (parents, offspring counts, generation
-    start offsets); parents of generation 0 are -1.  Raises NumericError
-    once the individuals grown pass NODE_BUDGET.
+    start offsets, offspring prefix sums csum); parents of generation 0 are
+    -1, and csum[i] counts the children of individuals 0..i-1 for i up to
+    the last individual that drew.  Raises NumericError once the
+    individuals grown pass NODE_BUDGET.
 
     Individual i takes `offspring_of` the i-th uniform of rng, and the
     cap's generation draws none.  Uniforms come in doubling blocks, the
@@ -209,9 +230,7 @@ def _grow(scheme, rng, n_roots, height_cap):
     # generation g is born at depth g/gamma; only gens born strictly below
     # the cap exist
     max_children_gen = _level_generation(scheme.gamma, height_cap)
-    if not isinstance(rng.bit_generator, np.random.Philox):
-        raise DomainError("growth needs a Philox generator, as RngStream makes; "
-                          f"got {type(rng.bit_generator).__name__}")
+    _need_philox(rng, "growth")
     start = rng.bit_generator.state
     # csum[i]: offspring of individuals 0..i-1 over the uniforms drawn
     csum = np.zeros(1, dtype=np.int64)
@@ -241,10 +260,20 @@ def _grow(scheme, rng, n_roots, height_cap):
     _skip_uniforms(rng, start, used)
     ks = np.zeros(e, dtype=np.int64)
     ks[:used] = np.diff(csum[:used + 1])
-    # children follow their parents' order, generation after generation
+    # children follow their parents' order, generation after generation, so
+    # child j's parent is the number of individuals i with csum[i + 1] <= j
+    kids = e - n_roots
     par = np.concatenate([np.full(n_roots, -1, dtype=np.int64),
-                          np.arange(e, dtype=np.int64).repeat(ks)])
-    return par, ks, offsets
+                          np.cumsum(np.bincount(csum[1:used], minlength=kids)[:kids])])
+    return par, ks, offsets, csum
+
+
+def _need_philox(rng, what):
+    """Raise DomainError unless rng draws from Philox, as `RngStream`'s do,
+    which `_skip_uniforms` needs."""
+    if not isinstance(rng.bit_generator, np.random.Philox):
+        raise DomainError(f"{what} needs a Philox generator, as RngStream makes; "
+                          f"got {type(rng.bit_generator).__name__}")
 
 
 def _skip_uniforms(rng, start, used):
@@ -272,7 +301,7 @@ def _skip_uniforms(rng, start, used):
         bits.state = state
 
 
-def _tree_from_growth(scheme, par, ks, offsets):
+def _tree_from_growth(scheme, par, ks, offsets, csum):
     """The tree of a `_grow` result, node i + 1 for individual i, with its
     depth and generations handed down: generation g starts at node
     offsets[g] + 1 and sits at the running sum of g + 1 steps of 1/gamma,
@@ -293,16 +322,17 @@ def _tree_from_growth(scheme, par, ks, offsets):
     # Each individual's mass rides down its first-child chain to the leaf
     # that ends it, so a leaf's atom counts the individuals on its chain.
     # Children sit in parent order from offsets[1] on, so p's first child
-    # is offsets[1] + (children of individuals before p).  The counts come
-    # from Wyllie list ranking over the links from each first child up to
-    # its parent: every round adds the count at the link's far end and
-    # doubles the link, so a chain of length L is done in log2(L) rounds.
+    # is offsets[1] + csum[p], csum[p] being the children of individuals
+    # before p.  The counts come from Wyllie list ranking over the links
+    # from each first child up to its parent: every round adds the count at
+    # the link's far end and doubles the link, so a chain of length L is
+    # done in log2(L) rounds.
     # The counts are exact integers, so the atoms match a per-generation
     # running sum bit for bit.
     count = np.ones(total, dtype=np.int64)
     up = np.full(total, -1, dtype=np.int64)
-    parents = ks.nonzero()[0]
-    firsts = offsets[1] + (np.cumsum(ks) - ks)[parents]
+    parents = (ks != 0).nonzero()[0]
+    firsts = offsets[1] + csum[parents]
     up[firsts] = parents
     live = firsts
     while len(live):
@@ -327,8 +357,7 @@ def gw_tree(scheme, rng, height_cap=None):
     N[F] is estimated by scheme.n * mean(F) over independent calls, for
     functionals vanishing on the trivial tree.
     """
-    par, ks, offsets = _grow(scheme, rng, 1, height_cap)
-    return _tree_from_growth(scheme, par, ks, offsets)
+    return _tree_from_growth(scheme, *_grow(scheme, rng, 1, height_cap))
 
 
 def gw_forest(scheme, rng, size, height_cap=None):
@@ -337,14 +366,14 @@ def gw_forest(scheme, rng, size, height_cap=None):
     has no edge and one child per excursion, so it takes no marks: pruning
     the forest prunes each excursion as it would `gw_tree`'s tree, only
     the order of the draws differs."""
-    par, ks, offsets = _grow(scheme, rng, size, height_cap)
+    par, ks, offsets, csum = _grow(scheme, rng, size, height_cap)
     # root individual of each individual by pointer doubling: the roots
     # point at themselves, and pass k reaches 2^k generations up
     anc = par.copy()
     anc[:size] = np.arange(size)
     for _ in range((len(offsets) - 2).bit_length()):
         anc = anc[anc]
-    return _tree_from_growth(scheme, par, ks, offsets), np.concatenate([[-1], anc])
+    return _tree_from_growth(scheme, par, ks, offsets, csum), np.concatenate([[-1], anc])
 
 
 def exact_sigma_quadratic(b, c, r, rng, size=None):
@@ -455,6 +484,10 @@ def _level_generation(gamma, a):
 # step per replicate then costs less than the fixed cost of an array call
 TAIL_REPLICATES = 8
 
+# fewest uniforms the tail draws at once for a law off {0, 2}: it reads them
+# generation by generation, and chunks of 1k to 16k timed alike
+UNIFORM_CHUNK = 4096
+
 
 def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_survival=1.0):
     """Evolve the generation counts of many replicates of one scheme.
@@ -483,7 +516,9 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
 
     Then `_population_tail` finishes the run in plain Python with the same
     draws in the same order, so the counts are those of the numpy loop run
-    to the end.
+    to the end.  An unthinned run of a law off {0, 2} raises DomainError
+    unless rng draws from Philox, as `RngStream`'s do: its tail skips the
+    uniforms it drew past its need.
     """
     if not 0.0 < edge_survival <= 1.0:
         raise DomainError(f"edge survival must be in (0, 1], got {edge_survival}")
@@ -491,6 +526,8 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     stop = _level_generation(gamma, height_cap)
     if stop == math.inf and scheme.mech.criticality() == "critical":
         raise DomainError("critical run needs a height cap")
+    if scheme._binary_p2 is None and edge_survival == 1.0:
+        _need_philox(rng, "a counts run of a law off {0, 2}")  # for its Python tail
 
     if init is None:
         z = np.ones(replicates, dtype=np.int64)
@@ -537,11 +574,23 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
 
     A law on {0, 2} draws one scalar binomial per replicate in replicate
     order, which yields the values of one array call and leaves rng where
-    it would; other laws keep one `offspring_totals` call per generation.
-    Thinning draws one scalar binomial per replicate after them.  Returns,
-    by replicate, the individuals born from generation g + 1 on, the last
-    generation reached and the count at the cap."""
+    it would.  Any other law reads its individuals' offspring, in replicate
+    order, from uniforms drawn in chunks of at least UNIFORM_CHUNK and
+    mapped once by `offspring_of`, as one `offspring_totals` call per
+    generation would; at the end `_skip_uniforms` leaves rng where drawing
+    exactly the uniforms used would, so rng must draw from Philox.
+    Thinning draws one scalar binomial per replicate after the offspring,
+    so a thinned law off {0, 2} keeps one `offspring_totals` call per
+    generation.  Returns, by replicate, the individuals born from
+    generation g + 1 on, the last generation reached and the count at the
+    cap."""
     p2, binomial = scheme._binary_p2, rng.binomial
+    chunked = p2 is None and edge_survival == 1.0
+    if chunked:
+        start = rng.bit_generator.state
+        # ks[pos:]: offspring of the uniforms drawn and not yet read; used:
+        # the uniforms read since start
+        ks, pos, used = [], 0, 0
     born = [0] * len(counts)
     last = [0] * len(counts)
     cap = [0] * len(counts)
@@ -554,6 +603,17 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
             break
         if p2 is not None:
             kids = [2 * binomial(k, p2) for k in counts]
+        elif chunked:
+            total = sum(counts)
+            need = total - (len(ks) - pos)
+            if need > 0:
+                ks = ks[pos:] + scheme.offspring_of(rng.random(max(need, UNIFORM_CHUNK))).tolist()
+                pos = 0
+            kids = []
+            for k in counts:
+                kids.append(sum(ks[pos:pos + k]))
+                pos += k
+            used += total
         else:
             kids = scheme.offspring_totals(rng, np.array(counts, dtype=np.int64)).tolist()
         if edge_survival < 1.0:
@@ -568,4 +628,6 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
                 last[j] = g
         live = alive
         g += 1
+    if chunked:
+        _skip_uniforms(rng, start, used)
     return born, last, cap

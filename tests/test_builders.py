@@ -178,8 +178,8 @@ def test_growth_arrays_match_the_generation_loop(name, n_roots, cap):
     scheme = make(20)
     one_child = many_child = 0
     for k in range(60):
-        par, ks, offsets = _grow(scheme, RngStream(21, (n_roots,)).replicate(k), n_roots, cap)
-        tree = _tree_from_growth(scheme, par, ks, offsets)
+        par, ks, offsets, csum = _grow(scheme, RngStream(21, (n_roots,)).replicate(k), n_roots, cap)
+        tree = _tree_from_growth(scheme, par, ks, offsets, csum)
         ref = loop_tree_from_growth(scheme, par, ks, offsets)
         # growth skips FiniteTree's checks; ref went through them
         for col in ("parent", "length", "delta", "mu"):

@@ -427,7 +427,7 @@ def test_height_law_lower_levels_match_a_grown_jump_forest():
     cols = fine_arm_draws(cfg)
     scheme = GwScheme.build(SHIFT.psi_at(0.0), 200)
     rng = RngStream(cfg.seed).child(0, 1).generator()
-    par, _, offsets = _grow(scheme, rng, 400, max(levels))
+    par, _, offsets, _ = _grow(scheme, rng, 400, max(levels))
     for k, a in enumerate(levels):
         _, at_gen, _ = _forest_counts_by_root(
             par, offsets, 400, _level_generation(scheme.gamma, a))

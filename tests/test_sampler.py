@@ -136,6 +136,26 @@ def test_scheme_rejects_bad_input():
         GwScheme.build(QUAD, 10, gamma=10.0)  # below minimal rate 20
 
 
+def test_equal_arguments_share_one_scheme():
+    sch = GwScheme.build(MIXED, 50)
+    twin = Mechanism(0.5, 1.0, (PointMass(1.3, 0.8), GammaDensity(1.5, 2.0, 0.6)))
+    assert twin is not MIXED and GwScheme.build(twin, 50) is sch
+    assert GwScheme.build(MIXED, 51) is not sch
+    assert GwScheme.build(MIXED, 50, gamma=2.0 * sch.gamma) is not sch
+    # a shared scheme's law cannot be written through
+    with pytest.raises(ValueError, match="read-only"):
+        sch.probs[0] = 0.5
+    # a failed build is not kept: it raises again
+    for _ in range(2):
+        with pytest.raises(DomainError, match="minimal rate"):
+            GwScheme.build(QUAD, 10, gamma=10.0)
+    # the cache is bounded: SCHEME_CACHE other builds push a scheme out
+    for n in range(1, sampler.SCHEME_CACHE + 1):
+        GwScheme.build(SUB, n)
+    again = GwScheme.build(MIXED, 50)
+    assert again is not sch and np.array_equal(again.probs, sch.probs)
+
+
 def test_custom_gamma_adds_one_child_probability():
     sch = GwScheme.build(QUAD, 10, gamma=25.0)
     assert sch.probs[1] == pytest.approx(0.2)  # 1 - 20/25
@@ -202,7 +222,7 @@ def test_many_child_nodes_are_the_nodes_with_delta(mech):
     many = 0
     for k in range(10):
         forest, _ = gw_forest(sch, RngStream(19).replicate(k), 30, height_cap=1.0)
-        _, ks, _ = _grow(sch, RngStream(19).replicate(k), 30, 1.0)
+        _, ks, _, _ = _grow(sch, RngStream(19).replicate(k), 30, 1.0)
         np.testing.assert_array_equal(np.flatnonzero(forest.delta > 0) - 1, np.flatnonzero(ks >= 3))
         many += int(np.count_nonzero(ks >= 3))
     assert many > 0
@@ -558,7 +578,8 @@ def _reference_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
 ])
 def test_population_run_matches_the_vectorized_loop(monkeypatch, mech, gamma, cap, tail):
     # the Python tail draws what the vectorized loop draws, for every law,
-    # and leaves the generator where the loop leaves it
+    # and leaves the generator where the loop leaves it, whatever the state
+    # it enters at: 8 replicates or fewer start in the tail
     if tail is not None:
         monkeypatch.setattr(sampler, "TAIL_REPLICATES", tail)
     sch = GwScheme.build(mech, 20, gamma=gamma)
@@ -567,14 +588,29 @@ def test_population_run_matches_the_vectorized_loop(monkeypatch, mech, gamma, ca
     for reps in (0, 1, 8, 9, 300):
         for init in (None, 0.3, np.linspace(0.05, 0.6, reps)):
             for edge_survival in (1.0, 0.6):
-                rng, ref = RngStream(97).replicate(reps), RngStream(97).replicate(reps)
-                run = population_run(sch, rng, reps, init=init, height_cap=cap,
-                                     edge_survival=edge_survival)
-                totals, at_cap, last_gen = _reference_run(sch, ref, reps, init, cap, edge_survival)
-                np.testing.assert_array_equal(run.totals, totals)
-                np.testing.assert_array_equal(run.at_cap, at_cap)
-                np.testing.assert_array_equal(run.last_gen, last_gen)
-                np.testing.assert_array_equal(rng.random(7), ref.random(7))
+                for enter in ENTRY_DRAWS if reps <= 8 else ENTRY_DRAWS[:1]:
+                    rng, ref = RngStream(97).replicate(reps), RngStream(97).replicate(reps)
+                    enter(rng), enter(ref)
+                    run = population_run(sch, rng, reps, init=init, height_cap=cap,
+                                         edge_survival=edge_survival)
+                    totals, at_cap, last_gen = _reference_run(
+                        sch, ref, reps, init, cap, edge_survival)
+                    np.testing.assert_array_equal(run.totals, totals)
+                    np.testing.assert_array_equal(run.at_cap, at_cap)
+                    np.testing.assert_array_equal(run.last_gen, last_gen)
+                    assert_same_state(rng, ref)
+
+
+def test_counts_runs_off_the_binary_law_reject_other_bit_generators():
+    # the tail of a law off {0, 2} skips the uniforms it drew past its need
+    for mech, gamma in ((JUMP_SHIFT.psi_at(0.5), None), (SUB, 60.0)):
+        sch = GwScheme.build(mech, 20, gamma=gamma)
+        with pytest.raises(DomainError, match="Philox"):
+            population_run(sch, np.random.default_rng(0), 5, height_cap=0.3)
+    # the binary law's scalar binomials and any thinned law need no skip
+    population_run(GwScheme.build(SUB, 20), np.random.default_rng(0), 5, height_cap=0.3)
+    population_run(GwScheme.build(GAMMA_JUMPS, 20), np.random.default_rng(0), 5,
+                   height_cap=0.3, edge_survival=0.6)
 
 
 def test_caps_below_the_first_generation_stop_there():
@@ -613,7 +649,7 @@ def test_population_counts_match_grown_forest(seed, mech, gamma, cap):
     if cap == "aligned":
         cap = 9 / sch.gamma  # an exact generation boundary
     run = population_run(sch, RngStream(seed).replicate(1), reps, height_cap=cap)
-    par, ks, offsets = _grow(sch, RngStream(seed).replicate(1), reps, cap)
+    par, ks, offsets, csum = _grow(sch, RngStream(seed).replicate(1), reps, cap)
     # no cap: the run goes extinct, and its count at the cap is 0
     gen = len(offsets) if cap is None else _level_generation(sch.gamma, cap)
     totals, at_cap, last = _forest_counts_by_root(par, offsets, reps, gen)
@@ -623,7 +659,7 @@ def test_population_counts_match_grown_forest(seed, mech, gamma, cap):
     np.testing.assert_array_equal(run.at_cap > 0, run.last_gen == gen)
     if cap is not None:
         # the tree readings the experiments used before the engine
-        forest = _tree_from_growth(sch, par, ks, offsets)
+        forest = _tree_from_growth(sch, par, ks, offsets, csum)
         assert cap_crossings(forest, cap) == at_cap.sum()
         assert forest.mu.sum() == pytest.approx(totals.sum() * sch.mass_unit, rel=1e-12)
 
@@ -718,11 +754,14 @@ def test_block_growth_matches_per_generation_growth(mech, cap):
             for enter in ENTRY_DRAWS:
                 rng, ref_rng = RngStream(seed).replicate(n_roots), RngStream(seed).replicate(n_roots)
                 enter(rng), enter(ref_rng)
-                par, ks, offsets = _grow(sch, rng, n_roots, cap)
+                par, ks, offsets, csum = _grow(sch, rng, n_roots, cap)
                 want_par, want_ks, want_offsets = grow_reference(sch, ref_rng, n_roots, cap)
                 assert par.dtype == want_par.dtype and np.array_equal(par, want_par)
                 assert ks.dtype == want_ks.dtype and np.array_equal(ks, want_ks)
                 assert offsets == want_offsets
+                # each parent's prefix sum counts the children born before its own
+                parents = want_ks.nonzero()[0]
+                assert np.array_equal(csum[parents], (np.cumsum(want_ks) - want_ks)[parents])
                 # the generator is left where per-generation draws leave it
                 assert_same_state(rng, ref_rng)
             if cap is not None and n_roots:
