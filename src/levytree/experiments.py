@@ -520,6 +520,7 @@ def _exit_tail(cfg, v_of):
     points = [Point(f"qp={q:g},h={h:g}", v, lambda n, x, k=k: x[:, k],
                     stat=_null_mean_se(lambda n, v=v: n * v - v * v))
               for k, (q, v) in enumerate(zip(qs, vs))]
+
     def exits(scheme, rng, forest, label, size):
         marked = generate_marks(forest, fam, (0.0, qs[-1]), rng)
         return scheme.n * np.column_stack([marked.read(q, label, size).height > h for q in qs])
