@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
-
 import numpy as np
 
 from .mechanism import DomainError
@@ -44,14 +42,64 @@ from .sampler import NODE_TARGET
 from .tree import FiniteTree
 
 
-class PruneReading(NamedTuple):
-    """Per-replicate statistics of one pruning; tall and low_mass are None
-    unless an attachment level was given."""
+@dataclass(frozen=True)
+class PruneReading:
+    """Per-replicate statistics of one pruning, from `MarkedTree.read`; each
+    column is computed when first read, so a caller pays only for the
+    columns it uses.  tall and low_mass are None unless an attachment level
+    was given."""
 
-    mass: np.ndarray
-    height: np.ndarray
-    tall: np.ndarray | None
-    low_mass: np.ndarray | None
+    base: FiniteTree
+    cuts: tuple  # `MarkedTree.cuts_at`
+    label: np.ndarray
+    size: int
+    eps: float
+    attach_max: float | None
+
+    @cached_property
+    def _kept(self):
+        return np.flatnonzero(self.cuts[0])[1:]
+
+    @cached_property
+    def _stub_tops(self):
+        _, stubs, stub_lengths, _ = self.cuts
+        return self.base.depth[self.base.parent[stubs]] + stub_lengths
+
+    @cached_property
+    def mass(self):
+        kept = self._kept
+        return np.bincount(self.label[kept], weights=self.base.mu[kept], minlength=self.size)
+
+    @cached_property
+    def height(self):
+        kept, stubs = self._kept, self.cuts[1]
+        height = np.zeros(self.size)
+        np.maximum.at(height, self.label[kept], self.base.depth[kept])
+        np.maximum.at(height, self.label[stubs], self._stub_tops)
+        return height
+
+    @cached_property
+    def low_mass(self):
+        if self.attach_max is None:
+            return None
+        kept, base = self._kept, self.base
+        low = kept[base.depth[kept] <= self.attach_max]
+        return np.bincount(self.label[low], weights=base.mu[low], minlength=self.size)
+
+    @cached_property
+    def tall(self):
+        if self.attach_max is None:
+            return None
+        keep, stubs, _, closed = self.cuts
+        depth, par = self.base.depth, self.base.parent
+        tops = np.concatenate([stubs, closed])
+        levels = np.concatenate([self._stub_tops, depth[closed]])
+        attached = levels <= self.attach_max
+        if not attached.any():
+            return np.zeros(self.size, dtype=np.int64)
+        tops, levels = tops[attached], levels[attached]
+        tops = tops[_component_tips(par, depth, keep, closed)[tops] - levels > self.eps]
+        return np.bincount(self.label[tops], minlength=self.size)
 
 
 @dataclass(frozen=True)
@@ -136,37 +184,15 @@ class MarkedTree:
         return cut
 
     def read(self, q, label=None, size=1, eps=0.0, attach_max=None):
-        """Pruning at q by replicate: mass and height (over kept depths
-        and stub tops) and, given attach_max, the removed components taller
-        than eps attached at level <= attach_max (a closed node sheds its
-        children as one, tip - depth tall) and the kept mass at depth <=
-        attach_max.  label[i] is node i's replicate, the root's is never
-        read; without labels the tree is replicate 0."""
-        base = self.base
-        depth, par, mu = base.depth, base.parent, base.mu
+        """Pruning at q by replicate, as a `PruneReading`: mass and height
+        (over kept depths and stub tops) and, given attach_max, the removed
+        components taller than eps attached at level <= attach_max (a closed
+        node sheds its children as one, tip - depth tall) and the kept mass
+        at depth <= attach_max.  label[i] is node i's replicate, the root's
+        is never read; without labels the tree is replicate 0."""
         if label is None:
-            label = np.zeros(len(par), dtype=np.int64)
-        keep, stubs, stub_lengths, closed = self.cuts_at(q)
-        kept = np.flatnonzero(keep)[1:]
-        levels = depth[par[stubs]] + stub_lengths
-        height = np.zeros(size)
-        np.maximum.at(height, label[kept], depth[kept])
-        np.maximum.at(height, label[stubs], levels)
-        mass = np.bincount(label[kept], weights=mu[kept], minlength=size)
-        if attach_max is None:
-            return PruneReading(mass, height, None, None)
-
-        low = kept[depth[kept] <= attach_max]
-        low_mass = np.bincount(label[low], weights=mu[low], minlength=size)
-        tops = np.concatenate([stubs, closed])
-        levels = np.concatenate([levels, depth[closed]])
-        attached = levels <= attach_max
-        tall = np.zeros(size, dtype=np.int64)
-        if attached.any():
-            tops, levels = tops[attached], levels[attached]
-            tops = tops[_component_tips(par, depth, keep, closed)[tops] - levels > eps]
-            tall = np.bincount(label[tops], minlength=size)
-        return PruneReading(mass, height, tall, low_mass)
+            label = np.zeros(len(self.base), dtype=np.int64)
+        return PruneReading(self.base, self.cuts_at(q), label, size, eps, attach_max)
 
     @classmethod
     def unmarked(cls, tree):

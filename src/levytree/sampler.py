@@ -304,31 +304,42 @@ def _skip_uniforms(rng, start, used):
 def _tree_from_growth(scheme, par, ks, offsets, csum):
     """The tree of a `_grow` result, node i + 1 for individual i, with its
     depth and generations handed down: generation g starts at node
-    offsets[g] + 1 and sits at the running sum of g + 1 steps of 1/gamma,
-    the same additions the depth loop makes."""
-    total = len(par)
-    step = 1.0 / scheme.gamma
-    size = total + 1
+    offsets[g] + 1 and sits at `_generation_levels`[g], the same additions
+    the depth loop makes.  Its leaf atoms are ranked on the first read of
+    mu, by `_leaf_atoms`."""
+    size = len(par) + 1
 
     parent = np.empty(size, dtype=np.int64)
     parent[0] = -1
     np.add(par, 1, out=parent[1:])
-    length = np.full(size, step)
+    length = np.full(size, 1.0 / scheme.gamma)
     length[0] = 0.0
     many = (ks >= 3).nonzero()[0]
     delta = np.zeros(size)
     delta[many + 1] = ks[many] / scheme.n
 
-    # Each individual's mass rides down its first-child chain to the leaf
-    # that ends it, so a leaf's atom counts the individuals on its chain.
-    # Children sit in parent order from offsets[1] on, so p's first child
-    # is offsets[1] + csum[p], csum[p] being the children of individuals
-    # before p.  The counts come from Wyllie list ranking over the links
-    # from each first child up to its parent: every round adds the count at
-    # the link's far end and doubles the link, so a chain of length L is
-    # done in log2(L) rounds.
-    # The counts are exact integers, so the atoms match a per-generation
-    # running sum bit for bit.
+    levels = _generation_levels(scheme.gamma, len(offsets) - 1)
+    depth = np.empty(size)
+    depth[0] = 0.0
+    depth[1:] = levels.repeat(np.diff(offsets))
+    return _grown(parent, length, delta, depth, np.add(offsets, 1),
+                  lambda: _leaf_atoms(scheme, ks, offsets, csum))
+
+
+def _leaf_atoms(scheme, ks, offsets, csum):
+    """The mu column of the tree of a `_grow` result, root slot included.
+
+    Each individual's mass rides down its first-child chain to the leaf
+    that ends it, so a leaf's atom counts the individuals on its chain.
+    Children sit in parent order from offsets[1] on, so p's first child
+    is offsets[1] + csum[p], csum[p] being the children of individuals
+    before p.  The counts come from Wyllie list ranking over the links
+    from each first child up to its parent: every round adds the count at
+    the link's far end and doubles the link, so a chain of length L is
+    done in log2(L) rounds.
+    The counts are exact integers, so the atoms match a per-generation
+    running sum bit for bit."""
+    total = len(ks)
     count = np.ones(total, dtype=np.int64)
     up = np.full(total, -1, dtype=np.int64)
     parents = (ks != 0).nonzero()[0]
@@ -341,14 +352,16 @@ def _tree_from_growth(scheme, par, ks, offsets, csum):
         up[live] = up[far]
         live = live[up[live] >= 0]
     leaves = (ks == 0).nonzero()[0]
-    mu = np.zeros(size)
+    mu = np.zeros(total + 1)
     mu[leaves + 1] = count[leaves] * scheme.mass_unit
+    return mu
 
-    levels = np.add.accumulate(np.full(len(offsets) - 1, step))
-    depth = np.empty(size)
-    depth[0] = 0.0
-    depth[1:] = levels.repeat(np.diff(offsets))
-    return _grown(parent, length, delta, mu, depth, np.add(offsets, 1))
+
+def _generation_levels(gamma, count):
+    """Depths of generations 0..count-1: the running sum of count steps of
+    1/gamma, the additions the depth loop makes down a grown tree.  A
+    generation's level is the height of a tree whose last generation it is."""
+    return np.add.accumulate(np.full(count, 1.0 / gamma))
 
 
 def gw_tree(scheme, rng, height_cap=None):

@@ -23,7 +23,9 @@ generations visits every parent before its children.  Other trees have
 `generations` None.  Growth builds its trees by rule, so `_grown` sets
 their fields without the checks of `__post_init__`; the tests compare
 every column of grown trees with trees built through the checks.  Every
-other builder validates.
+other builder validates.  A grown tree ranks its leaf atoms when `mu` is
+first read, so a reading that uses only the shape (heights, cut levels)
+never pays for them.
 """
 
 from dataclasses import dataclass
@@ -117,14 +119,24 @@ class FiniteTree:
         ), column(self.depth)), np.concatenate([[-1], copy])
 
 
-def _grown(parent, length, delta, mu, depth, generations):
+class _GrownTree(FiniteTree):
+    """A tree of `_grown`, whose leaf atoms are ranked on the first read of mu."""
+
+    @cached_property
+    def mu(self):
+        return self.__dict__.pop("_leaf_atoms")()
+
+
+def _grown(parent, length, delta, depth, generations, leaf_atoms):
     """A tree of the growth builder, which guarantees what `__post_init__`
     checks: int64 and float64 columns of one length, the root first, parents
     before children, positive edges, nonnegative sizes and atoms on leaves
-    only.  depth and generations are handed down as they are."""
+    only.  depth and generations are handed down as they are; mu is
+    leaf_atoms(), called on its first read."""
     generations.flags.writeable = False
-    tree = object.__new__(FiniteTree)
-    vars(tree).update(parent=parent, length=length, delta=delta, mu=mu, generations=generations)
+    tree = object.__new__(_GrownTree)
+    vars(tree).update(parent=parent, length=length, delta=delta, generations=generations,
+                      _leaf_atoms=leaf_atoms)
     return _with_depth(tree, depth)
 
 

@@ -5,7 +5,7 @@ Galton-Watson growth (`_tree_from_growth`), `FiniteTree.cut` (so also
 leaf atoms directly instead of running the loops kept here as the
 reference.  Growth also hands down its generations and skips the checks of
 `FiniteTree.__post_init__`, so its columns are compared with a tree built
-through them.  Equality is `np.array_equal`, never closeness: depths sit on
+through them; its leaf atoms wait for the first read of mu.  Equality is `np.array_equal`, never closeness: depths sit on
 the 1/gamma level lattice, where one ulp moves `height > a` and
 level-crossing readings, and so the CSV bytes.
 """
@@ -196,3 +196,26 @@ def test_growth_arrays_match_the_generation_loop(name, n_roots, cap):
         many_child += int(np.count_nonzero(ks >= 3))
     assert (one_child > 0) == (name == "one-child")
     assert (many_child > 0) == (name == "jump")
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_grown_trees_rank_leaf_atoms_on_the_first_read_of_mu(name):
+    # twin forests and marks; the eager twin ranks its atoms before reading
+    fam, make = SCHEMES[name]
+    scheme = make(20)
+    size = 30
+    for k in range(6):
+        lazy, label = gw_forest(scheme, RngStream(31).replicate(k), size, height_cap=1.0)
+        eager, _ = gw_forest(scheme, RngStream(31).replicate(k), size, height_cap=1.0)
+        assert "mu" not in vars(lazy) and eager.mu is eager.mu
+        marks = [generate_marks(tree, fam, (0.0, 1.0), RngStream(32).replicate(k))
+                 for tree in (lazy, eager)]
+        for q in (0.0, 0.5, 1.0):
+            got, want = (m.read(q, label, size, 0.1, 0.5) for m in marks)
+            assert np.array_equal(got.height, want.height)
+            assert np.array_equal(got.tall, want.tall)
+            # heights and removed components read the shape only
+            assert "mu" not in vars(lazy)
+        assert np.array_equal(got.mass, want.mass) and "mu" in vars(lazy)
+        assert np.array_equal(got.low_mass, want.low_mass)
+        assert np.array_equal(lazy.mu, eager.mu)
