@@ -55,7 +55,7 @@ from scipy import stats as sp_stats
 from . import laws
 from .family import AdmissibleFamily, family_from_dict
 from .mechanism import DomainError, Mechanism, NumericError
-from .prune import MarkedTree, generate_marks, two_step_consistency
+from .prune import generate_marks, two_step_consistency
 from .sampler import (NODE_TARGET, GwScheme, PopulationRun, RngStream, _level_generation,
                       exact_sigma_quadratic, gw_forest, gw_tree, population_run, spine_forest)
 
@@ -371,9 +371,9 @@ def _sigma_laplace(cfg, sigma_laplace):
 
 
 @_experiment("prune_marginal", AdmissibleFamily.psi_at, "paired",
-             "pruned psi_0 trees against trees sampled directly from psi_q (their mean in the "
-             "oracle column), capped alike; sigma-Laplace at lambda_grid and height tails "
-             "at cap/4, cap/2")
+             "pruned psi_0 forests against counts runs of psi_q (their mean in the oracle "
+             "column), capped alike; sigma-Laplace at lambda_grid and height tails at cap/4, "
+             "cap/2")
 def _prune_marginal(cfg, psi_at):
     fam = cfg.family
     cap = _need_cap(cfg)
@@ -383,18 +383,21 @@ def _prune_marginal(cfg, psi_at):
     heights = (cap / 4.0, cap / 2.0)
     base = fam.psi_at(0.0)
 
-    def tails(scheme, rng, forest, label, size, q=None):
-        """Columns mass, 1{height > a} by a, pruned at q unless q is None."""
-        if q is None:
-            got = MarkedTree.unmarked(forest).read(0.0, label, size)
-        else:
-            got = generate_marks(forest, fam, (0.0, q), rng).read(q, label, size)
+    def pruned(scheme, rng, forest, label, size, q):
+        """Columns mass, 1{height > a} by a, of the forest pruned at q."""
+        got = generate_marks(forest, fam, (0.0, q), rng).read(q, label, size)
         return np.column_stack([got.mass] + [got.height > a for a in heights])
+
+    def direct(run):
+        """The same columns of unpruned psi_q excursions: mass and height
+        on the generation lattice that grown trees take as depths."""
+        height = run.height()
+        return np.column_stack([run.sigma()] + [height > a for a in heights])
 
     groups = []
     for j, q in enumerate(qs):
-        draws = (_forest_draw(base, cap, functools.partial(tails, q=q)),
-                 _forest_draw(psi_at(fam, q), cap, tails))
+        draws = (_forest_draw(base, cap, functools.partial(pruned, q=q)),
+                 _counts(psi_at(fam, q), direct, cap))
         points = [Point(f"q={q:g},lam={lam:g}", None,
                         lambda n, x, lam=lam: n * -np.expm1(-lam * x[:, 0]))
                   for lam in cfg.lambda_grid or (0.5, 1.0, 2.0)]

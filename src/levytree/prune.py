@@ -23,6 +23,15 @@ one pruning per replicate of a forest (see `sampler.gw_forest`) over such
 a label without building it, and `_component_tips` sizes removed
 components over removed nodes.
 
+`generate_marks` draws the skeleton marks as one Poisson process along
+the edges laid end to end: a Poisson(alpha * total length) count, then
+each mark's edge in proportion to its length (by a search over the
+cumulative lengths), its offset uniform in (0, length] and its time from
+the family.  By Poisson splitting this is the law of independent
+Poisson(alpha * length) counts per edge, and past one cumulative sum its
+cost follows the marks, which are few beside the edges.  A count past `NODE_BUDGET` raises NumericError before any
+position is drawn.
+
 Binary nodes never receive node marks: their mass is 2/n under the
 discretization and the mark probability vanishes in the limit, so only
 the many-child nodes, those with delta > 0, participate.
@@ -37,8 +46,8 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .mechanism import DomainError
-from .sampler import NODE_TARGET
+from .mechanism import DomainError, NumericError
+from .sampler import NODE_BUDGET, NODE_TARGET
 from .tree import FiniteTree
 
 
@@ -194,12 +203,6 @@ class MarkedTree:
             label = np.zeros(len(self.base), dtype=np.int64)
         return PruneReading(self.base, self.cuts_at(q), label, size, eps, attach_max)
 
-    @classmethod
-    def unmarked(cls, tree):
-        """tree with no marks over the window [0, 0]: pruning keeps it whole."""
-        none = np.zeros(0, dtype=np.int64)
-        return cls(tree, (0.0, 0.0), none, np.zeros(0), np.zeros(0), none, np.zeros(0))
-
 
 # mean generation width (nodes per generation) from which `kill_times`
 # sweeps the generations of a grown tree.  A sweep step costs 1-3 us
@@ -238,13 +241,16 @@ def generate_marks(tree, fam, window, rng):
     t, t_max = float(window[0]), float(window[1])
     alpha = fam.alpha(t, t_max)
     if alpha > 0.0:
-        # a tree of equal edges (every grown forest) takes one scalar rate:
-        # the same counts and generator state as one rate per edge, sooner
-        length = tree.length[1:]
-        equal = len(length) and length.min() == length.max()
-        counts = rng.poisson(alpha * length[0] if equal else alpha * length, len(length))
-        total = int(counts.sum())
-        edge_ids = np.repeat(np.arange(1, len(tree)), counts)
+        # one Poisson process along the edges laid end to end (Poisson
+        # splitting): the total, then each mark's edge in proportion to its
+        # length; node i's edge spans [ends[i - 1], ends[i])
+        ends = np.cumsum(tree.length)
+        mean = alpha * ends[-1]
+        total = int(rng.poisson(mean)) if mean < NODE_BUDGET else None
+        if total is None or total > NODE_BUDGET:
+            raise NumericError(f"skeleton marks passed the node budget of {NODE_BUDGET}")
+        along = rng.random(total) * ends[-1]
+        edge_ids = np.minimum(ends.searchsorted(along, "right"), len(ends) - 1)
         # (0, len]: a zero offset would make a zero-length stub
         offsets = (1.0 - rng.random(total)) * tree.length[edge_ids]
         times = fam.mark_times(t, t_max, rng, total)

@@ -480,6 +480,12 @@ class PopulationRun:
         """Level mass Z at the cap, by replicate."""
         return self.at_cap / self.n
 
+    def height(self):
+        """Height by replicate: the level of its last generation, the
+        depth `_tree_from_growth` gives that generation (0 where empty)."""
+        levels = _generation_levels(self.gamma, int(self.last_gen.max(initial=-1)) + 1)
+        return np.concatenate([[0.0], levels])[self.last_gen + 1]
+
 
 def _level_generation(gamma, a):
     """The generation crossing level a, inf for a = None (no cap):

@@ -468,6 +468,41 @@ def test_prune_marginal_rows():
     assert all(r.passed for r in rows)
 
 
+def unmarked_reading(forest, label, size):
+    """The forest read with no mark: the columns of the reference arm when
+    it grew trees."""
+    none = np.zeros(0, dtype=np.int64)
+    marked = MarkedTree(forest, (0.0, 0.0), none, np.zeros(0), np.zeros(0), none, np.zeros(0))
+    return marked.read(0.0, label, size)
+
+
+@pytest.mark.parametrize("cap", [0.5, 100.0 / 403.0])
+def test_prune_marginal_reference_arm_reads_the_grown_forest_columns(cap):
+    # on the shift family (a jump law) a counts run draws, replicate by
+    # replicate, the offspring of the forest of all replicates grown on the
+    # same generator; gamma is 403 at the finer resolution, so the cap
+    # 100/403 puts both levels cap/4 and cap/2 on the 1/gamma lattice
+    size = 400
+    cfg = cfg_for("prune_marginal", family=SHIFT, replicates=size, height_cap=cap,
+                  q_grid=(1.0,), lambda_grid=(1.0,))
+    cols = fine_arm_draws(cfg, side=1)
+    scheme = GwScheme.build(SHIFT.psi_at(1.0), 2 * cfg.resolution)
+    assert scheme.gamma == 403.0 and scheme.mech.m
+    aligned = [(a * scheme.gamma).is_integer() for a in (cap / 4.0, cap / 2.0)]
+    assert aligned == ([True, True] if cap < 0.5 else [False, False])
+    rng = RngStream(cfg.seed).child(0, 1, 1).generator()
+    forest, label = gw_forest(scheme, rng, size, cap)
+    want = unmarked_reading(forest, label, size)
+    for k, a in enumerate((cap / 4.0, cap / 2.0), 1):
+        np.testing.assert_array_equal(cols[:, k], want.height > a)
+        assert 0 < cols[:, k].sum() < size
+    np.testing.assert_allclose(cols[:, 0], want.mass, rtol=1e-12, atol=0.0)
+    # the counts run's heights are the forest's, bit for bit
+    rng = RngStream(cfg.seed).child(0, 1, 1).generator()
+    run = population_run(scheme, rng, size, height_cap=cap)
+    np.testing.assert_array_equal(run.height(), want.height)
+
+
 def test_special_markov_small():
     rows = run_experiment(
         cfg_for(

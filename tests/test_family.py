@@ -355,11 +355,14 @@ def test_generate_marks_maps_the_scalar_node_mark_time(name):
     tree = FiniteTree(parent, np.concatenate([[0.0], rng.uniform(0.1, 1.0, 2 * k)]), delta, mu)
     t, t_max = -0.3, 0.8
     marks = generate_marks(tree, fam, (t, t_max), np.random.default_rng(19))
-    # a twin generator replays the skeleton draws, then the node uniforms
+    # a twin generator replays the skeleton draws (the total along the
+    # edges laid end to end, then edges, offsets and times), then the node
+    # uniforms
     twin = np.random.default_rng(19)
     alpha = fam.alpha(t, t_max)
     if alpha > 0.0:
-        total = int(twin.poisson(alpha * tree.length[1:]).sum())
+        total = twin.poisson(alpha * np.cumsum(tree.length)[-1])
+        twin.random(total)
         twin.random(total)
         fam.mark_times(t, t_max, twin, total)
     nodes = np.flatnonzero(delta > 0.0)

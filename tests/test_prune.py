@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from levytree import prune
 from levytree.family import LinearDriftFamily, ShiftFamily
-from levytree.mechanism import DomainError, GammaDensity, Mechanism, PointMass
+from levytree.mechanism import DomainError, GammaDensity, Mechanism, NumericError, PointMass
 from levytree.prune import MarkedTree, generate_marks, two_step_consistency
 from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_forest
 from levytree.tree import FiniteTree
@@ -454,36 +454,67 @@ def test_marks_deterministic_per_replicate():
     np.testing.assert_array_equal(a.times, b.times)
 
 
-class PerEdgeRates:
-    """A generator whose poisson takes one rate per draw, as an array, and
-    records whether it was handed a scalar rate."""
+def edge_count_moments(tree, fam, window, rng, draws):
+    """Mean and variance over draws of each edge's skeleton mark count,
+    and every offset over its edge's length."""
+    total = np.zeros(len(tree))
+    square = np.zeros(len(tree))
+    share = []
+    for _ in range(draws):
+        mt = generate_marks(tree, fam, window, rng)
+        counts = np.bincount(mt.edge_ids, minlength=len(tree))
+        total += counts
+        square += counts * counts
+        share.append(mt.offsets / tree.length[mt.edge_ids])
+    mean = total[1:] / draws
+    var = (square[1:] - draws * mean * mean) / (draws - 1)
+    return mean, var, np.concatenate(share)
 
-    def __init__(self, rng):
-        self.rng, self.scalar_rates = rng, []
 
-    def poisson(self, lam, size=None):
-        self.scalar_rates.append(np.ndim(lam) == 0)
-        return self.rng.poisson(np.broadcast_to(lam, size if size is not None else np.shape(lam)))
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
-@pytest.mark.parametrize("forest, scalar", [
-    (lambda rng: gw_forest(GwScheme.build(JUMPY.psi_at(0.0), 50), rng, 200, 0.5)[0], True),
-    (lambda rng: spine_forest(JUMPY.psi_at(0.0), 2.0, rng, 200)[0], False),
-])
-def test_equal_edges_draw_the_marks_of_one_rate_per_edge(forest, scalar):
-    # a grown forest's edges are all 1/gamma long and take one scalar rate;
-    # spine edges differ and keep one rate each
+@pytest.mark.parametrize("forest", [
+    lambda rng: gw_forest(GwScheme.build(JUMPY.psi_at(0.0), 20), rng, 6, 0.5)[0],
+    lambda rng: spine_forest(JUMPY.psi_at(0.0), 2.0, rng, 10)[0],
+], ids=["grown", "spine"])
+def test_skeleton_marks_are_poisson_on_every_edge(forest):
+    # one Poisson total along the edges laid end to end, split by length:
+    # each edge's count is Poisson(alpha * length), so its mean is that and
+    # its variance-to-mean ratio 1 (var of the sample variance ~ lam + 2 lam^2)
     tree = forest(RngStream(61).replicate(0))
-    fast, slow = RngStream(62).replicate(0), PerEdgeRates(RngStream(62).replicate(0))
-    got = generate_marks(tree, JUMPY, (0.0, 1.5), fast)
-    want = generate_marks(tree, JUMPY, (0.0, 1.5), slow)
-    assert slow.scalar_rates == [scalar] and len(got) > 0
-    for name in ("edge_ids", "offsets", "times", "node_ids", "node_times"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    np.testing.assert_array_equal(fast.random(7), slow.rng.random(7))
+    window, draws = (0.0, 1.5), 20_000
+    lam = JUMPY.alpha(*window) * tree.length[1:]
+    mean, var, share = edge_count_moments(tree, JUMPY, window, RngStream(62).replicate(0), draws)
+    assert np.all(np.abs(mean - lam) < 4.0 * np.sqrt(lam / draws))
+    assert np.all(np.abs(var / lam - 1.0) < 4.0 * np.sqrt((1.0 / lam + 2.0) / draws))
+    # offsets lie in (0, length], uniform on the edge
+    assert np.all((share > 0.0) & (share <= 1.0))
+    assert abs(share.mean() - 0.5) < 4.0 * math.sqrt(1.0 / 12.0 / len(share))
+
+
+def test_skeleton_marks_past_the_node_budget_raise(monkeypatch):
+    # a long spine of one edge: no draw at all once the expected count
+    # passes the budget, numpy's own Poisson limit (about 9.2e18) included
+    for h in (1e8, 1e20):
+        spine = spine_forest(LD.psi_at(0.0), h, RngStream(63).replicate(0), 1)[0]
+        assert len(spine) == 2 and LD.alpha(0.0, 3.0) * h > prune.NODE_BUDGET
+        rng = RngStream(63).replicate(1)
+        with pytest.raises(NumericError, match="node budget"):
+            generate_marks(spine, LD, (0.0, 3.0), rng)
+        assert rng.random() == RngStream(63).replicate(1).random()
+    # a total past the budget raises after its one Poisson draw, before any position
+    monkeypatch.setattr(prune, "NODE_BUDGET", 100)
+    edge = single_edge(33.0)
+    raised = 0
+    for k in range(60):
+        rng, twin = RngStream(64).replicate(k), RngStream(64).replicate(k)
+        total = twin.poisson(3.0 * 33.0)
+        if total > 100:
+            with pytest.raises(NumericError, match="node budget"):
+                generate_marks(edge, LD, (0.0, 3.0), rng)
+            assert rng.random() == twin.random()
+            raised += 1
+        else:
+            assert len(generate_marks(edge, LD, (0.0, 3.0), rng)) == total
+    assert 0 < raised < 60
 
 
 def test_window_outside_family_domain_rejected():
