@@ -26,12 +26,16 @@ n)`, whose cache shares one scheme among the draws, plans and calls of a
 process that ask for the same mechanism and resolution.
 A counts draw is one `population_run` or exact-sampler call; height_law's
 is one run capped at its highest level, whose per-replicate last generation
-says which of the levels each replicate crosses.  A pruning draw
-grows marked forests, read by `MarkedTree.read`, one after another from that
-generator; `_forest_chunks` sizes them from the config alone, which bounds
-the memory of one forest.  A spine cut draw marks one `spine_forest` of all
-its replicates and reads it with `MarkedTree.first_cut`; two_step_markov
-prunes tiled copies of its base tree the same way.
+says which of the levels each replicate crosses, and prune_marginal's
+unpruned psi_q arm is one run at the cap, read as mass and as the level of
+each replicate's last generation (`PopulationRun.height`), the depth a grown
+tree gives that generation.  A pruning draw grows marked forests, read by
+`MarkedTree.read`, one after another from that generator; only the columns
+a reading uses are computed.  `_forest_chunks` sizes the forests from the
+config alone, which bounds the memory of one forest.  A spine cut draw
+marks one `spine_forest` of all its replicates and reads it with
+`MarkedTree.first_cut`; two_step_markov prunes tiled copies of its base
+tree the same way.
 
 height_law, exit_tail_remark, sigma_laplace, special_markov_intensity and
 size_bias's pruned arm average values that rare events carry, whose sample

@@ -29,8 +29,8 @@ each mark's edge in proportion to its length (by a search over the
 cumulative lengths), its offset uniform in (0, length] and its time from
 the family.  By Poisson splitting this is the law of independent
 Poisson(alpha * length) counts per edge, and past one cumulative sum its
-cost follows the marks, which are few beside the edges.  A count past `NODE_BUDGET` raises NumericError before any
-position is drawn.
+cost follows the marks, which are few beside the edges.  A count past
+`NODE_BUDGET` raises NumericError before any position is drawn.
 
 Binary nodes never receive node marks: their mass is 2/n under the
 discretization and the mark probability vanishes in the limit, so only
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+
 import numpy as np
 
 from .mechanism import DomainError, NumericError

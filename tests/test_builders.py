@@ -5,9 +5,10 @@ Galton-Watson growth (`_tree_from_growth`), `FiniteTree.cut` (so also
 leaf atoms directly instead of running the loops kept here as the
 reference.  Growth also hands down its generations and skips the checks of
 `FiniteTree.__post_init__`, so its columns are compared with a tree built
-through them; its leaf atoms wait for the first read of mu.  Equality is `np.array_equal`, never closeness: depths sit on
-the 1/gamma level lattice, where one ulp moves `height > a` and
-level-crossing readings, and so the CSV bytes.
+through them; its leaf atoms wait for the first read of mu.  Equality is
+`np.array_equal`, never closeness: depths sit on the 1/gamma level
+lattice, where one ulp moves `height > a` and level-crossing readings, and
+so the CSV bytes.
 """
 
 import math

@@ -3,7 +3,14 @@
 tests/data/golden holds one config per experiment (the shift family with two
 atoms wherever the experiment takes jumps) and the CSV `levytree verify`
 wrote for it.  A change that moves a random draw, a reduction order or a
-point label shows up here as a byte difference.
+point label shows up here as a byte difference.  A change that moves draws
+on purpose regenerates the golden CSV of each experiment it moves, from the
+repository root, with
+
+    PYTHONPATH=src python3 -m levytree verify NAME \
+        --config tests/data/golden/NAME.json --out tests/data/golden/NAME.csv
+
+(`levytree verify ...` where the package is installed).
 """
 
 import io
