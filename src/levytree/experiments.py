@@ -17,7 +17,8 @@ from them, each reducing one side's draws at resolution n to a statistic
   samplers that are exact at any resolution.
 
 two_step_markov (paired at one resolution in `prune.two_step_consistency`)
-and the deterministic mz_cocycle keep their own row code.
+and the deterministic mz_cocycle and ascension_representation keep their own
+row code.
 
 Each side of an arm is one draw of all its replicates from the one generator
 of its stream, so an estimate depends on (seed, path, replicate count) alone.
@@ -474,13 +475,14 @@ def _cond_sigma(cfg, sigma_laplace_Pr):
     mech0 = fam.psi_at(0.0)
     groups = []
     for j, q in enumerate(cfg.q_grid or (1.0,)):
-        mech_q = fam.psi_at(q)
-        b_q = mech_q.dpsi(0.0)
+        if not q >= 0.0:
+            raise ConfigError("cond_sigma conditions the mass at 0 on the mass pruned at q >= 0")
+        b_q = fam.psi_at(q).dpsi(0.0)
         if b_q < 0.0:
             raise ConfigError("cond_sigma needs psi_q (sub)critical")
         points = [
             Point(f"q={q:g},lam={lam:g}", sigma_laplace_Pr(mech0, r, lam),
-                  lambda n, sig, s=float(mech_q.psi(mech0.psi_inverse(lam))): np.exp(-s * sig))
+                  lambda n, sig, q=q, lam=lam: laws.cond_sigma_laplace(fam, 0.0, q, lam, sig))
             for lam in cfg.lambda_grid or (0.5, 1.0, 2.0)
         ]
         draw = lambda n, rng, size, b_q=b_q: exact_sigma_quadratic(b_q, fam.c, r, rng, size=size)
@@ -680,6 +682,24 @@ def _run_mz_cocycle(cfg, alpha, stream):
                 fam.node_survival(t, mid, d) * fam.node_survival(mid, q, d))
                for d in (0.5, 1.0, 2.0)]
     return [_exact_row(cfg, f"{name},split={mid:g}", got, want) for name, got, want in checks]
+
+
+@_experiment("ascension_representation", laws.tree_at_ascension, None,
+             "mass Laplace transform of the pruned tree at its ascension time q < 0 against "
+             "that of the pruned tree at the conjugate time qbar(q) conditioned to be "
+             "infinite (size_bias_identity); deterministic, z undefined")
+def _run_ascension_representation(cfg, tree_at_ascension, stream):
+    fam = cfg.family
+    qs = cfg.q_grid or (-0.1,)
+    if not all(q < 0.0 for q in qs):
+        raise ConfigError(f"ascension_representation needs q < 0, got q_grid={list(qs)}")
+    qbars = [fam.qbar(q) for q in qs]
+    if None in qbars:
+        raise ConfigError(f"no conjugate time qbar({qs[qbars.index(None)]:g}): no time in the "
+                          "window has psi_qbar = psi_q(eta_q + .)")
+    return [_exact_row(cfg, f"q={q:g},lam={lam:g}", tree_at_ascension(fam, q, lam),
+                       laws.size_bias_identity(fam, qb, lam))
+            for q, qb in zip(qs, qbars) for lam in cfg.lambda_grid or (0.5, 1.0, 2.0)]
 
 
 def _bound(fn):

@@ -12,11 +12,12 @@ of a jump carried by primitive i over [t, q] is exactly w_i(q) / w_i(t):
 monotonicity and the cocycle identity hold by construction rather than by
 numerical accident.
 
-Pruning reads four things from a family: the skeleton mark rate
+Pruning reads three things from a family: the skeleton mark rate
 alpha(t, q) = integral of beta, the survival factor survival(t, q, delta)
 of a branch point of size delta (its mark probability is 1 - survival),
-the time node_mark_time(t, delta, u) at which that mark falls, and the
-conjugate time qbar(q).
+and the time node_mark_time(t, delta, u) at which that mark falls.  The
+conjugate time qbar(q), with psi_qbar = psi_q(eta_q + .), is read only by
+the ascension_representation experiment.
 
 AdmissibleFamily checks every input of these public methods, and of
 mark_times, in one place: t and q finite and inside the window with
@@ -48,7 +49,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy import integrate
 
-from .mechanism import DomainError, Mechanism, NumericError, PointMass, brentq, parsed
+from .mechanism import DomainError, Mechanism, PointMass, brentq, parsed
 
 _QBAR_GRID = np.linspace(0.1, 10.0, 100)
 _QBAR_TOL = 1e-9
@@ -138,15 +139,6 @@ class AdmissibleFamily(ABC):
         for s, r in zip(self.shapes, rates):
             if r != 0.0:
                 out += r * s.unit_laplace_defect(lam)
-        return out
-
-    def dzeta_dlam(self, q, lam):
-        self._check_time(q)
-        out = self.beta_at(q)
-        rates = self.weight_rates_at(q)
-        for s, r in zip(self.shapes, rates):
-            if r != 0.0:
-                out += r * s.unit_laplace_defect_dlam(lam)
         return out
 
     def mz(self, t, q, i):
@@ -259,24 +251,6 @@ class AdmissibleFamily(ABC):
     def _require_critical_origin(self):
         if self.psi_at(0.0).criticality() != "critical":
             raise DomainError("conjugation needs psi_0 critical")
-
-    def gamma_and_U_density(self, t):
-        """Ascension rate gamma_t and the conjugate-time density at qbar(t)."""
-        self._check_time(t, "t")
-        if t >= 0:
-            raise DomainError(f"need t < 0, got {t}")
-        mech = self.psi_at(t)
-        eta = mech.eta
-        dps = mech.dpsi(eta)
-        if dps == 0.0:
-            raise NumericError(f"psi'_t vanishes at its largest root (t={t})")
-        zet = self.zeta(t, eta)
-        gamma = -(self.dzeta_dlam(t, eta) * dps - mech.d2psi(eta) * zet) / dps
-        tb = self.qbar(t)
-        if tb is None:
-            raise DomainError(f"no conjugate time for t={t}")
-        dens = zet * self.dzeta_dlam(tb, 0.0) / (dps * gamma)
-        return gamma, dens
 
 
 # -- built-in families ---------------------------------------------------------

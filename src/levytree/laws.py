@@ -2,9 +2,13 @@
 
 Every function here is an analytic oracle: an exact formula, quadrature-backed
 where the integral has no elementary form, and nothing in this module samples.
-Laws conditioned on measure-zero events (the tree at its ascension time, exit
-times hitting the ascension time) are exposed as formulas only; the simulation
-side can reach them solely through integrated identities, and does.
+
+The catalog checks by Monte Carlo sigma_laplace, sigma_laplace_Pr and
+cond_sigma_laplace (cond_sigma), special_markov_intensity, size_bias_identity,
+spine_cut_mean, girsanov_defect and exit_time_laws' tail.  Like mz_cocycle for
+the family's kernel, ascension_representation checks an exact identity only:
+tree_at_ascension, the mass at the ascension time A = q, is size_bias_identity
+at the conjugate time qbar(q).  Nothing samples the conditional law given A.
 
 Conventions: `mech` is a Mechanism, `fam` an AdmissibleFamily, and all Laplace
 arguments are nonnegative reals.  Excursion-measure quantities are normalized
@@ -15,6 +19,8 @@ from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .mechanism import DomainError
 
@@ -55,31 +61,16 @@ def cond_sigma_laplace(fam, t, q, lam, sigma_q):
 
     Conditionally on the tree pruned down to time q having total mass
     sigma_q, the mass at the earlier time t <= q has Laplace transform
-    exp{-psi_q(psi_t^{-1}(lam)) * sigma_q}.
+    exp{-psi_q(psi_t^{-1}(lam)) * sigma_q}; sigma_q may be an array of
+    masses, one value each.
     """
     _check_lam(lam)
     if not t <= q:
         raise DomainError(f"need t <= q, got t={t}, q={q}")
-    if not sigma_q >= 0.0:
+    if not np.all(np.asarray(sigma_q) >= 0.0):
         raise DomainError(f"conditioning mass must be >= 0, got {sigma_q}")
     inner = fam.psi_at(t).psi_inverse(lam)
-    return math.exp(-fam.psi_at(q).psi(inner) * sigma_q)
-
-
-def cond_sigma_mean(fam, t, q, sigma_q):
-    """Conditional mean of sigma_t given sigma_q: b_q * sigma_q / b_t.
-
-    Only meaningful when psi_t is subcritical; at a critical psi_t the
-    division by b_t = 0 is allowed to surface.
-    """
-    if not t <= q:
-        raise DomainError(f"need t <= q, got t={t}, q={q}")
-    if not sigma_q >= 0.0:
-        raise DomainError(f"conditioning mass must be >= 0, got {sigma_q}")
-    b_t = fam.psi_at(t).dpsi(0.0)
-    if b_t < 0.0:
-        raise DomainError("conditional mean needs psi_t subcritical")
-    return fam.psi_at(q).dpsi(0.0) * sigma_q / b_t
+    return np.exp(-fam.psi_at(q).psi(inner) * sigma_q)
 
 
 # ------------------------------------------------------------ ascension time
@@ -91,20 +82,6 @@ def cond_sigma_mean(fam, t, q, sigma_q):
 def ascension_tail(fam, q):
     """N[A > q]: the largest root of psi_q."""
     return fam.eta_at(q)
-
-
-def ascension_density(fam, q):
-    """Density of A at q < 0: zeta_q(eta_q) / psi_q'(eta_q)."""
-    if not q < 0.0:
-        raise DomainError(f"the ascension density lives on q < 0, got {q}")
-    mech = fam.psi_at(q)
-    eta = mech.eta
-    return fam.zeta(q, eta) / mech.dpsi(eta)
-
-
-def boundary_mass(fam):
-    """Mass of {A = t_inf}: zero or infinite, by whether the window attains it."""
-    return math.inf if fam.left_closed else 0.0
 
 
 def tree_at_ascension(fam, q, lam):
@@ -122,18 +99,6 @@ def tree_at_ascension(fam, q, lam):
         return 1.0
     mech = fam.psi_at(q)
     return mech.dpsi(mech.eta) / mech.dpsi(mech.psi_inverse(lam))
-
-
-def boundary_ascension(fam, lam):
-    """Laplace defect of sigma_A on {A = t_inf}: psi_{t_inf}^{-1}(lam) - eta_{t_inf}.
-
-    Only defined when the window actually attains its infimum.
-    """
-    _check_lam(lam)
-    if not fam.left_closed:
-        raise DomainError("the window does not attain its infimum")
-    mech = fam.psi_at(fam.window[0])
-    return mech.psi_inverse(lam) - mech.eta
 
 
 # --------------------------------------------------------------- exit times
@@ -189,18 +154,6 @@ def size_bias_identity(fam, q, lam):
     if lam == 0.0:
         return 1.0
     return b_q / mech.dpsi(mech.psi_inverse(lam))
-
-
-def girsanov_weight(mech, theta, z0, za, int_z):
-    """Exponential change-of-measure weight exp{theta z0 - theta za - psi(theta) int_z}.
-
-    z0 and za are the level masses at the endpoints and int_z the integral of
-    the level mass over the slab; with psi(theta) = 0 and z0 = 0 the weight
-    collapses to e^{-theta za}.
-    """
-    if not mech.theta_ok(theta):
-        raise DomainError(f"theta = {theta} outside the reweighting domain")
-    return math.exp(theta * (z0 - za) - mech.psi(theta) * int_z)
 
 
 def girsanov_defect(mech, a):

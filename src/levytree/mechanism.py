@@ -180,9 +180,6 @@ class PointMass:
     def unit_laplace_defect(self, lam):
         return -np.expm1(-lam * self.z)
 
-    def unit_laplace_defect_dlam(self, lam):
-        return self.z * np.exp(-lam * self.z)
-
     @property
     def unit_first_moment(self):
         return self.z
@@ -216,8 +213,8 @@ class GammaDensity:
     w: float
 
     def validate(self):
-        if not (self.k > 0 and self.rho > 0 and self.w >= 0):
-            raise DomainError(f"gamma primitive needs k, rho > 0, w >= 0: {self}")
+        if not (self.k > 0 and self.rho > 0 and self.w >= 0 and math.isfinite(self.k + self.rho + self.w)):
+            raise DomainError(f"gamma primitive needs finite k, rho > 0, w >= 0: {self}")
 
     def term(self, lam):
         r = np.asarray(lam, dtype=float) / self.rho
@@ -250,10 +247,6 @@ class GammaDensity:
     def unit_laplace_defect(self, lam):
         r = np.asarray(lam, dtype=float) / self.rho
         return -np.expm1(-self.k * np.log1p(r))
-
-    def unit_laplace_defect_dlam(self, lam):
-        base = self.rho / (self.rho + lam)
-        return self.k / self.rho * base ** (self.k + 1)
 
     @property
     def unit_first_moment(self):

@@ -155,7 +155,7 @@ def test_python_dash_m_runs_the_cli(module, tmp_path, monkeypatch, capsys):
         return stop.value.code
 
     assert run_module("list", "--json") == 0
-    assert len(json.loads(capsys.readouterr().out)) == 12
+    assert len(json.loads(capsys.readouterr().out)) == 13
     cfg = write_config(tmp_path, seed=7)
     assert run_module("verify", "nosuch", "--config", cfg) == 2
     assert "unknown experiment" in capsys.readouterr().err
@@ -183,6 +183,24 @@ def test_out_of_memory_exits_three(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "out of memory" in err and "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+SHIFT_ONE_ATOM = {"type": "shift", "window": [-0.25, 3.0], "left_closed": True,
+                  "base": {"b": 0.0, "c": 1.0, "m": [{"type": "point", "z": 1.0, "w": 1.0}]}}
+
+
+@pytest.mark.parametrize("family,q_grid,message", [
+    (SHIFT_ONE_ATOM, [-0.1, 0.0], "needs q < 0"),
+    (SHIFT_ONE_ATOM, [0.5], "needs q < 0"),
+    # q + eta_q = 0.205 lies past the window's end at 0.1
+    ({**SHIFT_ONE_ATOM, "window": [-0.25, 0.1]}, [-0.2], "no conjugate time"),
+])
+def test_ascension_representation_without_a_conjugate_time_exits_two(
+        family, q_grid, message, tmp_path, capsys):
+    cfg = write_config(tmp_path, family=family, seed=1, q_grid=q_grid)
+    assert run(["verify", "ascension_representation", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_size_bias_with_a_subcritical_start_exits_two(tmp_path, capsys):
@@ -234,7 +252,7 @@ def test_spine_growth_over_the_node_budget_exits_three(tmp_path, capsys):
 def test_list_json(capsys):
     assert run(["list", "--json"]) == 0
     catalog = json.loads(capsys.readouterr().out)
-    assert len(catalog) == 12
+    assert len(catalog) == 13
     assert all(set(e) == {"name", "oracle", "description"} for e in catalog)
     assert any(e["name"] == "girsanov_gir2" for e in catalog)
 
@@ -256,7 +274,7 @@ def resolve(dotted):
 def test_list_json_oracles_resolve_to_the_spec_callables(capsys):
     assert run(["list", "--json"]) == 0
     catalog = json.loads(capsys.readouterr().out)
-    assert len(catalog) == 12
+    assert len(catalog) == 13
     for entry in catalog:
         assert resolve(entry["oracle"]) is experiments._SPECS[entry["name"]].oracle
 
@@ -307,6 +325,13 @@ def test_mech_domain_error_exits_two(capsys):
     # a zero-weight atom is dropped, so psi = -lam meets no 0 * inf on the way
     zero_atom = json.dumps({"b": -1, "c": 0, "m": [{"type": "point", "z": 1, "w": 0}]})
     assert run(["mech", "invert", "--mech", zero_atom, "0"]) == 2
+    # JSON reads 1e400 as inf: a gamma primitive with a non-finite parameter
+    for key in ("k", "rho", "w"):
+        prim = ",".join(f'"{p}":{"1e400" if p == key else 1}' for p in ("k", "rho", "w"))
+        inf_gamma = '{"b":0,"c":1,"m":[{"type":"gamma",' + prim + '}]}'
+        for op in ("eval", "v"):
+            assert run(["mech", op, "--mech", inf_gamma, "1.0"]) == 2
+            assert "gamma primitive needs finite" in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -438,7 +463,8 @@ COMMANDS = st.one_of(
         lambda c: ["mech", "u", "--mech", json.dumps(c[0]), *c[1]]),
     st.tuples(st.sampled_from(["table", "check"]), FAMILIES).map(
         lambda c: ["family", c[0], "--family", json.dumps(c[1])]),
-    st.tuples(st.sampled_from(["mz_cocycle", "cond_sigma"]), FAMILIES, PARAMS).map(
+    st.tuples(st.sampled_from(["mz_cocycle", "cond_sigma", "ascension_representation"]),
+              FAMILIES, PARAMS).map(
         lambda c: ["verify", c[0], "--config", json.dumps({"family": c[1], "params": c[2]})]),
 )
 

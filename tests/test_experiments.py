@@ -6,6 +6,7 @@ are deterministic; the heavy sweeps live in the acceptance module.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from levytree.experiments import (
     list_experiments,
     run_experiment,
 )
-from levytree.family import LinearDriftFamily, ShiftFamily
+from levytree.family import LinearDriftFamily, ReflectedFamily, ShiftFamily, family_from_dict
 from levytree.mechanism import Mechanism, NumericError, PointMass
 from levytree.prune import (
     MarkedTree,
@@ -253,10 +254,23 @@ def test_runner_calls_the_oracle_bound_at_its_catalog_name(monkeypatch):
 def test_catalog_lists_every_experiment_once():
     infos = list_experiments()
     names = [e.name for e in infos]
-    assert len(names) == len(set(names)) == 12
+    assert len(names) == len(set(names)) == 13
     assert "height_law" in names
     assert "mz_cocycle" in names
+    assert "ascension_representation" in names
     assert all(e.oracle and e.description for e in infos)
+
+
+def test_readme_experiments_table_matches_the_catalog():
+    """README's Experiments table lists the catalog in order: name, layout
+    ("own rows" for layout None) and the oracle `levytree list` prints."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| ")][2:]
+    want = [[e.name, experiments._SPECS[e.name].layout or "own rows", f"`{e.oracle}`"]
+            for e in list_experiments()]
+    assert [[name, layout, oracle] for name, layout, _, oracle in rows] == want
 
 
 # -------------------------------------------- null standard errors and draws
@@ -591,6 +605,28 @@ def test_mz_cocycle_rows_are_exact():
     assert all(math.isnan(r.z) for r in rows)
     assert all(r.stderr == 0.0 for r in rows)
     assert all(r.passed for r in rows)
+
+
+ATOMLESS_TRUNCATION = family_from_dict(
+    {"type": "truncation", "base": {"b": 0.0, "c": 1.0, "m": []}, "h0": 1.0, "slope": 0.0,
+     "g_rate": 0.5, "window": [-1.0, 1.0]})
+
+
+@pytest.mark.parametrize("family", [
+    LinearDriftFamily(1.0, 1.0, window=(-1.0, 1.0)),
+    ATOMLESS_TRUNCATION,  # qbar by the base-class root finder
+    ReflectedFamily(ShiftFamily(Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),)), (-0.5, 0.0))),
+], ids=["lineardrift", "truncation", "reflected"])
+def test_ascension_representation_rows_are_exact(family):
+    q_grid, lambda_grid = (-0.2, -0.1, -0.05), (0.5, 1.0, 2.0)
+    rows = run_experiment(cfg_for("ascension_representation", family=family,
+                                  q_grid=q_grid, lambda_grid=lambda_grid))
+    assert [r.point for r in rows] == [f"q={q:g},lam={lam:g}"
+                                       for q in q_grid for lam in lambda_grid]
+    assert all(r.passed and r.stderr == 0.0 and math.isnan(r.z) for r in rows)
+    for r, (q, lam) in zip(rows, [(q, lam) for q in q_grid for lam in lambda_grid]):
+        assert r.estimate == laws.tree_at_ascension(family, q, lam)
+        assert r.oracle == laws.size_bias_identity(family, family.qbar(q), lam)
 
 
 # ------------------------------------- cut helpers against node-by-node sweeps

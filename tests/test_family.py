@@ -277,9 +277,6 @@ def test_base_class_defaults_match_the_shift_closed_forms():
         assert np.isinf(want).any() and np.isfinite(want).any()
         np.testing.assert_allclose(got[np.isfinite(want)], want[np.isfinite(want)],
                                    rtol=0.0, atol=1e-12)
-    for t in (-0.7, -0.3):
-        got, want = CUSTOM.gamma_and_U_density(t), SHIFT_TWIN.gamma_and_U_density(t)
-        assert got == pytest.approx(want, rel=1e-9)
     got, want = check_admissibility(CUSTOM), check_admissibility(SHIFT_TWIN)
     assert got.passed and want.passed
     for name in AdmissibilityReport.__dataclass_fields__:
@@ -520,7 +517,7 @@ def test_mark_times_on_a_degenerate_slice(fam):
         fam.mark_times(0.2, 0.2, rng, 3)
 
 
-# -- eta, window infimum, qbar, gamma ----------------------------------------------------
+# -- eta, window infimum, qbar ----------------------------------------------------------
 
 
 def test_eta_linear_drift():
@@ -595,24 +592,6 @@ def test_qbar_generic_solver_on_custom_family():
 
 def test_reflected_qbar_is_reflection():
     assert REFL.qbar(-0.6) == 0.6
-
-
-def test_gamma_and_density_linear_drift():
-    gamma, dens = LD.gamma_and_U_density(-1.0)
-    assert gamma == pytest.approx(1.0, rel=1e-12)
-    assert dens == pytest.approx(1.0, rel=1e-12)
-    gamma, dens = LD.gamma_and_U_density(-0.35)
-    assert gamma == pytest.approx(1.0, rel=1e-12)
-    assert dens == pytest.approx(1.0, rel=1e-12)
-
-
-def test_qbar_derivative_matches_gamma():
-    for fam, t in [(LD, -0.8), (CUSTOM, -0.6)]:
-        gamma, _ = fam.gamma_and_U_density(t)
-        h = 1e-6
-        dqbar = (fam.qbar(t + h) - fam.qbar(t - h)) / (2.0 * h)
-        want = -gamma / fam.dzeta_dlam(fam.qbar(t), 0.0)
-        assert dqbar == pytest.approx(want, rel=1e-5)
 
 
 # -- reflected family vs direct conjugation --------------------------------------------

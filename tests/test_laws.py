@@ -2,26 +2,22 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.laws import (
     ExitTimeLaw,
-    ascension_density,
     ascension_tail,
-    boundary_ascension,
-    boundary_mass,
     cond_sigma_laplace,
-    cond_sigma_mean,
     exit_time_laws,
-    girsanov_weight,
     sigma_laplace,
     sigma_laplace_Pr,
     size_bias_identity,
     special_markov_intensity,
     tree_at_ascension,
 )
-from levytree.mechanism import DomainError, GammaDensity, Mechanism, PointMass
+from levytree.mechanism import DomainError, Mechanism, PointMass
 
 CRIT = Mechanism(0.0, 1.0)  # lam^2
 SUB = Mechanism(1.0, 1.0)  # lam + lam^2
@@ -80,18 +76,13 @@ def test_cond_sigma_laplace_edges():
         cond_sigma_laplace(LD, 1.0, 0.5, 1.0, 1.0)
 
 
-def test_cond_sigma_mean_value():
-    assert cond_sigma_mean(LD, 0.5, 1.0, 2.0) == pytest.approx(4.0, rel=1e-13)
-
-
-def test_cond_sigma_mean_critical_divides_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        cond_sigma_mean(LD, 0.0, 1.0, 1.0)
-
-
-def test_cond_sigma_mean_supercritical_rejected():
+def test_cond_sigma_laplace_takes_an_array_of_masses():
+    sig = np.array([0.0, 0.5, 1.0, 3.0])
+    got = cond_sigma_laplace(LD, 0.0, 1.0, 1.0, sig)
+    np.testing.assert_array_equal(got, [cond_sigma_laplace(LD, 0.0, 1.0, 1.0, x) for x in sig])
+    assert got[2] == pytest.approx(math.exp(-2.0), rel=1e-12)
     with pytest.raises(DomainError):
-        cond_sigma_mean(LD, -0.5, 1.0, 1.0)
+        cond_sigma_laplace(LD, 0.0, 1.0, 1.0, np.array([1.0, -0.5]))
 
 
 # ------------------------------------------------------------ ascension time
@@ -105,23 +96,6 @@ def test_ascension_tail_values():
 def test_ascension_tail_vanishes_at_origin():
     assert abs(ascension_tail(LD, -1e-6)) <= 1e-3
     assert abs(ascension_tail(SHIFT, -1e-6)) <= 1e-3
-
-
-def test_ascension_density_constant_for_linear_drift():
-    for q in (-0.25, -1.0, -2.0, -5.0):
-        assert ascension_density(LD, q) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_ascension_density_needs_negative_time():
-    with pytest.raises(DomainError):
-        ascension_density(LD, 0.0)
-
-
-def test_boundary_mass_dichotomy():
-    assert boundary_mass(LDW) == math.inf
-    assert boundary_mass(LD) == 0.0
-    open_window = LinearDriftFamily(1.0, 1.0, window=(-1.0, 1.0), left_closed=False)
-    assert boundary_mass(open_window) == 0.0
 
 
 def test_tree_at_ascension_value():
@@ -148,22 +122,6 @@ def test_tree_at_ascension_domain():
     subcritical_origin = ShiftFamily(Mechanism(1.0, 1.0), (-0.25, 1.0))
     with pytest.raises(DomainError):
         tree_at_ascension(subcritical_origin, -0.1, 1.0)
-
-
-def test_boundary_ascension_values():
-    # psi_{-1} = lam^2 - lam: inverse of 2 is 2, eta is 1
-    assert boundary_ascension(LDW, 2.0) == pytest.approx(1.0, rel=1e-12)
-    assert boundary_ascension(LDW, 0.0) == 0.0
-
-
-def test_boundary_ascension_monotone():
-    vals = [boundary_ascension(LDW, lam) for lam in (0.0, 0.5, 1.0, 2.0, 4.0)]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_boundary_ascension_needs_attained_infimum():
-    with pytest.raises(DomainError):
-        boundary_ascension(LD, 1.0)
 
 
 # ---------------------------------------------------------------- exit times
@@ -237,29 +195,6 @@ def test_size_bias_needs_subcritical():
         size_bias_identity(LD, 0.0, 1.0)
     with pytest.raises(DomainError):
         size_bias_identity(LD, -0.5, 1.0)
-
-
-def test_girsanov_weight_identity_at_zero():
-    assert girsanov_weight(CRIT, 0.0, 1.0, 2.0, 3.0) == 1.0
-
-
-def test_girsanov_weight_root_reduction():
-    # psi(-1) = 0 for lam + lam^2, so only the boundary term survives
-    assert girsanov_weight(SUB, -1.0, 0.0, 2.0, 7.3) == pytest.approx(
-        math.exp(2.0), rel=1e-14
-    )
-
-
-def test_girsanov_weight_generic():
-    got = girsanov_weight(CRIT, 0.5, 0.3, 1.1, 2.0)
-    assert got == pytest.approx(math.exp(0.5 * (0.3 - 1.1) - 0.25 * 2.0), rel=1e-14)
-
-
-def test_girsanov_weight_domain():
-    heavy = Mechanism(0.0, 1.0, (GammaDensity(2.0, 1.5, 1.0),))
-    with pytest.raises(DomainError):
-        girsanov_weight(heavy, -1.5, 0.0, 1.0, 1.0)
-    assert girsanov_weight(heavy, -1.0, 0.0, 0.0, 0.0) == 1.0
 
 
 # ------------------------------------------------------ removal intensities
