@@ -35,8 +35,9 @@ tree gives that generation.  A pruning draw grows marked forests, read by
 a reading uses are computed.  `_forest_chunks` sizes the forests from the
 config alone, which bounds the memory of one forest.  A spine cut draw
 marks one `spine_forest` of all its replicates and reads it with
-`MarkedTree.first_cut`; two_step_markov prunes tiled copies of its base
-tree the same way.
+`MarkedTree.read(...).first_cut`; two_step_markov prunes tiled copies of
+its base tree the same way.  Kill times and forest labels are root-path
+minima, taken by `tree.path_min`.
 
 height_law, exit_tail_remark, sigma_laplace, special_markov_intensity and
 size_bias's pruned arm average values that rare events carry, whose sample
@@ -540,7 +541,7 @@ def _exit_tail(cfg, v_of):
 def _spine_cuts(fam, q, h, rng, size):
     """First cut levels at q of size spines of length h, inf where uncut."""
     forest, label = spine_forest(fam.psi_at(0.0), h, rng, size)
-    return generate_marks(forest, fam, (0.0, q), rng).first_cut(q, label, size)
+    return generate_marks(forest, fam, (0.0, q), rng).read(q, label, size).first_cut
 
 
 def _exact_spine_cuts(fam, q, b_q, rng, size):

@@ -228,7 +228,7 @@ class AdmissibleFamily(ABC):
     def _qbar(self, q):
         # match the drift coefficient by root-finding, then verify the
         # conjugacy on a lambda grid
-        self._require_critical_origin()
+        self.require_critical_origin()
         mech = self.psi_at(q)
         eta = mech.eta
         target = mech.dpsi(eta)
@@ -248,9 +248,11 @@ class AdmissibleFamily(ABC):
         """Largest root of psi_q."""
         return self.psi_at(q).eta
 
-    def _require_critical_origin(self):
-        if self.psi_at(0.0).criticality() != "critical":
-            raise DomainError("conjugation needs psi_0 critical")
+    def require_critical_origin(self):
+        """The one psi_0-critical check: qbar, reflection and ascension laws."""
+        kind = self.psi_at(0.0).criticality()
+        if kind != "critical":
+            raise DomainError(f"need psi_0 critical, got psi_0 {kind}")
 
 
 # -- built-in families ---------------------------------------------------------
@@ -322,7 +324,7 @@ class ShiftFamily(_AtomicBaseFamily):
         return tm if tm <= self.window[1] else math.inf
 
     def _qbar(self, q):
-        self._require_critical_origin()
+        self.require_critical_origin()
         qb = q + self.eta_at(q)
         return qb if qb <= self.window[1] else None
 
@@ -442,8 +444,7 @@ class ReflectedFamily(AdmissibleFamily):
         if any(not isinstance(s, PointMass) for s in negative.shapes):
             raise DomainError("reflection supports atomic jump measures only")
         super().__init__((t0, -t0), negative.c, negative.shapes, negative.left_closed)
-        if negative.psi_at(0.0).criticality() != "critical":
-            raise DomainError("reflection needs psi_0 critical")
+        negative.require_critical_origin()
         self.negative = negative
         self._z = np.array([s.z for s in negative.shapes], dtype=float)
 

@@ -30,11 +30,6 @@ def _check_lam(lam):
         raise DomainError(f"Laplace argument must be >= 0, got {lam}")
 
 
-def _check_critical_origin(fam):
-    if fam.psi_at(0.0).criticality() != "critical":
-        raise DomainError("ascension laws need psi_0 critical")
-
-
 # ---------------------------------------------------------------- total mass
 
 
@@ -76,12 +71,8 @@ def cond_sigma_laplace(fam, t, q, lam, sigma_q):
 # ------------------------------------------------------------ ascension time
 
 # The ascension time A is the first pruning time at which the total mass
-# becomes infinite (scanning toward the supercritical end of the window).
-
-
-def ascension_tail(fam, q):
-    """N[A > q]: the largest root of psi_q."""
-    return fam.eta_at(q)
+# becomes infinite (scanning toward the supercritical end of the window);
+# its tail N[A > q] is eta_q, the family's eta_at(q).
 
 
 def tree_at_ascension(fam, q, lam):
@@ -92,7 +83,7 @@ def tree_at_ascension(fam, q, lam):
     (t_inf, 0).
     """
     _check_lam(lam)
-    _check_critical_origin(fam)
+    fam.require_critical_origin()
     if not fam.window[0] < q < 0.0:
         raise DomainError(f"need q in ({fam.window[0]}, 0), got {q}")
     if lam == 0.0:
@@ -122,7 +113,7 @@ def exit_time_laws(fam, q, q0, h):
     root; they differ only in the slope factor in front (psi_{q0}' versus
     psi_q', both at eta_q), so they sum to one as q0 -> q.
     """
-    _check_critical_origin(fam)
+    fam.require_critical_origin()
     if not fam.window[0] < q < q0 < 0.0:
         raise DomainError(f"need {fam.window[0]} < q < q0 < 0, got q={q}, q0={q0}")
     if not h > 0.0:

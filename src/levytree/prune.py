@@ -12,16 +12,13 @@ cut at its lowest mark.
 The whole rule lives in one array, `MarkedTree.kill_times`: node i is
 removed at the earliest time of a mark on an edge of its root path or a
 node mark on one of its strict ancestors, and survives pruning at q iff
-kill_times[i] > q.  The array is a minimum along root paths.  On a grown
-tree that is wide enough (`SWEEP_WIDTH`), it is taken by one sweep per
-generation, each node taking the minimum with its parent's final value;
-on any other tree, by pointer jumping over `parent`.  A minimum is exact,
-so both match a node-by-node sweep bit for bit.
+kill_times[i] > q.  The array is a minimum along root paths, which
+`tree.path_min` takes.
 `MarkedTree.pruned` builds the pruned tree and carries a node -> replicate
-label through the cut; `MarkedTree.read` and `MarkedTree.first_cut` reduce
-one pruning per replicate of a forest (see `sampler.gw_forest`) over such
-a label without building it, and `_component_tips` sizes removed
-components over removed nodes.
+label through the cut; `MarkedTree.read` reduces one pruning per replicate
+of a forest (see `sampler.gw_forest`) over such a label without building
+it, `first_cut` included, and `_component_tips` heads removed components
+by another `path_min`.
 
 `generate_marks` draws the skeleton marks as one Poisson process along
 the edges laid end to end: a Poisson(alpha * total length) count, then
@@ -49,7 +46,7 @@ import numpy as np
 
 from .mechanism import DomainError, NumericError
 from .sampler import NODE_BUDGET, NODE_TARGET
-from .tree import FiniteTree
+from .tree import FiniteTree, path_min
 
 
 @dataclass(frozen=True)
@@ -89,6 +86,16 @@ class PruneReading:
         return height
 
     @cached_property
+    def first_cut(self):
+        """Lowest level at which the pruning cuts, by replicate: the lowest
+        stub top or closed node, inf where nothing is cut."""
+        _, stubs, _, closed = self.cuts
+        cut = np.full(self.size, np.inf)
+        np.minimum.at(cut, self.label[stubs], self._stub_tops)
+        np.minimum.at(cut, self.label[closed], self.base.depth[closed])
+        return cut
+
+    @cached_property
     def low_mass(self):
         if self.attach_max is None:
             return None
@@ -101,14 +108,14 @@ class PruneReading:
         if self.attach_max is None:
             return None
         keep, stubs, _, closed = self.cuts
-        depth, par = self.base.depth, self.base.parent
+        depth = self.base.depth
         tops = np.concatenate([stubs, closed])
         levels = np.concatenate([self._stub_tops, depth[closed]])
         attached = levels <= self.attach_max
         if not attached.any():
             return np.zeros(self.size, dtype=np.int64)
         tops, levels = tops[attached], levels[attached]
-        tops = tops[_component_tips(par, depth, keep, closed)[tops] - levels > self.eps]
+        tops = tops[_component_tips(self.base, keep, closed)[tops] - levels > self.eps]
         return np.bincount(self.label[tops], minlength=self.size)
 
 
@@ -135,20 +142,8 @@ class MarkedTree:
         np.minimum.at(node, self.node_ids, self.node_times)
         kill[1:] = np.minimum(kill[1:], node[par[1:]])
         kill[0] = np.inf
-        marked = kill.min() < np.inf
-        if marked and _sweeps_generations(self.base):
-            # a generation's parents are final before it is reached
-            gens, take = self.base.generations.tolist(), kill.take
-            for a, b in zip(gens[1:-1], gens[2:]):
-                gen = kill[a:b]
-                np.minimum(gen, take(par[a:b]), out=gen)
-        elif marked:
-            anc = par.copy()
-            anc[0] = 0
-            spare, far = np.empty_like(anc), np.empty_like(kill)
-            while anc.any():
-                np.minimum(kill, np.take(kill, anc, out=far, mode="clip"), out=kill)
-                anc, spare = np.take(anc, anc, out=spare, mode="clip"), anc
+        if kill.min() < np.inf:
+            path_min(self.base, kill)
         kill.flags.writeable = False
         return kill
 
@@ -179,61 +174,28 @@ class MarkedTree:
         keep, stubs, stub_lengths, _ = self.cuts_at(q)
         return self.base.cut(keep, stubs, stub_lengths), np.concatenate([label[keep], label[stubs]])
 
-    def first_cut(self, q, label=None, size=1):
-        """Lowest level at which pruning at q cuts, by replicate: the lowest
-        stub top or closed node of `cuts_at`, inf where nothing is cut.
-        label[i] is node i's replicate, as in `read`."""
-        base = self.base
-        if label is None:
-            label = np.zeros(len(base), dtype=np.int64)
-        _, stubs, stub_lengths, closed = self.cuts_at(q)
-        depth = base.depth
-        cut = np.full(size, np.inf)
-        np.minimum.at(cut, label[stubs], depth[base.parent[stubs]] + stub_lengths)
-        np.minimum.at(cut, label[closed], depth[closed])
-        return cut
-
     def read(self, q, label=None, size=1, eps=0.0, attach_max=None):
-        """Pruning at q by replicate, as a `PruneReading`: mass and height
-        (over kept depths and stub tops) and, given attach_max, the removed
-        components taller than eps attached at level <= attach_max (a closed
-        node sheds its children as one, tip - depth tall) and the kept mass
-        at depth <= attach_max.  label[i] is node i's replicate, the root's
-        is never read; without labels the tree is replicate 0."""
+        """Pruning at q by replicate, as a `PruneReading`: mass, height (over
+        kept depths and stub tops), first cut level and, given attach_max,
+        the removed components taller than eps attached at level <= attach_max
+        (a closed node sheds its children as one, tip - depth tall) and the
+        kept mass at depth <= attach_max.  label[i] is node i's replicate,
+        the root's is never read; without labels the tree is replicate 0."""
         if label is None:
             label = np.zeros(len(self.base), dtype=np.int64)
         return PruneReading(self.base, self.cuts_at(q), label, size, eps, attach_max)
 
 
-# mean generation width (nodes per generation) from which `kill_times`
-# sweeps the generations of a grown tree.  A sweep step costs 1-3 us
-# whatever its width, a pointer-jumping round about 5 ns per node, and there
-# are log2(generations) rounds; on grown quadratic trees of 2 000 to 900 000
-# nodes the two broke even at widths of 50 to 70 (2 cores, numpy 2.4)
-SWEEP_WIDTH = 64
-
-
-def _sweeps_generations(tree):
-    gens = tree.generations
-    return gens is not None and len(tree) - 1 >= SWEEP_WIDTH * (len(gens) - 1)
-
-
-def _component_tips(par, depth, keep, closed):
+def _component_tips(tree, keep, closed):
     """Highest depth of each removed component at its top, other depths as
     they are.  A component's top is its stub, or the closed node whose
-    children it gathers; each removed node jumps to the head of its
-    component by pointer doubling over the removed nodes only."""
+    children it gathers; its head, the removed node whose parent is kept,
+    is the least removed index on the root path of each of its nodes."""
     gone = np.flatnonzero(~keep)
-    top = np.arange(len(par))
-    # a head, whose parent is kept, points at itself
-    top[gone] = up = np.where(keep[par[gone]], gone, par[gone])
-    nxt = top[up]
-    while not np.array_equal(nxt, up):
-        top[gone] = up = nxt
-        nxt = top[up]
-    hang = par[up]
-    tip = depth.copy()
-    np.maximum.at(tip, np.where(np.isin(hang, closed), hang, up), depth[gone])
+    up = path_min(tree, np.where(keep, len(keep), np.arange(len(keep))))[gone]
+    hang = tree.parent[up]
+    tip = tree.depth.copy()
+    np.maximum.at(tip, np.where(np.isin(hang, closed), hang, up), tree.depth[gone])
     return tip
 
 

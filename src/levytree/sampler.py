@@ -46,8 +46,9 @@ other law reads its offspring from chunks of uniforms mapped once, as
 `_grow` does, then skips the generator to where the uniforms used leave it.
 Experiments that mark and prune grow many replicates as one tree, with
 `gw_forest` or, for the immortal spine, `spine_forest`, whose node ->
-replicate label lets `MarkedTree.read` and `MarkedTree.first_cut` reduce
-every replicate at once.
+replicate label lets `MarkedTree.read` reduce every replicate at once,
+its `first_cut` column included.  `gw_forest` takes that label by
+`tree.path_min`, as the least excursion-root index on each root path.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .mechanism import DomainError, Mechanism, NumericError
-from .tree import FiniteTree, _grown
+from .tree import FiniteTree, _grown, path_min
 
 
 @dataclass(frozen=True)
@@ -379,14 +380,14 @@ def gw_forest(scheme, rng, size, height_cap=None):
     has no edge and one child per excursion, so it takes no marks: pruning
     the forest prunes each excursion as it would `gw_tree`'s tree, only
     the order of the draws differs."""
-    par, ks, offsets, csum = _grow(scheme, rng, size, height_cap)
-    # root individual of each individual by pointer doubling: the roots
-    # point at themselves, and pass k reaches 2^k generations up
-    anc = par.copy()
-    anc[:size] = np.arange(size)
-    for _ in range((len(offsets) - 2).bit_length()):
-        anc = anc[anc]
-    return _tree_from_growth(scheme, par, ks, offsets, csum), np.concatenate([[-1], anc])
+    tree = _tree_from_growth(scheme, *_grow(scheme, rng, size, height_cap))
+    # node j holds j - 1 and the root the most, so each node's least is the
+    # index of the excursion root k + 1 on its path
+    label = np.arange(-1, len(tree) - 1, dtype=np.int64)
+    label[0] = len(tree)
+    path_min(tree, label)
+    label[0] = -1
+    return tree, label
 
 
 def exact_sigma_quadratic(b, c, r, rng, size=None):
@@ -503,8 +504,9 @@ def _level_generation(gamma, a):
 # step per replicate then costs less than the fixed cost of an array call
 TAIL_REPLICATES = 8
 
-# fewest uniforms the tail draws at once for a law off {0, 2}: it reads them
-# generation by generation, and chunks of 1k to 16k timed alike
+# uniforms the tail draws at once for a law off {0, 2}, unless its need is
+# more or the count times the generations left to the cap less: it reads
+# them generation by generation, and chunks of 1k to 16k timed alike
 UNIFORM_CHUNK = 4096
 
 
@@ -594,10 +596,10 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
     A law on {0, 2} draws one scalar binomial per replicate in replicate
     order, which yields the values of one array call and leaves rng where
     it would.  Any other law reads its individuals' offspring, in replicate
-    order, from uniforms drawn in chunks of at least UNIFORM_CHUNK and
-    mapped once by `offspring_of`, as one `offspring_totals` call per
-    generation would; at the end `_skip_uniforms` leaves rng where drawing
-    exactly the uniforms used would, so rng must draw from Philox.
+    order, from uniforms drawn in chunks and mapped once by `offspring_of`,
+    as one `offspring_totals` call per generation would; at the end
+    `_skip_uniforms` leaves rng where drawing exactly the uniforms used
+    would, so rng must draw from Philox, and the chunk sizes move no draw.
     Thinning draws one scalar binomial per replicate after the offspring,
     so a thinned law off {0, 2} keeps one `offspring_totals` call per
     generation.  Returns, by replicate, the individuals born from
@@ -626,7 +628,8 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
             total = sum(counts)
             need = total - (len(ks) - pos)
             if need > 0:
-                ks = ks[pos:] + scheme.offspring_of(rng.random(max(need, UNIFORM_CHUNK))).tolist()
+                chunk = max(need, min(UNIFORM_CHUNK, total * (stop - g)))
+                ks = ks[pos:] + scheme.offspring_of(rng.random(chunk)).tolist()
                 pos = 0
             kids = []
             for k in counts:

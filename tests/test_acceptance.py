@@ -234,7 +234,7 @@ def test_08_conditional_mass_transition():
 
 
 def test_09_ascension_tail():
-    worst_eta = max(abs(laws.ascension_tail(LD, q) + q) for q in (-0.25, -0.5, -1.0, -2.0))
+    worst_eta = max(abs(LD.eta_at(q) + q) for q in (-0.25, -0.5, -1.0, -2.0))
     cfg = ExperimentConfig(
         family=LD,
         experiment="ascension_tail",

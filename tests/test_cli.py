@@ -194,6 +194,8 @@ SHIFT_ONE_ATOM = {"type": "shift", "window": [-0.25, 3.0], "left_closed": True,
     (SHIFT_ONE_ATOM, [0.5], "needs q < 0"),
     # q + eta_q = 0.205 lies past the window's end at 0.1
     ({**SHIFT_ONE_ATOM, "window": [-0.25, 0.1]}, [-0.2], "no conjugate time"),
+    ({**SHIFT_ONE_ATOM, "base": {**SHIFT_ONE_ATOM["base"], "b": -0.5}}, [-0.1],
+     "need psi_0 critical, got psi_0 supercritical"),
 ])
 def test_ascension_representation_without_a_conjugate_time_exits_two(
         family, q_grid, message, tmp_path, capsys):

@@ -649,7 +649,7 @@ def assert_component_tips(marked, q, tips):
     base = marked.base
     keep, stubs, _, closed = marked.cuts_at(q)
     tops = np.concatenate([stubs, closed])
-    got = _component_tips(base.parent, base.depth, keep, closed)
+    got = _component_tips(base, keep, closed)
     np.testing.assert_array_equal(got[tops], tips[tops])
     return len(closed)
 
@@ -716,7 +716,7 @@ def test_cut_helpers_match_the_node_sweeps(seed, fam):
     own = np.concatenate([marked.times, marked.node_times])[:4]
     for q in np.concatenate([[0.0, 2.0], rng.uniform(0.0, 2.0, 2), own]):
         assert_component_tips(marked, q, tips)
-        assert marked.first_cut(q).tolist() == [first_cut_reference(tree, marked, q)]
+        assert marked.read(q).first_cut.tolist() == [first_cut_reference(tree, marked, q)]
         for eps, attach_max in ((0.05, 1.0), (0.2, 0.5), (1e-9, 2.0)):
             assert marked.read(q, eps=eps, attach_max=attach_max).tall[0] == (
                 tall_removed_reference(marked, q, eps, attach_max))
@@ -836,7 +836,7 @@ def test_first_cut_on_the_spine_matches_the_sweep(seed, fam):
     marked = generate_marks(forest, fam, (0.0, 1.0), rng)
     spines = [split_forest(marked, label, k) for k in range(size)]
     for q in (0.0, 0.5, 1.0):
-        np.testing.assert_array_equal(marked.first_cut(q, label, size), [
+        np.testing.assert_array_equal(marked.read(q, label, size).first_cut, [
             first_cut_reference(spine.base, spine, q) for spine in spines])
 
 

@@ -556,7 +556,7 @@ def test_qbar_requires_negative_q_and_critical_origin():
     with pytest.raises(DomainError):
         LD.qbar(0.5)
     tilted = ShiftFamily(Mechanism(0.3, 1.0, ()), window=(-1.0, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="need psi_0 critical"):
         tilted.qbar(-0.5)
 
 
@@ -759,7 +759,7 @@ def test_shift_rejects_density_primitives():
 
 
 def test_reflection_needs_critical_origin():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="need psi_0 critical"):
         ReflectedFamily(ShiftFamily(Mechanism(0.3, 1.0, ()), window=(-1.0, 0.5)))
 
 

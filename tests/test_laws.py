@@ -8,7 +8,6 @@ import pytest
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.laws import (
     ExitTimeLaw,
-    ascension_tail,
     cond_sigma_laplace,
     exit_time_laws,
     sigma_laplace,
@@ -88,14 +87,15 @@ def test_cond_sigma_laplace_takes_an_array_of_masses():
 # ------------------------------------------------------------ ascension time
 
 
-def test_ascension_tail_values():
-    assert ascension_tail(LD, -0.5) == pytest.approx(0.5, abs=1e-12)
-    assert ascension_tail(LD, 0.3) == 0.0
+def test_eta_at_values():
+    # the ascension tail N[A > q] is eta_q
+    assert LD.eta_at(-0.5) == pytest.approx(0.5, abs=1e-12)
+    assert LD.eta_at(0.3) == 0.0
 
 
-def test_ascension_tail_vanishes_at_origin():
-    assert abs(ascension_tail(LD, -1e-6)) <= 1e-3
-    assert abs(ascension_tail(SHIFT, -1e-6)) <= 1e-3
+def test_eta_at_vanishes_at_origin():
+    assert abs(LD.eta_at(-1e-6)) <= 1e-3
+    assert abs(SHIFT.eta_at(-1e-6)) <= 1e-3
 
 
 def test_tree_at_ascension_value():
@@ -120,7 +120,7 @@ def test_tree_at_ascension_domain():
     with pytest.raises(DomainError):
         tree_at_ascension(LDW, -2.0, 1.0)  # below the window
     subcritical_origin = ShiftFamily(Mechanism(1.0, 1.0), (-0.25, 1.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="need psi_0 critical, got psi_0 subcritical"):
         tree_at_ascension(subcritical_origin, -0.1, 1.0)
 
 
@@ -174,6 +174,9 @@ def test_exit_time_domain():
         exit_time_laws(LD, -1.0, 0.5, 1.0)  # q0 not negative
     with pytest.raises(DomainError):
         exit_time_laws(LD, -1.0, -0.5, 0.0)  # flat height
+    supercritical_origin = ShiftFamily(Mechanism(-0.5, 1.0), (-0.25, 1.0))
+    with pytest.raises(DomainError, match="need psi_0 critical, got psi_0 supercritical"):
+        exit_time_laws(supercritical_origin, -0.2, -0.1, 1.0)
 
 
 # ----------------------------------------------- size bias and reweighting

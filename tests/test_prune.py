@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levytree import prune
+from levytree import prune, tree as trees
 from levytree.family import LinearDriftFamily, ShiftFamily
 from levytree.mechanism import DomainError, GammaDensity, Mechanism, NumericError, PointMass
 from levytree.prune import MarkedTree, generate_marks, two_step_consistency
@@ -298,11 +298,11 @@ def kill_times_twins(tree, fam, seed):
     return mt.kill_times, kill_times_reference(mt)
 
 
-@pytest.mark.parametrize("width", [0, prune.SWEEP_WIDTH, math.inf], ids=["sweep", "default", "jump"])
+@pytest.mark.parametrize("width", [0, trees.SWEEP_WIDTH, math.inf], ids=["sweep", "default", "jump"])
 @pytest.mark.parametrize("name", sorted(KILL_SCHEMES))
 @pytest.mark.parametrize("cap", [0.5, "aligned"])
 def test_kill_times_of_grown_forests_match_pointer_jumping(monkeypatch, width, name, cap):
-    monkeypatch.setattr(prune, "SWEEP_WIDTH", width)
+    monkeypatch.setattr(trees, "SWEEP_WIDTH", width)
     make, fam = KILL_SCHEMES[name]
     scheme = make()
     if cap == "aligned":
@@ -312,7 +312,7 @@ def test_kill_times_of_grown_forests_match_pointer_jumping(monkeypatch, width, n
         tree = gw_forest(scheme, RngStream(70 + k).replicate(0), 30 * (k + 1), cap)[0]
         got, want = kill_times_twins(tree, fam, 70 + k)
         assert np.array_equal(got, want) and not got.flags.writeable
-        swept += prune._sweeps_generations(tree)
+        swept += trees._sweeps_generations(tree)
     if width == 0:
         assert swept == 6
     elif width == math.inf:
@@ -321,11 +321,11 @@ def test_kill_times_of_grown_forests_match_pointer_jumping(monkeypatch, width, n
         assert 0 < swept < 6
 
 
-@pytest.mark.parametrize("width", [0, prune.SWEEP_WIDTH, math.inf], ids=["sweep", "default", "jump"])
+@pytest.mark.parametrize("width", [0, trees.SWEEP_WIDTH, math.inf], ids=["sweep", "default", "jump"])
 def test_kill_times_of_deep_excursions_match_pointer_jumping(monkeypatch, width):
     # the deepest of 300 critical one-excursion trees: 7 of them run 100 to
     # 320 generations, 4 of those fewer than 64 nodes wide on average
-    monkeypatch.setattr(prune, "SWEEP_WIDTH", width)
+    monkeypatch.setattr(trees, "SWEEP_WIDTH", width)
     scheme = GwScheme.build(LD.psi_at(0.0), 20)
     deep = narrow = 0
     for k in range(300):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from levytree import sampler
+from levytree import sampler, tree as trees
 from levytree.family import LinearDriftFamily, ShiftFamily, TruncationFamily
 from levytree.mechanism import DomainError, GammaDensity, Mechanism, NumericError, PointMass
 from levytree.sampler import (
@@ -688,6 +688,30 @@ def test_forest_without_excursions_is_its_root():
     assert t.mu.sum() == 0.0 and t.depth.tolist() == [0.0]
     # growing no excursion draws nothing
     assert rng.random() == RngStream(5).replicate(0).random()
+
+
+def labels_by_parent_walk(forest):
+    """Each node's excursion, by walking its parents up to a child of the root."""
+    par = forest.parent.tolist()
+    label = [-1]
+    for i in range(1, len(par)):
+        while par[i] != 0:
+            i = par[i]
+        label.append(i - 1)
+    return label
+
+
+@pytest.mark.parametrize("width", [0, trees.SWEEP_WIDTH, math.inf], ids=["sweep", "default", "jump"])
+def test_forest_labels_match_the_parent_walk(monkeypatch, width):
+    monkeypatch.setattr(trees, "SWEEP_WIDTH", width)
+    quad = GwScheme.build(QUAD, 20)
+    # wide forests, then single critical excursions 144 and 103 generations deep
+    forests = [gw_forest(quad, RngStream(7).replicate(k), 200, height_cap=1.0) for k in range(3)]
+    forests += [gw_forest(quad, RngStream(80).replicate(k), 1, height_cap=8.0) for k in (234, 299)]
+    assert [len(f.generations) - 1 for f, _ in forests[3:]] == [144, 103]
+    for forest, label in forests:
+        assert label.dtype == np.int64
+        assert label.tolist() == labels_by_parent_walk(forest)
 
 
 def grow_reference(scheme, rng, n_roots, height_cap):

@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from levytree.mechanism import DomainError, Mechanism
-from levytree.sampler import GwScheme, RngStream, gw_tree
-from levytree.tree import FiniteTree
+from levytree import tree as trees
+from levytree.mechanism import DomainError, Mechanism, PointMass
+from levytree.sampler import GwScheme, RngStream, gw_forest, gw_tree, spine_forest
+from levytree.tree import FiniteTree, path_min
 
 
 def build(parents, lengths, deltas=None, mus=None):
@@ -102,6 +103,62 @@ def test_tiled_copies_keep_each_copy_whole():
         assert forest.mu.sum() == pytest.approx(3 * t.mu.sum(), rel=1e-12)
     forest, label = single_edge().tiled(0)
     assert len(forest) == 1 and label.tolist() == [-1]
+
+
+# -- root-path minima ----------------------------------------------------------------
+
+
+def path_min_reference(tree, values):
+    """The least value on each root path, one node at a time in node order."""
+    out = np.array(values)
+    for i in range(1, len(out)):
+        out[i] = min(out[i], out[tree.parent[i]])
+    return out
+
+
+def path_min_trees():
+    """Hand-built, tiled, spine, cut and grown trees, the grown ones being
+    three wide forests and three critical excursions 320, 144 and 103
+    generations deep, 198, 33 and 26 nodes wide on average."""
+    rng = np.random.default_rng(5)
+    hand = [cherry(), single_edge(), build([-1], [0.0])] + [random_tree(rng) for _ in range(3)]
+    tiled = [t.tiled(3)[0] for t in hand[3:]]
+    spines = [spine_forest(Mechanism(0.0, 1.0, (PointMass(1.0, 2.0),)), 2.0,
+                           RngStream(6).replicate(k), 5)[0] for k in range(3)]
+    quad = GwScheme.build(Mechanism(0.0, 1.0), 20)
+    wide = [gw_forest(quad, RngStream(7).replicate(k), 200, height_cap=1.0)[0] for k in range(3)]
+    deep = [gw_tree(quad, RngStream(80).replicate(k), height_cap=8.0) for k in (65, 234, 299)]
+    cut = []
+    for t in wide + spines:
+        keep = t.depth <= 0.5 * t.depth.max()
+        stubs = np.flatnonzero(~keep & keep[np.maximum(t.parent, 0)])
+        cut.append(t.cut(keep, stubs, 0.5 * t.length[stubs]))
+    assert [len(t.generations) - 1 for t in deep] == [320, 144, 103]
+    return hand + tiled + spines + cut + wide + deep
+
+
+@pytest.mark.parametrize("width", [0, trees.SWEEP_WIDTH, math.inf], ids=["sweep", "default", "jump"])
+def test_path_min_matches_the_node_sweep(monkeypatch, width):
+    monkeypatch.setattr(trees, "SWEEP_WIDTH", width)
+    rng = np.random.default_rng(8)
+    swept = grown = 0
+    for t in path_min_trees():
+        n = len(t)
+        # ties, infinities and integers, as kill times and labels have
+        floats = np.where(rng.random(n) < 0.3, np.inf, rng.integers(0, 20, n).astype(float))
+        for values in (floats, rng.permutation(n), rng.random(n)):
+            want = path_min_reference(t, values)
+            assert path_min(t, values) is values
+            np.testing.assert_array_equal(values, want)
+        grown += t.generations is not None
+        swept += trees._sweeps_generations(t)
+    assert grown == 6
+    if width == 0:
+        assert swept == 6
+    elif width == math.inf:
+        assert swept == 0
+    else:  # the default sweeps the forests and the widest excursion
+        assert swept == 4
 
 
 # -- validation ----------------------------------------------------------------------
