@@ -56,7 +56,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from . import laws
 from .family import AdmissibleFamily, family_from_dict
@@ -626,11 +625,13 @@ def _truncated_exp_ks(rate, cap):
     denom = -math.expm1(-rate * cap)
 
     def stat(n, vals):
+        from scipy import stats  # loaded here, not at import: no other experiment needs it
+
         seen = vals[np.isfinite(vals)]
         if len(seen) < 10:
             return 0.0, 0.0
         cdf = lambda x: -np.expm1(-rate * np.clip(x, 0.0, cap)) / denom
-        return float(sp_stats.kstest(seen, cdf).pvalue), 0.0
+        return float(stats.kstest(seen, cdf).pvalue), 0.0
 
     return stat
 

@@ -35,6 +35,13 @@ and r = 1/x at infinity, where x**2*psi(1/x) -> c removes the singularity.
 v_of and u_of invert them by Newton steps on s that add each step's
 integral to one full quadrature.  There psi(eta + .) is the conjugate at
 eta, whose exact parameters and drift psi'(eta) > 0 do not cancel.
+
+Each jump primitive also gives its part of the Galton-Watson offspring law
+at resolution n.  A point mass's is Poisson(n*z), computed with the
+scipy.special functions that scipy.stats.poisson calls, to its bits.  A
+gamma density's is negative binomial, from scipy.stats, which is imported
+in that call only: its import (about 20 MB) is a large share of the cost
+of a short process.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import integrate, optimize, special
 
 
 class DomainError(ValueError):
@@ -191,11 +198,21 @@ class PointMass:
         return PointMass(self.z, self.w * math.exp(-theta * self.z))
 
     def gw_pmf(self, n, ks):
-        """Weighted offspring pmf contribution: w * Poisson(n*z) at ks."""
-        return self.w * stats.poisson.pmf(ks, n * self.z)
+        """Weighted offspring pmf contribution: w * Poisson(n*z) at ks >= 0.
+
+        The ufuncs and operation order of scipy.stats.poisson.pmf, so the
+        values are its values bit for bit.
+        """
+        mu = n * self.z
+        return self.w * np.exp(special.xlogy(ks, mu) - special.gammaln(ks + 1) - mu)
 
     def gw_quantile(self, n, q):
-        return int(stats.poisson.ppf(q, n * self.z))
+        """Least k with Poisson(n*z) cdf at k >= q, for 0 < q < 1, as
+        scipy.stats.poisson.ppf finds it."""
+        mu = n * self.z
+        v = math.ceil(special.pdtrik(q, mu))
+        below = max(v - 1, 0)
+        return below if special.pdtr(below, mu) >= q else v
 
     def sample_sizes_biased(self, rng, size):
         return np.full(size, self.z)
@@ -265,10 +282,14 @@ class GammaDensity:
 
     def gw_pmf(self, n, ks):
         """Weighted offspring pmf: w * NegBinomial(k, rho/(rho+n)) at ks."""
+        from scipy import stats  # only gamma-jump schemes load scipy.stats
+
         p = self.rho / (self.rho + n)
         return self.w * stats.nbinom.pmf(ks, self.k, p)
 
     def gw_quantile(self, n, q):
+        from scipy import stats
+
         return int(stats.nbinom.ppf(q, self.k, self.rho / (self.rho + n)))
 
     def sample_sizes_biased(self, rng, size):

@@ -146,8 +146,10 @@ class GwScheme:
         return np.add.reduceat(ks, np.cumsum(counts) - counts)
 
 
-# schemes kept per process: a build evaluates scipy's Poisson pmf and ppf
-# for each jump part, and in-process callers repeat a few (mech, n, gamma)
+# schemes kept per process: a build evaluates each jump part's offspring
+# pmf and quantile (scipy.special ufuncs for point masses, scipy.stats's
+# negative binomial for gamma densities), and in-process callers repeat a
+# few (mech, n, gamma)
 SCHEME_CACHE = 64
 
 

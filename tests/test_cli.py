@@ -6,13 +6,17 @@ import importlib
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import levytree
 from levytree import cli, experiments
 from levytree.mechanism import NumericError
 
@@ -159,6 +163,47 @@ def test_python_dash_m_runs_the_cli(module, tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, seed=7)
     assert run_module("verify", "nosuch", "--config", cfg) == 2
     assert "unknown experiment" in capsys.readouterr().err
+
+
+COLD_START = """
+import contextlib, io, json, sys
+from levytree import cli
+
+def loaded():
+    return "scipy.stats" in sys.modules
+
+def call(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) in (0, 1), argv
+
+seen = [loaded()]
+call("list")
+seen.append(loaded())
+fam = {"type": "shift", "window": [-0.25, 3.0], "left_closed": True,
+       "base": {"b": 0.0, "c": 1.0, "m": [{"type": "point", "z": 1.0, "w": 1.0}]}}
+params = {"seed": 7, "resolution": 100, "replicates": 200, "q_grid": [0.5],
+          "lambda_grid": [1.0], "height_cap": 1.0}
+config = json.dumps({"family": fam, "params": params})
+for name in ("height_law", "sigma_laplace"):
+    call("verify", name, "--config", config)
+    seen.append(loaded())
+call("verify", "spine_exponential", "--config", config)
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_stats_stays_unloaded_until_spine_exponential():
+    # this process has scipy.stats already (test_sampler imports it), so
+    # the check runs in a fresh interpreter
+    src = str(Path(levytree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    # after import, list, height_law and sigma_laplace; then spine_exponential
+    assert json.loads(done.stdout) == [False, False, False, False, True]
 
 
 def test_numeric_failure_exits_three(tmp_path, monkeypatch, capsys):

@@ -125,6 +125,34 @@ def test_offspring_map_matches_searchsorted_at_the_ties(mech):
         assert got.max() >= 3
 
 
+@pytest.mark.parametrize("n", [20, 100, 200, 2000])
+def test_point_mass_offspring_law_is_scipys_poisson_bit_for_bit(n):
+    # n*z from 1e-3 to 1e5
+    for z in np.logspace(-3.0, 5.0, 33) / n:
+        p = PointMass(float(z), 0.7)
+        mu = n * p.z
+        for q in (0.5, 1.0 - 1e-14):
+            assert p.gw_quantile(n, q) == int(sps.poisson.ppf(q, mu)), (z, q)
+        ks = np.arange(p.gw_quantile(n, 1.0 - 1e-14) + 3)
+        got, want = p.gw_pmf(n, ks), 0.7 * sps.poisson.pmf(ks, mu)
+        assert got.tobytes() == want.tobytes(), z
+
+
+@pytest.mark.parametrize("fam", [JUMP_SHIFT, TRUNC], ids=["shift", "truncation"])
+@pytest.mark.parametrize("q", [0.0, 1.0])
+@pytest.mark.parametrize("n", [20, 100, 2000])
+def test_jump_schemes_keep_the_bytes_of_scipy_stats(fam, q, n, monkeypatch):
+    mech = fam.psi_at(q)
+    got = sampler._build_scheme.__wrapped__(mech, n, None).probs
+    # the reference: the point-mass law straight from scipy.stats.poisson
+    monkeypatch.setattr(PointMass, "gw_pmf",
+                        lambda self, n, ks: self.w * sps.poisson.pmf(ks, n * self.z))
+    monkeypatch.setattr(PointMass, "gw_quantile",
+                        lambda self, n, q: int(sps.poisson.ppf(q, n * self.z)))
+    want = sampler._build_scheme.__wrapped__(mech, n, None).probs
+    assert got.tobytes() == want.tobytes()
+
+
 def test_scheme_rejects_bad_input():
     with pytest.raises(DomainError):
         GwScheme.build(Mechanism(-0.5, 1.0), 10)
