@@ -80,11 +80,10 @@ def _family(args):
 
 def _cmd_mech_eval(args):
     mech = _mechanism(args)
-    for lam in args.lam:
-        if not mech.theta_ok(lam):
-            raise DomainError(f"psi is infinite at lam = {lam:g}: a gamma term needs lam > -rho")
-    for lam in args.lam:
-        print(_fmt(mech.psi(lam)))
+    # every value before any output: a lam outside the domain prints nothing
+    values = [mech.psi(lam) for lam in args.lam]
+    for value in values:
+        print(_fmt(value))
     return EXIT_OK
 
 

@@ -572,7 +572,9 @@ def check_admissibility(fam, t_grid=None, lam_grid=None):
     worst_mono = float(np.min(np.diff(psi_tab, axis=0), initial=0.0))
     monotone = Condition(worst_mono >= -1e-9, min(worst_mono, 0.0))
 
-    weights = np.array([fam.weights_at(t) for t in ts])
+    # psi_at scales unit-weight shapes, so these are b_at(t) and weights_at(t)
+    bs = np.array([m.b for m in mechs])
+    weights = np.array([[p.w for p in m.m] for m in mechs])
     if weights.size:
         growth = float(np.max(np.diff(weights, axis=0), initial=0.0))
         negative = float(np.min(weights))
@@ -586,19 +588,19 @@ def check_admissibility(fam, t_grid=None, lam_grid=None):
     grey_fail = [t for t, m in zip(ts, mechs) if not m.is_grey]
     h3 = Condition(not grey_fail, float(len(grey_fail)), "" if not grey_fail else f"fails at t={grey_fail[0]:g}")
 
-    fm = np.array([s.unit_first_moment for s in fam.shapes])
-    bs = [fam.b_at(t) for t in ts]
-    worst_kernel = 0.0
-    for i in range(len(ts) - 1):
-        for j in range(i + 1, len(ts)):
-            t, q = ts[i], ts[j]
-            lhs = bs[j] - bs[i]
-            jump = float(np.sum(fm * (weights[i] - weights[j]))) if fm.size else 0.0
-            rhs = fam.alpha(t, q) + jump
-            if not (math.isfinite(lhs) and math.isfinite(rhs)):
-                worst_kernel = math.inf
-                continue
-            worst_kernel = max(worst_kernel, abs(lhs - rhs))
+    # b_q - b_t = alpha(t, q) + sum_p m_p (w_p(t) - w_p(q)) over the grid pairs
+    # t < q, in row-major order of the upper triangle [t, q]
+    upper = np.arange(len(ts))[:, None] < np.arange(len(ts))
+    rhs = np.array([fam.alpha(t, q) for i, t in enumerate(ts) for q in ts[i + 1:]], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (bs[None, :] - bs[:, None])[upper]
+        if weights.size:
+            fm = np.array([s.unit_first_moment for s in fam.shapes])
+            rhs += np.sum(fm * (weights[:, None, :] - weights[None, :, :])[upper], axis=1)
+        # a non-finite side makes its residual inf or NaN, which the max carries
+        worst_kernel = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    if math.isnan(worst_kernel):
+        worst_kernel = math.inf
     kernel = Condition(worst_kernel < 1e-8, worst_kernel)
 
     return AdmissibilityReport(monotone, h1, h2, h3, kernel)

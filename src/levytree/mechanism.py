@@ -14,7 +14,16 @@ or a Gamma(k, rho) density with weight w,
 
 Both are O(lam**2) differences of O(lam) parts, so psi sums a term as a
 short series where its argument is below 1e-3 (`series_below` in lam), and
-keeps its second order at any lam.
+keeps its second order at any lam.  A gamma term is defined for lam > -rho
+only; its methods raise DomainError below that, where the formula reads
+inf, NaN or a complex power.
+
+The jump terms take a float or an array lam through the same code: float
+arithmetic around numpy's transcendental ufuncs (np.log1p, np.expm1,
+np.exp), never the math.* functions, which differ from numpy's in the last
+bit on 2.5-4.6 % of inputs.  A float is not wrapped in a 0-d array first:
+IEEE arithmetic rounds a Python float and an array element alike, and the
+wrapping cost about as much as the rest of a gamma term.
 
 Conventions used throughout the package:
 
@@ -233,8 +242,16 @@ class GammaDensity:
         if not (self.k > 0 and self.rho > 0 and self.w >= 0 and math.isfinite(self.k + self.rho + self.w)):
             raise DomainError(f"gamma primitive needs finite k, rho > 0, w >= 0: {self}")
 
+    def _ratio(self, lam):
+        """lam / rho for a float or an array lam, inside the domain lam > -rho
+        (r > -1: the division rounds no lam above -rho to -1)."""
+        r = lam / self.rho
+        if (r <= -1.0).any() if isinstance(r, np.ndarray) else r <= -1.0:
+            raise DomainError(f"a gamma term needs lam > -rho = {-self.rho:g}, got {lam}")
+        return r
+
     def term(self, lam):
-        r = np.asarray(lam, dtype=float) / self.rho
+        r = self._ratio(lam)
         return self.w * (np.expm1(-self.k * np.log1p(r)) + self.k * r)
 
     @property
@@ -249,10 +266,11 @@ class GammaDensity:
 
     def dterm(self, lam):
         # d/dlam = w*(k/rho)*(1 - (rho/(rho+lam))^{k+1})
-        r = np.asarray(lam, dtype=float) / self.rho
+        r = self._ratio(lam)
         return -self.w * self.k / self.rho * np.expm1(-(self.k + 1) * np.log1p(r))
 
     def d2term(self, lam):
+        self._ratio(lam)  # for its domain check
         base = self.rho / (self.rho + lam)
         return self.w * self.k * (self.k + 1) / self.rho**2 * base ** (self.k + 2)
 
@@ -262,7 +280,7 @@ class GammaDensity:
         return w * (x * x * (s / (s + 1.0)) ** k - x * x + k * x / rho)
 
     def unit_laplace_defect(self, lam):
-        r = np.asarray(lam, dtype=float) / self.rho
+        r = self._ratio(lam)
         return -np.expm1(-self.k * np.log1p(r))
 
     @property

@@ -699,6 +699,40 @@ def test_non_grey_family_flagged():
     assert not report.h3_grey.passed
 
 
+@pytest.mark.parametrize("b_end, alpha_end", [
+    (1.5e308, None),        # b_1 - b_-1 overflows: the lhs is inf
+    (None, math.nan),       # the rhs is NaN
+    (None, math.inf),       # the rhs is inf
+    (1.5e308, math.inf),    # both are inf, and their difference NaN
+])
+def test_a_non_finite_kernel_side_reports_inf(b_end, alpha_end):
+    class Edge(CustomShift):
+        """CUSTOM, non-finite on the pair (-1, 1) of its default grid only."""
+
+        def b_at(self, q):
+            if b_end is not None and abs(q) == 1.0:
+                return math.copysign(b_end, q)
+            return super().b_at(q)
+
+        def _alpha(self, t, q):
+            if alpha_end is not None and (t, q) == (-1.0, 1.0):
+                return alpha_end
+            return super()._alpha(t, q)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # psi overflows with such a b
+        kernel = check_admissibility(Edge()).kernel_integrals
+    assert kernel.worst == math.inf and not kernel.passed
+
+
+def test_a_non_finite_drift_stops_the_report_at_its_mechanism():
+    class Edge(CustomShift):
+        def b_at(self, q):
+            return math.inf if q == 1.0 else super().b_at(q)
+
+    with pytest.raises(DomainError, match="finite b"):
+        check_admissibility(Edge())
+
+
 def reference_cocycle(fam, ts):
     """The H2 loop check_admissibility ran before it read its weight table:
     one mz call per factor, over every i <= j <= k and primitive p."""
@@ -738,6 +772,37 @@ def test_cocycle_condition_equals_the_mz_loop(k):
         h2 = check_admissibility(fam, t_grid=ts).h2_cocycle
         worst, note = reference_cocycle(fam, ts)
         assert (h2.worst, h2.note, h2.passed) == (worst, note, worst < 1e-12), ts
+
+
+def reference_kernel(fam, ts):
+    """The kernel-integral loop check_admissibility ran before its one array
+    pass: b_at, weights_at and alpha per grid pair t < q."""
+    fm = np.array([s.unit_first_moment for s in fam.shapes])
+    bs = [fam.b_at(t) for t in ts]
+    weights = [fam.weights_at(t) for t in ts]
+    worst = 0.0
+    for i in range(len(ts) - 1):
+        for j in range(i + 1, len(ts)):
+            lhs = bs[j] - bs[i]
+            jump = float(np.sum(fm * (weights[i] - weights[j]))) if fm.size else 0.0
+            rhs = fam.alpha(ts[i], ts[j]) + jump
+            if not (math.isfinite(lhs) and math.isfinite(rhs)):
+                return math.inf
+            worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("k", range(len(COCYCLE_FAMILIES)))
+def test_kernel_integrals_equal_the_pair_loop(k):
+    fam = COCYCLE_FAMILIES[k]
+    lo, hi = max(fam.window[0], -3.0), min(fam.window[1], 3.0)
+    rng = np.random.default_rng(900 + k)
+    grids = [np.sort(rng.uniform(lo, hi, size)) for size in (1, 2, 3, 5, 8, 12)]
+    grids += [np.array([lo, hi]), np.linspace(lo, hi, 9)]
+    for ts in grids:
+        kernel = check_admissibility(fam, t_grid=ts).kernel_integrals
+        worst = reference_kernel(fam, ts)
+        assert (kernel.worst, kernel.passed) == (worst, worst < 1e-8), ts
 
 
 # -- construction errors --------------------------------------------------------------------

@@ -408,6 +408,57 @@ def test_domain_errors():
         Mechanism(b=0.0, c=1.0, m=(PointMass(z=-1.0, w=1.0),))
 
 
+GAMMA_ONLY = Mechanism(0.5, 1.0, (GammaDensity(1.5, 2.0, 0.6),))
+
+
+# the formula reads NaN (psi, dpsi), a complex power (d2psi at -2.5) and a
+# division by zero (d2psi at -rho) there
+@pytest.mark.parametrize("method, lam", [
+    ("psi", -2.5), ("dpsi", -2.5), ("d2psi", -2.5), ("d2psi", -2.0),
+    ("psi", -2.0), ("dpsi", -2.0),
+])
+def test_gamma_terms_reject_lam_at_or_below_minus_rho(method, lam):
+    fn = getattr(GAMMA_ONLY, method)
+    with pytest.raises(DomainError, match="lam > -rho"):
+        fn(lam)
+    with pytest.raises(DomainError, match="lam > -rho"):
+        fn(np.array([0.5, lam, 1.0]))
+
+
+def test_gamma_primitive_methods_share_the_domain():
+    prim = GAMMA_ONLY.m[0]
+    inside = math.nextafter(-2.0, 0.0)
+    for name in ("term", "dterm", "d2term", "unit_laplace_defect"):
+        fn = getattr(prim, name)
+        for lam in (-2.0, -2.5, -math.inf, np.array([1.0, -2.0])):
+            with pytest.raises(DomainError):
+                fn(lam)
+        assert np.isfinite(fn(inside)) and np.isfinite(fn(np.array([inside, 3.0]))).all()
+    assert math.isnan(GAMMA_ONLY.psi(math.nan))
+
+
+JUMP_PRIMITIVES = [PointMass(1.3, 0.8), PointMass(0.02, 2.0),
+                   GammaDensity(1.5, 2.0, 0.6), GammaDensity(0.4, 0.3, 1.7)]
+
+
+@pytest.mark.parametrize("prim", JUMP_PRIMITIVES, ids=repr)
+def test_scalar_and_array_paths_agree_bit_for_bit(prim):
+    # floats skip the array wrapping that arrays take: the same bits either way,
+    # across the series bound and out to large lam
+    sb = prim.series_below
+    low = -0.5 * prim.rho if isinstance(prim, GammaDensity) else -0.5
+    lams = np.concatenate([sb * np.array([-0.9, -1e-3, 0.0, 1e-6, 0.5, 0.999, 1.001, 2.0]),
+                           [low, 0.3, 1.0, 7.5, 40.0, 1e3, 1e6]])
+    small = np.abs(lams) < sb
+    for name in ("term", "small_term", "dterm", "unit_laplace_defect"):
+        fn = getattr(prim, name)
+        xs = lams[small] if name == "small_term" else lams
+        arr = fn(xs)
+        assert arr.shape == xs.shape
+        for x, want in zip(xs.tolist(), arr.tolist()):
+            assert float(fn(x)).hex() == want.hex(), (name, x)
+
+
 def test_psi_inverse_negative_supercritical():
     # between the dip minimum and the root there is a largest solution
     mech = SUPER  # min at lam=1/2, value -1/4
