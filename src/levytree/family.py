@@ -47,7 +47,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate
 
 from .mechanism import DomainError, Mechanism, PointMass, brentq, parsed
 
@@ -220,6 +219,8 @@ class AdmissibleFamily(ABC):
         return brentq(lambda s: self._node_survival(t, s, delta) - target, t, hi, xtol=1e-14)
 
     def _mark_times(self, t, q, rng, size):
+        from scipy import integrate
+
         grid = np.linspace(t, q, 1025)
         dens = np.array([self.beta_at(x) for x in grid])
         cum = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
@@ -455,6 +456,17 @@ class ReflectedFamily(AdmissibleFamily):
         eta = mech.eta
         return t, eta, mech.dpsi(eta), self.negative.zeta(t, eta)
 
+    def psi_at(self, q):
+        if q <= 0:
+            return super().psi_at(q)
+        # b_at and weights_at from one mirror mechanism: one root-find of eta
+        self._check_time(q)
+        mech = self.negative.psi_at(-q)
+        eta = mech.eta
+        w = self.negative.weights_at(-q) * np.exp(-self._z * eta)
+        prims = tuple(s.scaled(wi) for s, wi in zip(self.shapes, w))
+        return Mechanism(mech.dpsi(eta), self.c, prims)
+
     def b_at(self, q):
         if q <= 0:
             return self.negative.b_at(q)
@@ -471,8 +483,8 @@ class ReflectedFamily(AdmissibleFamily):
     def weights_at(self, q):
         if q <= 0:
             return self.negative.weights_at(q)
-        t, eta, _, _ = self._mirror(q)
-        return self.negative.weights_at(t) * np.exp(-self._z * eta)
+        eta = self.negative.psi_at(-q).eta
+        return self.negative.weights_at(-q) * np.exp(-self._z * eta)
 
     def weight_rates_at(self, q):
         if q <= 0:

@@ -48,9 +48,15 @@ eta, whose exact parameters and drift psi'(eta) > 0 do not cancel.
 Each jump primitive also gives its part of the Galton-Watson offspring law
 at resolution n.  A point mass's is Poisson(n*z), computed with the
 scipy.special functions that scipy.stats.poisson calls, to its bits.  A
-gamma density's is negative binomial, from scipy.stats, which is imported
-in that call only: its import (about 20 MB) is a large share of the cost
-of a short process.
+gamma density's is negative binomial, from scipy.stats.
+
+No scipy module is imported at load time.  Each is imported in the call
+that uses it: optimize in brentq, integrate in _quad, special in a point
+mass's offspring law and stats in a gamma density's.  Loading scipy is
+most of a short process's start-up cost (about 0.55 s of CPU and 50 MB).
+A process that reads only the closed forms of quadratic mechanisms (v_of,
+u_of, psi_inverse at y >= 0, and eta where psi(-b/c) rounds to 0, as at
+c = 1) never pays it.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 
 class DomainError(ValueError):
@@ -110,6 +115,8 @@ def _exp_excess(y):
 
 def brentq(f, lo, hi, **tol):
     """optimize.brentq, its bracket and convergence failures raised as NumericError."""
+    from scipy import optimize  # imported here, not at load time: see the module docstring
+
     try:
         return optimize.brentq(f, lo, hi, **tol)
     except (DomainError, NumericError):
@@ -119,6 +126,8 @@ def brentq(f, lo, hi, **tol):
 
 
 def _quad(f, lo, hi):
+    from scipy import integrate
+
     val, err = integrate.quad(f, lo, hi, **_QUAD_OPTS)
     if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
         raise NumericError(f"quadrature failed on [{lo}, {hi}]: value {val}, err {err}")
@@ -212,12 +221,16 @@ class PointMass:
         The ufuncs and operation order of scipy.stats.poisson.pmf, so the
         values are its values bit for bit.
         """
+        from scipy import special
+
         mu = n * self.z
         return self.w * np.exp(special.xlogy(ks, mu) - special.gammaln(ks + 1) - mu)
 
     def gw_quantile(self, n, q):
         """Least k with Poisson(n*z) cdf at k >= q, for 0 < q < 1, as
         scipy.stats.poisson.ppf finds it."""
+        from scipy import special
+
         mu = n * self.z
         v = math.ceil(special.pdtrik(q, mu))
         below = max(v - 1, 0)

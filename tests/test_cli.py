@@ -206,6 +206,71 @@ def test_scipy_stats_stays_unloaded_until_spine_exponential():
     assert json.loads(done.stdout) == [False, False, False, False, True]
 
 
+SCIPY_ON_FIRST_USE = """
+import contextlib, io, json, sys
+from levytree import cli
+
+MODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.stats")
+closed_form, jump = json.load(sys.stdin)
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return [code, out.getvalue(), [m for m in MODULES if m in sys.modules]]
+
+print(json.dumps({"import": [m for m in MODULES if m in sys.modules],
+                  "closed_form": [call(argv) for argv in closed_form],
+                  "jump": [call(argv) for argv in jump]}))
+"""
+
+
+def test_closed_form_runs_leave_scipy_unloaded(capsys):
+    # at c = 1 the quadratic mechanisms of a linear-drift family have
+    # closed-form eta, psi^-1, v and u: no quadrature, root-find or Poisson
+    # pmf, so no scipy
+    quadratic = json.dumps({"b": 0.5, "c": 1.0, "m": []})
+    point_mass = json.dumps({"b": 0.0, "c": 1.0, "m": [{"type": "point", "z": 1.0, "w": 1.0}]})
+    params = {"seed": 7, "resolution": 100, "replicates": 200, "height_cap": 1.0}
+
+    def verify(name, family, **extra):
+        return ["verify", name, "--config",
+                json.dumps({"family": family, "params": {**params, **extra}})]
+
+    closed_form = [
+        ["list"],
+        ["family", "check", "--family", json.dumps(LD_FAM)],
+        ["mech", "eval", "--mech", quadratic, "--", "0.5", "2.0"],
+        ["mech", "v", "--mech", quadratic, "0.5", "2.0"],
+        *(verify(name, LD_FAM) for name in (
+            "height_law", "sigma_laplace", "prune_marginal", "special_markov_intensity",
+            "exit_tail_remark", "cond_sigma")),
+        verify("ascension_tail", LD_FAM, q_grid=[-0.5]),
+    ]
+    jump = [
+        ["mech", "v", "--mech", point_mass, "0.5", "2.0"],
+        verify("height_law", SHIFT_ONE_ATOM, q_grid=[0.5]),
+    ]
+    src = str(Path(levytree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_USE], env=env, timeout=120,
+                          input=json.dumps([closed_form, jump]), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["import"] == []
+    for argv, (code, _, mods) in zip(closed_form, got["closed_form"]):
+        assert code in (0, 1) and mods == [], argv
+    (_, _, mech_mods), (_, _, verify_mods) = got["jump"]
+    # v of a jump mechanism integrates; a point-mass scheme takes the Poisson pmf
+    assert "scipy.integrate" in mech_mods and "scipy.special" in verify_mods
+    # a call that loads scipy computes what one in this warm process does
+    capsys.readouterr()
+    for argv, (code, out, _) in zip(jump, got["jump"]):
+        assert run(argv) == code
+        assert capsys.readouterr().out == out
+
+
 def test_numeric_failure_exits_three(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, seed=7, replicates=500, resolution=100)
 

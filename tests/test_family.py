@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levytree import mechanism
 from levytree.family import (
     AdmissibilityReport,
     AdmissibleFamily,
@@ -605,6 +606,26 @@ def test_reflected_matches_conjugate_mechanism():
         direct = neg.psi(eta + grid)  # psi_q(lam) = psi_{-q}(eta + lam)
         got = REFL.psi_at(q).psi(grid)
         np.testing.assert_allclose(got, direct, rtol=1e-11, atol=1e-11)
+
+
+def test_reflected_psi_at_root_finds_one_mirror(monkeypatch):
+    calls = []
+    real = mechanism.brentq
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mechanism, "brentq", counting)
+    for q in (0.15, 0.5, 0.75):
+        calls.clear()
+        got = REFL.psi_at(q)
+        assert len(calls) == 1
+        # the base class builds b and the weights from a mirror each: same bits
+        calls.clear()
+        ref = AdmissibleFamily.psi_at(REFL, q)
+        assert len(calls) == 2
+        assert got.b == ref.b and got.c == ref.c and got.m == ref.m
 
 
 def test_reflected_is_continuous_at_zero():
