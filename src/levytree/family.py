@@ -219,11 +219,10 @@ class AdmissibleFamily(ABC):
         return brentq(lambda s: self._node_survival(t, s, delta) - target, t, hi, xtol=1e-14)
 
     def _mark_times(self, t, q, rng, size):
-        from scipy import integrate
-
         grid = np.linspace(t, q, 1025)
         dens = np.array([self.beta_at(x) for x in grid])
-        cum = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+        # scipy.integrate.cumulative_trapezoid(dens, grid, initial=0), in its operations and order
+        cum = np.concatenate(([0.0], np.cumsum(np.diff(grid) * (dens[1:] + dens[:-1]) / 2.0)))
         return np.interp(rng.random(size) * cum[-1], cum, grid)
 
     def _qbar(self, q):

@@ -18,12 +18,13 @@ keeps its second order at any lam.  A gamma term is defined for lam > -rho
 only; its methods raise DomainError below that, where the formula reads
 inf, NaN or a complex power.
 
-The jump terms take a float or an array lam through the same code: float
-arithmetic around numpy's transcendental ufuncs (np.log1p, np.expm1,
-np.exp), never the math.* functions, which differ from numpy's in the last
-bit on 2.5-4.6 % of inputs.  A float is not wrapped in a 0-d array first:
-IEEE arithmetic rounds a Python float and an array element alike, and the
-wrapping cost about as much as the rest of a gamma term.
+The jump terms take a float or an array lam through the same formulas,
+around numpy's transcendental ufuncs (np.log1p, np.expm1, np.exp), never
+the math.* functions, which differ from numpy's in the last bit on 2.5-4.6 %
+of inputs.  A float is not wrapped in a 0-d array first, and the ufunc's
+value at a float is taken back as a float (float(np.expm1(..))): IEEE
+arithmetic rounds a Python float and an np.float64 alike, at about a third
+of the cost.
 
 Conventions used throughout the package:
 
@@ -41,22 +42,31 @@ Conventions used throughout the package:
 Quadratic mechanisms (no jump part) take closed forms.  Otherwise tail
 integrals are evaluated on two smooth charts: r = eta + e^s near the root
 and r = 1/x at infinity, where x**2*psi(1/x) -> c removes the singularity.
-v_of and u_of invert them by Newton steps on s that add each step's
-integral to one full quadrature.  There psi(eta + .) is the conjugate at
-eta, whose exact parameters and drift psi'(eta) > 0 do not cancel.
+The part of the far chart past r = lam_big is a constant of the mechanism,
+computed once per power.  v_of and u_of invert them by Newton steps on s
+that add each step's integral to one full quadrature.  There psi(eta + .)
+is the conjugate at eta, whose exact parameters and drift psi'(eta) > 0 do
+not cancel.
+
+Quadrature and root-finding are the package's own.  _quad is quadpack's
+21-point Gauss-Kronrod rule (QK21), with its error estimate, tolerances and
+limit of 400 panels, on integrands that take arrays: each round evaluates
+all its new panels in one call.  Past that limit, or at a value that is not
+finite, it raises NumericError and warns nothing.  brentq is a port of
+scipy's, with its bits.
 
 Each jump primitive also gives its part of the Galton-Watson offspring law
 at resolution n.  A point mass's is Poisson(n*z), computed with the
 scipy.special functions that scipy.stats.poisson calls, to its bits.  A
 gamma density's is negative binomial, from scipy.stats.
 
-No scipy module is imported at load time.  Each is imported in the call
-that uses it: optimize in brentq, integrate in _quad, special in a point
-mass's offspring law and stats in a gamma density's.  Loading scipy is
-most of a short process's start-up cost (about 0.55 s of CPU and 50 MB).
-A process that reads only the closed forms of quadratic mechanisms (v_of,
-u_of, psi_inverse at y >= 0, and eta where psi(-b/c) rounds to 0, as at
-c = 1) never pays it.
+No scipy module is imported at load time, and the flows, inverse and
+root of a mechanism load none.  The offspring laws import theirs in the
+call that uses it: special for a point mass and stats for a gamma
+density.  Loading scipy is most of a short process's start-up cost:
+scipy.integrate or scipy.optimize would also load scipy.linalg and
+scipy.sparse, and take a process's resident memory from about 32 MB to
+80 MB (scipy.special alone: 54 MB).
 """
 
 from __future__ import annotations
@@ -76,8 +86,29 @@ class NumericError(RuntimeError):
     """Quadrature or root-finding failed to reach its tolerance."""
 
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)  # for narrow tail increments
+
+# QUADPACK's QK21 on [-1, 1]: Kronrod nodes from the edge in (the odd ones,
+# from 0, are the 10-point Gauss nodes), Kronrod weights, Gauss weights
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_GK_X = np.array([-x for x in _XGK[:10]] + list(_XGK[::-1]))  # the 21 nodes, increasing
+_EPSABS, _EPSREL = 1e-13, 1e-12  # the tolerances the package gave quadpack
+_PANEL_BUDGET = 400  # quadpack's limit on subintervals
+_EPS = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
 
 
 def _over_x(fn, x):
@@ -113,25 +144,128 @@ def _exp_excess(y):
     return np.where(small, _exp_series(np.where(small, y, 0.0)), np.expm1(y) - y)
 
 
-def brentq(f, lo, hi, **tol):
-    """optimize.brentq, its bracket and convergence failures raised as NumericError."""
-    from scipy import optimize  # imported here, not at load time: see the module docstring
+def brentq(f, lo, hi, xtol, rtol=4 * _EPS):
+    """A root of f on [lo, hi], where f(lo) and f(hi) differ in sign.
 
-    try:
-        return optimize.brentq(f, lo, hi, **tol)
-    except (DomainError, NumericError):
-        raise
-    except (ValueError, RuntimeError) as err:
-        raise NumericError(f"root finding on [{lo}, {hi}] failed: {err}") from err
+    A line-for-line port of the C routine behind scipy.optimize.brentq
+    (Brent 1973), so its iterates, and its root, are scipy's to the bit.  A
+    NaN value, a bracket without a sign change and 100 steps (scipy's
+    maxiter) without convergence raise NumericError.
+    """
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise NumericError(f"root finding on [{lo}, {hi}] met f = NaN at {x}")
+        return fx
+
+    xpre, xcur, xtol, rtol = float(lo), float(hi), float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NumericError(f"root finding on [{lo}, {hi}]: f has one sign at both ends")
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C reads inf or NaN, which bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise NumericError(f"root finding on [{lo}, {hi}] did not converge in 100 steps")
+
+
+def _qk21(fv, hlgth):
+    """QUADPACK's QK21 on one panel, in its order of operations: (error,
+    value) from the integrand at the panel's 21 nodes, in increasing order,
+    and its half-width.  A panel's value is so quadpack's to the bit."""
+    fc = fv[10]
+    resg, resk = 0.0, _WGK[10] * fc
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
+        fval1, fval2 = fv[j], fv[20 - j]
+        fsum = fval1 + fval2
+        if j % 2:
+            resg += _WG[j // 2] * fsum
+        resk += _WGK[j] * fsum
+        resabs += _WGK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc += _WGK[j] * (abs(fv[j] - reskh) + abs(fv[20 - j] - reskh))
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0 and abserr != 0:
+        ratio = 200.0 * abserr / resasc  # min(1, ratio**1.5), which cannot overflow
+        abserr = resasc if ratio >= 1.0 else resasc * ratio**1.5
+    if resabs > _UFLOW / (50 * _EPS):
+        abserr = max(_EPS * 50 * resabs, abserr)
+    return abserr, resk * hlgth
 
 
 def _quad(f, lo, hi):
-    from scipy import integrate
+    """integral_lo^hi f, for an f that maps an array of points to its values.
 
-    val, err = integrate.quad(f, lo, hi, **_QUAD_OPTS)
-    if not math.isfinite(val) or err > 1e-8 * max(1.0, abs(val)):
-        raise NumericError(f"quadrature failed on [{lo}, {hi}]: value {val}, err {err}")
-    return val
+    Adaptive QK21 panels to quadpack's tolerances: each round calls f once on
+    the nodes of its new panels, and while the error estimates sum past
+    max(epsabs, epsrel |value|) it bisects the panels with the largest, all
+    but those that fit in half that bound.  Panels split at quadpack's
+    midpoints, so an integral that one panel resolves is quadpack's to the
+    bit.  A value that is not finite, or a need for more than _PANEL_BUDGET
+    panels, raises NumericError.
+    """
+    todo = [(lo, hi)]  # the ends of the panels to evaluate
+    done = []  # (error, value, a, b) of evaluated panels
+    for _ in range(_PANEL_BUDGET):
+        mid = np.array([(0.5 * (a + b), 0.5 * (b - a)) for a, b in todo])
+        fx = np.asarray(f(mid[:, :1] + mid[:, 1:] * _GK_X), dtype=float)
+        halves = mid[:, 1].tolist()
+        done += [(*_qk21(fv, h), a, b) for fv, h, (a, b) in zip(fx.tolist(), halves, todo)]
+        total, error = math.fsum(p[1] for p in done), sum(p[0] for p in done)
+        if not (math.isfinite(total) and math.isfinite(error)):
+            raise NumericError(
+                f"quadrature on [{lo}, {hi}] reached {total} (error {error}): not finite")
+        bound = max(_EPSABS, _EPSREL * abs(total))
+        if error <= bound:
+            return total
+        done.sort()
+        kept, fits = 0, 0.5 * bound
+        while fits >= done[kept][0]:
+            fits -= done[kept][0]
+            kept += 1
+        split, done = done[kept:], done[:kept]
+        if kept + 2 * len(split) > _PANEL_BUDGET:
+            break
+        todo = ([(a, 0.5 * (a + b)) for *_, a, b in split]
+                + [(0.5 * (a + b), b) for *_, a, b in split])
+    raise NumericError(f"quadrature on [{lo}, {hi}] needs over {_PANEL_BUDGET} panels "
+                       f"(value {total}, error {error})")
 
 
 def _newton_chart(g, s, value, start, target, edge=math.inf):
@@ -151,7 +285,7 @@ def _newton_chart(g, s, value, start, target, edge=math.inf):
             value += _quad(g, new, s)
         elif new != s:
             half = 0.5 * (s - new)
-            value += half * float(_GL_W @ g(new + half + half * _GL_X))
+            value += half * float((_GL_W * g(new + half + half * _GL_X)).sum())
         s = new
         lo, hi = (s, hi) if value > target else (lo, s)
         slope = float(g(s))
@@ -179,7 +313,8 @@ class PointMass:
 
     def term(self, lam):
         x = lam * self.z
-        return self.w * (np.expm1(-x) + x)
+        e = np.expm1(-x)
+        return self.w * ((float(e) if type(x) is float else e) + x)
 
     @property
     def series_below(self):
@@ -191,15 +326,16 @@ class PointMass:
 
     def dterm(self, lam):
         # d/dlam = w*z*(1 - e^{-lam z})
-        return -self.w * self.z * np.expm1(-lam * self.z)
+        e = np.expm1(-lam * self.z)
+        return -self.w * self.z * (float(e) if type(lam) is float else e)
 
     def d2term(self, lam):
         return self.w * self.z * self.z * np.exp(-lam * self.z)
 
     def x2term(self, x):
-        # x^2 * term(1/x), stable as x -> 0
+        # x^2 * term(1/x) at an array x > 0, stable as x -> 0
         z, w = self.z, self.w
-        return w * (x * x * math.exp(-z / x) - x * x + z * x)
+        return w * (x * x * np.exp(-z / x) - x * x + z * x)
 
     # unit-measure quantities (weight stripped), used by family kernels
     def unit_laplace_defect(self, lam):
@@ -265,6 +401,8 @@ class GammaDensity:
 
     def term(self, lam):
         r = self._ratio(lam)
+        if type(r) is float:
+            return self.w * (float(np.expm1(-self.k * float(np.log1p(r)))) + self.k * r)
         return self.w * (np.expm1(-self.k * np.log1p(r)) + self.k * r)
 
     @property
@@ -280,6 +418,8 @@ class GammaDensity:
     def dterm(self, lam):
         # d/dlam = w*(k/rho)*(1 - (rho/(rho+lam))^{k+1})
         r = self._ratio(lam)
+        if type(r) is float:
+            return -self.w * self.k / self.rho * float(np.expm1(-(self.k + 1) * float(np.log1p(r))))
         return -self.w * self.k / self.rho * np.expm1(-(self.k + 1) * np.log1p(r))
 
     def d2term(self, lam):
@@ -517,10 +657,20 @@ class Mechanism:
     def _at_root(self):
         return self.conjugate(self.eta)
 
-    def _rate(self, s, side=1.0):
-        # g of _newton_chart above eta; side = -1 gives it on ln(eta - r) below
+    def _rate(self, s, side=1.0, power=1):
+        # g of _newton_chart above eta; side = -1 gives it on ln(eta - r) below;
+        # at power 2 the integrand of tail_time(., 2) on the same chart
         x = side * np.exp(s)
-        return x / self._at_root.psi(x)
+        return x / self._at_root.psi(x) ** power
+
+    def _far(self, x, power=1):
+        # the tail integrand on the chart r = 1/x, at an array x > 0
+        return 1.0 / self._psi_x2(x) if power == 1 else x * x / self._psi_x2(x) ** 2
+
+    @cached_property
+    def _far_tails(self):
+        # {power: the integral of _far over [0, 1 / lam_big]}, filled on first use
+        return {}
 
     def v_of(self, a):
         """Height tail: the unique v > eta with tail_time(v) = a (see _newton_chart)."""
@@ -619,15 +769,11 @@ def _tail_time_quad(mech, v, power=1):
     if v <= eta:
         raise DomainError(f"tail integral needs v > eta = {eta}")
     lam_big = max(2.0 * eta + 1.0, 10.0)
-    c = mech.c
-
-    if power == 1:
-        far = lambda x: 1.0 / mech._psi_x2(x) if x > 0 else 1.0 / c
-    else:
-        far = lambda x: x * x / mech._psi_x2(x) ** 2 if x > 0 else 0.0
-
+    far = lambda x: mech._far(x, power)
     if v >= lam_big:
         return _quad(far, 0.0, 1.0 / v)
-    near = lambda s: math.exp(s) / mech._at_root.psi(math.exp(s)) ** power
-    head = _quad(near, math.log(v - eta), math.log(lam_big - eta))
-    return head + _quad(far, 0.0, 1.0 / lam_big)
+    head = _quad(lambda s: mech._rate(s, 1.0, power), math.log(v - eta), math.log(lam_big - eta))
+    tails = mech._far_tails
+    if power not in tails:  # a constant of the mechanism
+        tails[power] = _quad(far, 0.0, 1.0 / lam_big)
+    return head + tails[power]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import levytree
-from levytree import cli, experiments
+from levytree import cli, experiments, mechanism
 from levytree.mechanism import NumericError
 
 LD_FAM = {
@@ -210,7 +210,8 @@ SCIPY_ON_FIRST_USE = """
 import contextlib, io, json, sys
 from levytree import cli
 
-MODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.stats")
+MODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.stats",
+           "scipy.linalg", "scipy.sparse")
 closed_form, jump = json.load(sys.stdin)
 
 def call(argv):
@@ -228,7 +229,8 @@ print(json.dumps({"import": [m for m in MODULES if m in sys.modules],
 def test_closed_form_runs_leave_scipy_unloaded(capsys):
     # at c = 1 the quadratic mechanisms of a linear-drift family have
     # closed-form eta, psi^-1, v and u: no quadrature, root-find or Poisson
-    # pmf, so no scipy
+    # pmf, so no scipy; quadrature and root-finding are the package's own, so
+    # a jump mechanism's flows load none either
     quadratic = json.dumps({"b": 0.5, "c": 1.0, "m": []})
     point_mass = json.dumps({"b": 0.0, "c": 1.0, "m": [{"type": "point", "z": 1.0, "w": 1.0}]})
     params = {"seed": 7, "resolution": 100, "replicates": 200, "height_cap": 1.0}
@@ -262,8 +264,9 @@ def test_closed_form_runs_leave_scipy_unloaded(capsys):
     for argv, (code, _, mods) in zip(closed_form, got["closed_form"]):
         assert code in (0, 1) and mods == [], argv
     (_, _, mech_mods), (_, _, verify_mods) = got["jump"]
-    # v of a jump mechanism integrates; a point-mass scheme takes the Poisson pmf
-    assert "scipy.integrate" in mech_mods and "scipy.special" in verify_mods
+    # v of a jump mechanism integrates, in the package; a point-mass scheme
+    # takes the Poisson pmf from scipy.special, which loads no other of them
+    assert mech_mods == [] and verify_mods == ["scipy.special"]
     # a call that loads scipy computes what one in this warm process does
     capsys.readouterr()
     for argv, (code, out, _) in zip(jump, got["jump"]):
@@ -581,11 +584,31 @@ COMMANDS = st.one_of(
 )
 
 
-# the contract holds under the warning filters the command line runs with: at
-# the extremes drawn here quadpack still warns (quadrature with a near-zero
-# c), which is no exit code
-@pytest.mark.filterwarnings("default::RuntimeWarning",
-                            "default::scipy.integrate.IntegrationWarning")
+# a gamma flow with a near-zero c, whose quadrature once warned through quadpack
+GAMMA_FLOW = ["mech", "u", "--mech", json.dumps(
+    {"b": -2.7040968044533953, "c": 2.0229266734773702e-28,
+     "m": [{"type": "gamma", "k": 1.5498929589073607, "rho": 0.5606011298539593,
+            "w": 0.30415206286450486}]}), "2.1752587430481047", "1.6101914672354252"]
+
+
+def test_quadrature_warns_nothing_at_a_near_zero_c(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(GAMMA_FLOW) == 0
+    assert capsys.readouterr().out == "5.72845558071e+14\n"
+
+
+def test_quadrature_past_its_panel_budget_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(mechanism, "_PANEL_BUDGET", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(GAMMA_FLOW) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: quadrature on") and "panels" in err
+
+
+# like the rest of the suite this runs with every warning an error: no input
+# drawn here makes quadrature, root-finding or numpy warn
 @settings(max_examples=200, deadline=None)
 @given(argv=COMMANDS)
 def test_every_input_exits_with_a_contract_code(argv):

@@ -502,6 +502,22 @@ def test_mark_times_follow_the_drift_density():
     assert abs(times.mean() - mean) < 4.0 * se
 
 
+@pytest.mark.parametrize("fam", [REFL, ReflectedFamily(SHIFT_TWIN), CUSTOM],
+                         ids=["reflected", "reflected_twin", "custom"])
+def test_trapezoid_mark_times_keep_scipys_bits(fam):
+    # the mark times invert the running trapezoid integral of the drift
+    # density that scipy.integrate.cumulative_trapezoid computes, bit for bit
+    from scipy import integrate
+
+    lo, hi = fam.window
+    for t, q in ((lo, hi), (lo + 0.1, 0.0), (-0.05, hi), (0.3 * lo, 0.7 * hi)):
+        grid = np.linspace(t, q, 1025)
+        cum = integrate.cumulative_trapezoid([fam.beta_at(x) for x in grid], grid, initial=0.0)
+        want = np.interp(np.random.default_rng(5).random(4000) * cum[-1], cum, grid)
+        got = fam.mark_times(t, q, np.random.default_rng(5), 4000)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_mark_times_need_positive_alpha():
     fam = TruncationFamily(TRUNC_BASE, h0=2.0, slope=1.0, g_rate=0.0, window=(-1.0, 1.2))
     with pytest.raises(DomainError):

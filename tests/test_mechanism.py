@@ -24,7 +24,6 @@ from levytree.mechanism import (
     NumericError,
     PointMass,
     _over_x,
-    _quad,
     _tail_time_quad,
     brentq,
 )
@@ -500,10 +499,43 @@ def test_vectorized_psi():
 # ------------------------------------------- Newton inversion vs the old one
 
 
+QUADPACK = dict(epsabs=1e-13, epsrel=1e-12, limit=400)
+
+
+def quad_reference(f, lo, hi):
+    from scipy import integrate
+
+    return integrate.quad(f, lo, hi, **QUADPACK)[0]
+
+
+def brentq_reference(f, lo, hi):
+    from scipy import optimize
+
+    try:
+        return optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    except (ValueError, RuntimeError) as err:
+        raise NumericError(str(err)) from err
+
+
+def tail_time_reference(mech, v):
+    """integral_v^inf dr/psi(r) by quadpack, split as the package splits it:
+    r = eta + e^s below lam_big on the conjugate at eta, r = 1/x above."""
+    eta = mech.eta
+    lam_big = max(2.0 * eta + 1.0, 10.0)
+    far = lambda x: 1.0 / (x * x * mech.psi(1.0 / x))
+    if v >= lam_big:
+        return quad_reference(far, 0.0, 1.0 / v)
+    root = mech.conjugate(eta)
+    near = lambda s: math.exp(s) / root.psi(math.exp(s))
+    return (quad_reference(near, math.log(v - eta), math.log(lam_big - eta))
+            + quad_reference(far, 0.0, 1.0 / lam_big))
+
+
 def invert_tail_reference(mech, a, lam=math.inf):
     """v_of(a) (lam = inf) or u_of(a, lam) of a jump mechanism by the solver
     the Newton one replaced: a bracket stepped by whole tail quadratures,
-    brentq over them, then up to three polishing steps."""
+    brentq over them, then up to three polishing steps.  Its quadrature and
+    root-finder are scipy's, quadpack and brentq, not the package's."""
     eta = mech.eta
     if abs(lam - eta) <= 1e-12 * eta:  # u_of's fixed points
         return eta
@@ -512,7 +544,7 @@ def invert_tail_reference(mech, a, lam=math.inf):
     if lam < eta:  # chart r = eta - e^t
         g = lambda t: math.exp(t) / (-mech.psi(eta - math.exp(t)))
         t_lam = math.log(eta - lam)
-        f = lambda t: _quad(g, t, t_lam) - a
+        f = lambda t: quad_reference(g, t, t_lam) - a
         lo = t_lam - 1.0
         for _ in range(800):
             if f(lo) >= 0:
@@ -520,7 +552,7 @@ def invert_tail_reference(mech, a, lam=math.inf):
             lo -= 1.0
         else:
             raise NumericError("failed to bracket u below the root")
-        u = eta - math.exp(brentq(f, lo, t_lam, xtol=1e-14, rtol=8.9e-16))
+        u = eta - math.exp(brentq_reference(f, lo, t_lam))
         for _ in range(3):
             step = -f(math.log(eta - u)) * abs(mech.psi(u))
             if lam < u + step < eta:
@@ -528,9 +560,9 @@ def invert_tail_reference(mech, a, lam=math.inf):
             if abs(step) <= 1e-14 * max(u, 1e-30):
                 break
         return u
-    target = a if lam == math.inf else a + mech.tail_time(lam)
+    target = a if lam == math.inf else a + tail_time_reference(mech, lam)
     proxy = 1.0 / (mech.c * target * _over_x(math.expm1, target * mech.b))
-    f = lambda s: mech.tail_time(eta + math.exp(s)) - target
+    f = lambda s: tail_time_reference(mech, eta + math.exp(s)) - target
     lo = hi = math.log(max(proxy - eta, proxy * 1e-3, 1e-290))
     flo = fhi = f(lo)
     for _ in range(800):
@@ -545,9 +577,9 @@ def invert_tail_reference(mech, a, lam=math.inf):
         fhi = f(hi)
     if not (flo > 0 > fhi):
         raise NumericError("failed to bracket the tail-time inverse")
-    v = eta + math.exp(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    v = eta + math.exp(brentq_reference(f, lo, hi))
     for _ in range(3):
-        step = (mech.tail_time(v) - target) * mech.psi(v)
+        step = (tail_time_reference(mech, v) - target) * mech.psi(v)
         if eta < v + step:
             v += step
         if abs(step) <= 1e-14 * v:
@@ -633,3 +665,120 @@ def test_inversion_makes_few_quadratures(monkeypatch):
                 calls.clear()
                 mech.v_of(a) if lam is None else mech.u_of(a, lam)
                 assert len(calls) <= 8, (mech, a, lam, len(calls))
+
+
+# ------------------------------------------ the package's brentq and quadrature
+
+
+def _brentq_cases():
+    """(f, lo, hi, xtol, rtol): random brackets of smooth functions, and of psi
+    at a supercritical root, at the tolerances the package passes."""
+    rng = np.random.default_rng(20261021)
+    cases = []
+    for i in range(2400):
+        root, lo, hi = rng.uniform(-5, 5), rng.uniform(1e-6, 4), rng.uniform(1e-6, 4)
+        a, p, s = rng.uniform(0.1, 3), rng.uniform(-1, 1), 10.0 ** rng.uniform(-200, 200)
+        kind = i % 4
+        if kind == 0:  # cubic with one real root
+            f = lambda x, r=root, a=a, p=p, s=s: s * (x - r) * ((x - p) ** 2 + a)
+        elif kind == 1:  # steep near the root: extrapolation steps
+            f = lambda x, r=root, a=a: math.tanh(a * (x - r)) + 0.3 * (x - r) ** 3
+        elif kind == 2:  # flat on one side: bisection steps
+            f = lambda x, r=root, a=a: math.expm1(a * (x - r)) if x > r else (x - r) ** 3
+        else:  # psi of a supercritical jump mechanism around its root
+            mech = Mechanism(-a, rng.uniform(0.05, 2),
+                             (PointMass(rng.uniform(0.1, 3), rng.uniform(0.1, 2)),
+                              GammaDensity(rng.uniform(0.3, 3), rng.uniform(0.3, 3),
+                                           rng.uniform(0.1, 2))))
+            f, root = mech.psi, a / mech.c
+            lo, hi = root * 1e-3 / (1 + lo), root * (2 + hi)
+        xtol, rtol = ((1e-300, 8.9e-16), (1e-14, 8.881784197001252e-16))[i // 4 % 2]
+        cases.append((f, root - lo if kind < 3 else lo, root + hi if kind < 3 else hi,
+                      xtol, rtol))
+    return cases
+
+
+def test_brentq_is_scipys_to_the_bit():
+    from scipy import optimize
+
+    compared = 0
+    for f, lo, hi, xtol, rtol in _brentq_cases():
+        try:
+            want = optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+        except (ValueError, RuntimeError):  # one sign on the bracket, or 100 steps
+            with pytest.raises(NumericError):
+                brentq(f, lo, hi, xtol=xtol, rtol=rtol)
+            continue
+        assert brentq(f, lo, hi, xtol=xtol, rtol=rtol).hex() == want.hex(), (lo, hi, xtol)
+        compared += 1
+    assert compared >= 2000, compared
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: math.nan, 0.0, 1.0),
+    (lambda x: x - 0.5 if x < 0.9 else math.nan, 0.0, 1.0),
+    (lambda x: x * x + 1.0, -1.0, 1.0),
+    (lambda x: -1e-200, 0.0, 1.0),
+], ids=["nan", "nan_inside", "same_sign", "same_sign_tiny"])
+def test_brentq_raises_numeric_error(f, lo, hi):
+    with pytest.raises(NumericError):
+        brentq(f, lo, hi, xtol=1e-14)
+
+
+def test_brentq_returns_an_exact_zero_end():
+    assert brentq(lambda x: x, 0.0, 1.0, xtol=1e-14) == 0.0
+    assert brentq(lambda x: x - 1.0, 0.0, 1.0, xtol=1e-14) == 1.0
+
+
+def test_kronrod_rule_is_exact_to_degree_31():
+    # the 21 nodes integrate x^k over [-1, 1] exactly for k <= 31, the
+    # 10 Gauss nodes for k <= 19: the QUADPACK constants carry no typo
+    x = [mpmath.mpf(v) for v in mechanism._XGK]
+    wk = [mpmath.mpf(v) for v in mechanism._WGK]
+    wg = [mpmath.mpf(v) for v in mechanism._WG]
+
+    def rule(nodes, weights, k):  # nodes +-x, the last one 0 for Kronrod
+        return mpmath.fsum(w * (xi**k + (-xi) ** k if xi else xi**k) for w, xi in zip(weights, nodes))
+
+    for k in range(0, 34, 2):  # odd moments vanish by symmetry
+        exact = mpmath.mpf(2) / (k + 1)
+        assert (abs(rule(x, wk, k) - exact) < 1e-15) == (k < 32), k
+        if k < 22:
+            assert (abs(rule(x[1:10:2], wg, k) - exact) < 1e-15) == (k < 20), k
+    assert list(mechanism._GK_X) == sorted([-v for v in mechanism._XGK] + list(mechanism._XGK[:10]))
+
+
+@pytest.mark.parametrize("f, lo, hi, want", [
+    (np.exp, 0.0, 1.0, math.e - 1.0),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1e3, math.atan(1e3)),
+    (lambda x: np.sqrt(x), 0.0, 1.0, 2.0 / 3.0),  # a branch point at the end
+    (lambda x: np.cos(50 * x), 0.0, 3.0, math.sin(150.0) / 50.0),
+    (np.exp, 1.0, 0.0, 1.0 - math.e),  # reversed ends
+])
+def test_quad_reaches_its_tolerance(f, lo, hi, want):
+    assert mechanism._quad(f, lo, hi) == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+
+def test_quad_agrees_with_quadpack_on_tail_integrands():
+    from scipy import integrate
+
+    for mech in (MIXED, MIXED_SUPER):
+        eta = mech.eta
+        for lo, hi in ((math.log(1e-3), math.log(eta + 9.0)), (-2.0, -1.5), (0.5, 2.0)):
+            got = mechanism._quad(mech._rate, lo, hi)
+            want = integrate.quad(lambda s: float(mech._rate(s)), lo, hi, **QUADPACK)[0]
+            assert got == pytest.approx(want, rel=4e-15)
+
+
+def test_quad_panel_budget_and_nonfinite_values_raise(monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not finite"):
+            mechanism._quad(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+        with pytest.raises(NumericError, match="needs over 400 panels"):
+            mechanism._quad(lambda x: 1.0 / x, 0.0, 1.0)  # divergent
+    lorentz = lambda x: 1.0 / (1.0 + x * x)
+    assert mechanism._quad(lorentz, 0.0, 1e3) == pytest.approx(math.atan(1e3), rel=1e-12)
+    monkeypatch.setattr(mechanism, "_PANEL_BUDGET", 2)
+    with pytest.raises(NumericError, match="needs over 2 panels"):
+        mechanism._quad(lorentz, 0.0, 1e3)
