@@ -58,7 +58,7 @@ class AdmissibleFamily(ABC):
     """Base class wiring weights and drift into mechanisms and kernels; the
     window must contain 0 and c stays constant across it."""
 
-    def __init__(self, window, c, shapes, left_closed=None):
+    def __init__(self, window, c, shapes):
         t0, t1 = float(window[0]), float(window[1])
         if math.isnan(t0) or math.isnan(t1) or not t0 < t1:
             raise DomainError(f"bad window [{t0}, {t1}]")
@@ -72,14 +72,11 @@ class AdmissibleFamily(ABC):
                 raise DomainError(
                     "shapes carry unit weight; put the scale in the weights"
                 )
-        if left_closed is None:
-            left_closed = math.isfinite(t0)
         self.window = (t0, t1)
         # the window clipped to finite floats: one chained comparison then
         # checks membership and finiteness together
         self._lo = max(t0, -sys.float_info.max)
         self._hi = min(t1, sys.float_info.max)
-        self.left_closed = bool(left_closed) and math.isfinite(t0)
         self.c = float(c)
         self.shapes = tuple(shapes)
         self._atom_idx = tuple(
@@ -262,8 +259,8 @@ class _ConstantKernelFamily(AdmissibleFamily):
     """A family whose kernel drift beta is one constant: alpha is beta times
     the slice length and mark times are uniform on the slice."""
 
-    def __init__(self, window, c, shapes, left_closed, beta):
-        super().__init__(window, c, shapes, left_closed)
+    def __init__(self, window, c, shapes, beta):
+        super().__init__(window, c, shapes)
         self._beta = beta
 
     def beta_at(self, q):
@@ -276,19 +273,18 @@ class _ConstantKernelFamily(AdmissibleFamily):
         return t + (q - t) * rng.random(size)
 
     def _to_dict(self, kind, **params):
-        return {"type": kind, "window": _window_out(self.window),
-                "left_closed": self.left_closed, **params}
+        return {"type": kind, "window": _window_out(self.window), **params}
 
 
 class _AtomicBaseFamily(_ConstantKernelFamily):
     """A constant-kernel family moving the atoms of a base mechanism given
     at q = 0; the base jump measure must be purely atomic."""
 
-    def __init__(self, kind, base, window, left_closed, beta):
+    def __init__(self, kind, base, window, beta):
         if any(not isinstance(s, PointMass) for s in base.m):
             raise DomainError(f"{kind} families carry atomic jump measures only")
         shapes = tuple(PointMass(s.z, 1.0) for s in base.m)
-        super().__init__(window, base.c, shapes, left_closed, beta)
+        super().__init__(window, base.c, shapes, beta)
         self.base = base
         self._w0 = np.array([s.w for s in base.m], dtype=float)
         self._z = np.array([s.z for s in base.m], dtype=float)
@@ -303,8 +299,8 @@ class ShiftFamily(_AtomicBaseFamily):
     under tilting and are rejected.
     """
 
-    def __init__(self, base, window, left_closed=None):
-        super().__init__("shift", base, window, left_closed, 2.0 * float(base.c))
+    def __init__(self, base, window):
+        super().__init__("shift", base, window, 2.0 * float(base.c))
 
     def b_at(self, q):
         zq = self._z * q
@@ -335,12 +331,12 @@ class ShiftFamily(_AtomicBaseFamily):
 class LinearDriftFamily(_ConstantKernelFamily):
     """psi_q(lam) = q * b_rate * lam + c * lam^2: pure drift kernel, no jumps."""
 
-    def __init__(self, b_rate, c, window=(-math.inf, math.inf), left_closed=None):
+    def __init__(self, b_rate, c, window=(-math.inf, math.inf)):
         if not b_rate > 0:
             raise DomainError(f"kernel drift must be positive, got {b_rate}")
         if not c > 0:
             raise DomainError(f"need c > 0, got {c}")
-        super().__init__(window, c, (), left_closed, float(b_rate))
+        super().__init__(window, c, (), float(b_rate))
         self.b_rate = self._beta
 
     def b_at(self, q):
@@ -379,8 +375,8 @@ class TruncationFamily(_AtomicBaseFamily):
     deterministic.
     """
 
-    def __init__(self, base, h0, slope, g_rate=0.0, window=(-1.0, 1.0), left_closed=None):
-        super().__init__("truncation", base, window, left_closed, float(g_rate))
+    def __init__(self, base, h0, slope, g_rate=0.0, window=(-1.0, 1.0)):
+        super().__init__("truncation", base, window, float(g_rate))
         if not h0 > 0:
             raise DomainError(f"need a positive ceiling, got h0={h0}")
         if g_rate < 0:
@@ -443,7 +439,7 @@ class ReflectedFamily(AdmissibleFamily):
             raise DomainError("the negative-side family must reach 0")
         if any(not isinstance(s, PointMass) for s in negative.shapes):
             raise DomainError("reflection supports atomic jump measures only")
-        super().__init__((t0, -t0), negative.c, negative.shapes, negative.left_closed)
+        super().__init__((t0, -t0), negative.c, negative.shapes)
         negative.require_critical_origin()
         self.negative = negative
         self._z = np.array([s.z for s in negative.shapes], dtype=float)
@@ -469,9 +465,7 @@ class ReflectedFamily(AdmissibleFamily):
     def b_at(self, q):
         if q <= 0:
             return self.negative.b_at(q)
-        t = -q
-        mech = self.negative.psi_at(t)
-        return mech.dpsi(mech.eta)
+        return self.psi_at(q).b
 
     def beta_at(self, q):
         if q <= 0:
@@ -482,8 +476,7 @@ class ReflectedFamily(AdmissibleFamily):
     def weights_at(self, q):
         if q <= 0:
             return self.negative.weights_at(q)
-        eta = self.negative.psi_at(-q).eta
-        return self.negative.weights_at(-q) * np.exp(-self._z * eta)
+        return np.array([p.w for p in self.psi_at(q).m], dtype=float)
 
     def weight_rates_at(self, q):
         if q <= 0:
@@ -637,13 +630,12 @@ def family_from_dict(d):
 def _family(d):
     kind = d.get("type")
     if kind == "shift":
-        return ShiftFamily(Mechanism.from_dict(d["base"]), _window_in(d["window"]),
-                           d.get("left_closed"))
+        return ShiftFamily(Mechanism.from_dict(d["base"]), _window_in(d["window"]))
     if kind == "lineardrift":
-        return LinearDriftFamily(d["b_rate"], d["c"], _window_in(d["window"]), d.get("left_closed"))
+        return LinearDriftFamily(d["b_rate"], d["c"], _window_in(d["window"]))
     if kind == "truncation":
         return TruncationFamily(Mechanism.from_dict(d["base"]), d["h0"], d["slope"],
-                                d.get("g_rate", 0.0), _window_in(d["window"]), d.get("left_closed"))
+                                d.get("g_rate", 0.0), _window_in(d["window"]))
     if kind == "reflected":
         return ReflectedFamily(family_from_dict(d["negative"]))
     raise DomainError(f"unknown family type {kind!r}")

@@ -6,11 +6,11 @@ The offspring law comes from the generating function
 
     g(s) = s + psi(n*(1 - s)) / (n * gamma),
 
-whose coefficients are nonnegative once gamma is at least the minimal
-branching rate computed in `GwScheme.build`.  With the minimal rate the
-one-child probability vanishes, so every node is a leaf, a binary node,
-or a many-child node of mass k/n: the tree's delta is k/n on an individual
-of k >= 3 children and 0 elsewhere, so delta > 0 marks the many-child nodes.
+Every scheme takes gamma at the minimal branching rate, where the
+coefficients are nonnegative and the one-child probability vanishes, so
+every node is a leaf, a binary node, or a many-child node of mass k/n: the
+tree's delta is k/n on an individual of k >= 3 children and 0 elsewhere, so
+delta > 0 marks the many-child nodes.
 
 Normalization conventions, used consistently by the verification
 experiments:
@@ -95,12 +95,12 @@ class GwScheme:
     probs: np.ndarray
 
     @classmethod
-    def build(cls, mech, n, gamma=None):
-        """The scheme of mech at resolution n and branching rate gamma, None
-        for the minimal rate.  Equal (mech, n, gamma) share one scheme while
-        it is among the SCHEME_CACHE last built; a failed build is kept by
-        no one, so it raises again on every call."""
-        return _build_scheme(mech, n, gamma)
+    def build(cls, mech, n):
+        """The scheme of mech at resolution n and the minimal branching
+        rate.  Equal (mech, n) share one scheme while it is among the
+        SCHEME_CACHE last built; a failed build is kept by no one, so it
+        raises again on every call."""
+        return _build_scheme(mech, n)
 
     @cached_property
     def _cum(self):
@@ -127,11 +127,8 @@ class GwScheme:
     @cached_property
     def _binary_p2(self):
         """The s^2 coefficient c*n/gamma of g(s) when the law lives on
-        {0, 2} (quadratic at the minimal rate), else None."""
-        b, c, n = self.mech.b, self.mech.c, self.n
-        if self.mech.m or self.gamma != b + 2.0 * c * n:
-            return None
-        return c * n / self.gamma
+        {0, 2} (a quadratic mechanism), else None."""
+        return None if self.mech.m else self.mech.c * self.n / self.gamma
 
     def offspring_totals(self, rng, counts):
         """Total offspring of groups of counts[i] > 0 individuals each.
@@ -149,12 +146,12 @@ class GwScheme:
 # schemes kept per process: a build evaluates each jump part's offspring
 # pmf and quantile (scipy.special ufuncs for point masses, scipy.stats's
 # negative binomial for gamma densities), and in-process callers repeat a
-# few (mech, n, gamma)
+# few (mech, n)
 SCHEME_CACHE = 64
 
 
 @lru_cache(maxsize=SCHEME_CACHE)
-def _build_scheme(mech, n, gamma):
+def _build_scheme(mech, n):
     if mech.criticality() == "supercritical":
         raise DomainError("scheme needs a (sub)critical mechanism; "
                           "sample supercritical windows through the conjugate")
@@ -168,12 +165,7 @@ def _build_scheme(mech, n, gamma):
     jump_mean = sum(p.w * p.unit_first_moment for p in mech.m)
     ks1 = np.array([1])
     jump_at_1 = float(sum(p.gw_pmf(n, ks1)[0] for p in mech.m))
-    gamma_min = b + 2.0 * c * n + jump_mean - jump_at_1 / n
-    if gamma is None:
-        gamma = gamma_min
-    elif gamma < gamma_min * (1.0 - 1e-12):
-        raise DomainError(
-            f"gamma = {gamma} below the minimal rate {gamma_min}")
+    gamma = b + 2.0 * c * n + jump_mean - jump_at_1 / n
 
     kmax = 2
     for p in mech.m:
@@ -518,30 +510,30 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     init = None starts one ancestor per replicate (excursion sampling);
     init = r starts Poisson(r*n) ancestors, and an array of one r per
     replicate starts replicate i from Poisson(r_i*n).  edge_survival < 1 thins
-    every edge independently, which realizes skeleton pruning.  Totals
-    accumulate up to extinction or generation `_level_generation(gamma,
-    height_cap)`, the one crossing the cap, whose counts are `at_cap`
-    (zero without a cap), and `last_gen` is the last generation each
-    replicate reaches.  Critical runs need a cap.
+    every edge independently, which realizes skeleton pruning of a law on
+    {0, 2}; on any other law it raises DomainError, since pruning a jump law
+    also marks nodes.  Totals accumulate up to extinction or generation
+    `_level_generation(gamma, height_cap)`, the one crossing the cap, whose
+    counts are `at_cap` (zero without a cap), and `last_gen` is the last
+    generation each replicate reaches.  Critical runs need a cap.
 
     While more than TAIL_REPLICATES replicates are alive, each generation
     draws the offspring of all of them in one `GwScheme.offspring_totals`
     call, and the counts are those of the tree samplers:
 
-    * a law on {0, 2} (quadratic at the minimal rate) draws
+    * a law on {0, 2} (a quadratic mechanism) draws
       2 * Binomial(z, c*n/gamma) per replicate;
     * any other law draws its individuals in replicate order, so with
-      init = None and edge_survival = 1 the counts by replicate equal the
-      counts by root of the `_grow(scheme, rng, replicates, cap)` forest
-      on the same generator;
+      init = None the counts by replicate equal the counts by root of the
+      `_grow(scheme, rng, replicates, cap)` forest on the same generator;
     * both stop at the cap's generation, which is `_grow`'s
       `max_children_gen`.
 
     Then `_population_tail` finishes the run in plain Python with the same
     draws in the same order, so the counts are those of the numpy loop run
-    to the end.  An unthinned run of a law off {0, 2} raises DomainError
-    unless rng draws from Philox, as `RngStream`'s do: its tail skips the
-    uniforms it drew past its need.
+    to the end.  A run of a law off {0, 2} raises DomainError unless rng
+    draws from Philox, as `RngStream`'s do: its tail skips the uniforms it
+    drew past its need.
     """
     if not 0.0 < edge_survival <= 1.0:
         raise DomainError(f"edge survival must be in (0, 1], got {edge_survival}")
@@ -549,7 +541,10 @@ def population_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
     stop = _level_generation(gamma, height_cap)
     if stop == math.inf and scheme.mech.criticality() == "critical":
         raise DomainError("critical run needs a height cap")
-    if scheme._binary_p2 is None and edge_survival == 1.0:
+    if scheme._binary_p2 is None:
+        if edge_survival < 1.0:
+            raise DomainError("edge thinning needs a law on {0, 2}; a jump law "
+                              "also needs node marks to be pruned")
         _need_philox(rng, "a counts run of a law off {0, 2}")  # for its Python tail
 
     if init is None:
@@ -602,13 +597,12 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
     as one `offspring_totals` call per generation would; at the end
     `_skip_uniforms` leaves rng where drawing exactly the uniforms used
     would, so rng must draw from Philox, and the chunk sizes move no draw.
-    Thinning draws one scalar binomial per replicate after the offspring,
-    so a thinned law off {0, 2} keeps one `offspring_totals` call per
-    generation.  Returns, by replicate, the individuals born from
-    generation g + 1 on, the last generation reached and the count at the
-    cap."""
+    Thinning, on a law on {0, 2} only, draws one scalar binomial per
+    replicate after the offspring.  Returns, by replicate, the individuals
+    born from generation g + 1 on, the last generation reached and the
+    count at the cap."""
     p2, binomial = scheme._binary_p2, rng.binomial
-    chunked = p2 is None and edge_survival == 1.0
+    chunked = p2 is None
     if chunked:
         start = rng.bit_generator.state
         # ks[pos:]: offspring of the uniforms drawn and not yet read; used:
@@ -626,7 +620,7 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
             break
         if p2 is not None:
             kids = [2 * binomial(k, p2) for k in counts]
-        elif chunked:
+        else:
             total = sum(counts)
             need = total - (len(ks) - pos)
             if need > 0:
@@ -638,8 +632,6 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
                 kids.append(sum(ks[pos:pos + k]))
                 pos += k
             used += total
-        else:
-            kids = scheme.offspring_totals(rng, np.array(counts, dtype=np.int64)).tolist()
         if edge_survival < 1.0:
             kids = [binomial(k, edge_survival) for k in kids]
         alive, counts = [], []

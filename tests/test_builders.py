@@ -40,8 +40,6 @@ SCHEMES = {
     "quadratic": (LD, lambda n: GwScheme.build(LD.psi_at(0.0), n)),
     "subcritical": (LD, lambda n: GwScheme.build(LD.psi_at(1.0), n)),
     "jump": (JUMPY, lambda n: GwScheme.build(JUMPY.psi_at(0.0), n)),
-    # above the minimal rate, so one-child individuals occur
-    "one-child": (LD, lambda n: GwScheme.build(LD.psi_at(0.0), n, gamma=3.0 * n)),
 }
 
 
@@ -99,9 +97,8 @@ def grown_trees(name, n, cap, seed, count=8):
     return scheme, trees
 
 
-# 0.5 and 1.0 sit on the 1/gamma level lattice of the quadratic (gamma = 2n)
-# and one-child (gamma = 3n, n even) schemes, where a level crossing read at
-# the cap itself is off by one ulp; "aligned" puts a cap on a generation boundary of any scheme
+# 0.5 and 1.0 sit on the 1/gamma level lattice of the quadratic scheme
+# (gamma = 2n), where a level crossing read at the cap itself is off by one ulp; "aligned" puts a cap on a generation boundary of any scheme
 CAPS = st.sampled_from([0.5, 1.0, "aligned"])
 
 
@@ -170,8 +167,6 @@ def test_cuts_of_lazy_trees_hand_down_the_loop_depth():
     ("quadratic", 40, 0.5),
     ("jump", 1, 1.0),
     ("jump", 40, 0.5),
-    ("one-child", 1, 1.0),
-    ("one-child", 40, 0.5),
     ("subcritical", 25, None),
 ])
 def test_growth_arrays_match_the_generation_loop(name, n_roots, cap):
@@ -195,7 +190,7 @@ def test_growth_arrays_match_the_generation_loop(name, n_roots, cap):
             assert np.all(above == 0) if g == 0 else np.all((above >= gens[g - 1]) & (above < lo))
         one_child += int(np.count_nonzero(ks == 1))
         many_child += int(np.count_nonzero(ks >= 3))
-    assert (one_child > 0) == (name == "one-child")
+    assert one_child == 0  # the minimal rate has no one-child term
     assert (many_child > 0) == (name == "jump")
 
 

@@ -551,11 +551,13 @@ def test_eta_from_root_finder_agrees_with_closed_form():
 
 
 def test_t_infinity_flags():
-    # the window infimum, and whether the family extends to it
-    open_fam = LinearDriftFamily(1.0, 1.0, window=(-1.0, 1.0), left_closed=False)
-    for fam, t_inf, attained in ((LD, -math.inf, False), (LD_FIN, -1.0, True),
-                                 (SHIFT, -0.5, True), (open_fam, -1.0, False)):
-        assert fam.window[0] == t_inf and fam.left_closed is attained
+    # the window infimum; a finite one is a time of the family
+    for fam, t_inf in ((LD, -math.inf), (LD_FIN, -1.0), (SHIFT, -0.5)):
+        assert fam.window[0] == t_inf
+        if math.isfinite(t_inf):
+            assert fam.psi_at(t_inf).b == fam.b_at(t_inf)
+    with pytest.raises(DomainError):
+        LD.psi_at(-math.inf)
 
 
 def test_qbar_linear_drift():
@@ -891,6 +893,15 @@ def test_every_family_class_round_trips_through_json():
     for cls, fam in examples.items():
         clone = family_from_dict(json.loads(json.dumps(fam.to_dict())))
         assert type(clone) is cls and clone.to_dict() == fam.to_dict()
+
+
+def test_left_closed_key_is_read_and_dropped():
+    # family JSON written with the former left_closed flag still loads
+    for d in (LD_FIN.to_dict(), SHIFT.to_dict(), TRUNC.to_dict()):
+        fam = family_from_dict({**d, "left_closed": False})
+        assert fam.to_dict() == d and "left_closed" not in d
+    refl = family_from_dict({"type": "reflected", "negative": {**REFL_NEG.to_dict(), "left_closed": False}})
+    assert "left_closed" not in refl.to_dict()["negative"]
 
 
 def test_infinite_window_serializes_as_null():

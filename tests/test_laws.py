@@ -22,7 +22,7 @@ CRIT = Mechanism(0.0, 1.0)  # lam^2
 SUB = Mechanism(1.0, 1.0)  # lam + lam^2
 SUP = Mechanism(-1.0, 1.0)  # lam^2 - lam
 LD = LinearDriftFamily(1.0, 1.0)
-LDW = LinearDriftFamily(1.0, 1.0, window=(-1.0, 1.0), left_closed=True)
+LDW = LinearDriftFamily(1.0, 1.0, window=(-1.0, 1.0))
 JUMP_BASE = Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),))
 SHIFT = ShiftFamily(JUMP_BASE, (-0.25, 3.0))
 

@@ -143,13 +143,13 @@ def test_point_mass_offspring_law_is_scipys_poisson_bit_for_bit(n):
 @pytest.mark.parametrize("n", [20, 100, 2000])
 def test_jump_schemes_keep_the_bytes_of_scipy_stats(fam, q, n, monkeypatch):
     mech = fam.psi_at(q)
-    got = sampler._build_scheme.__wrapped__(mech, n, None).probs
+    got = sampler._build_scheme.__wrapped__(mech, n).probs
     # the reference: the point-mass law straight from scipy.stats.poisson
     monkeypatch.setattr(PointMass, "gw_pmf",
                         lambda self, n, ks: self.w * sps.poisson.pmf(ks, n * self.z))
     monkeypatch.setattr(PointMass, "gw_quantile",
                         lambda self, n, q: int(sps.poisson.ppf(q, n * self.z)))
-    want = sampler._build_scheme.__wrapped__(mech, n, None).probs
+    want = sampler._build_scheme.__wrapped__(mech, n).probs
     assert got.tobytes() == want.tobytes()
 
 
@@ -160,8 +160,6 @@ def test_scheme_rejects_bad_input():
         GwScheme.build(Mechanism(1.0, 0.0, (PointMass(1.0, 1.0),)), 10)
     with pytest.raises(DomainError):
         GwScheme.build(QUAD, 0)
-    with pytest.raises(DomainError):
-        GwScheme.build(QUAD, 10, gamma=10.0)  # below minimal rate 20
 
 
 def test_equal_arguments_share_one_scheme():
@@ -169,25 +167,18 @@ def test_equal_arguments_share_one_scheme():
     twin = Mechanism(0.5, 1.0, (PointMass(1.3, 0.8), GammaDensity(1.5, 2.0, 0.6)))
     assert twin is not MIXED and GwScheme.build(twin, 50) is sch
     assert GwScheme.build(MIXED, 51) is not sch
-    assert GwScheme.build(MIXED, 50, gamma=2.0 * sch.gamma) is not sch
     # a shared scheme's law cannot be written through
     with pytest.raises(ValueError, match="read-only"):
         sch.probs[0] = 0.5
     # a failed build is not kept: it raises again
     for _ in range(2):
-        with pytest.raises(DomainError, match="minimal rate"):
-            GwScheme.build(QUAD, 10, gamma=10.0)
+        with pytest.raises(DomainError, match=r"\(sub\)critical"):
+            GwScheme.build(Mechanism(-0.5, 1.0), 10)
     # the cache is bounded: SCHEME_CACHE other builds push a scheme out
     for n in range(1, sampler.SCHEME_CACHE + 1):
         GwScheme.build(SUB, n)
     again = GwScheme.build(MIXED, 50)
     assert again is not sch and np.array_equal(again.probs, sch.probs)
-
-
-def test_custom_gamma_adds_one_child_probability():
-    sch = GwScheme.build(QUAD, 10, gamma=25.0)
-    assert sch.probs[1] == pytest.approx(0.2)  # 1 - 20/25
-    assert sch.probs.sum() == pytest.approx(1.0)
 
 
 def cap_crossings(tree, cap):
@@ -598,24 +589,25 @@ def _reference_run(scheme, rng, replicates, init=None, height_cap=None, edge_sur
 
 @pytest.mark.parametrize("tail", [None, 0, 10**6])  # None: the package's TAIL_REPLICATES
 @pytest.mark.parametrize("cap", [None, 0.3, "aligned", 1e-12])
-@pytest.mark.parametrize("mech, gamma", [
-    (SUB, None),  # quadratic at the minimal rate: the law on {0, 2}
-    (SUB, 60.0),  # quadratic above it: a one-child term
-    (JUMP_SHIFT.psi_at(0.5), None),
-    (GAMMA_JUMPS, None),
+# the ids the suite has long given these cases
+@pytest.mark.parametrize("mech", [
+    pytest.param(SUB, id="mech0-None"),  # quadratic: the law on {0, 2}
+    pytest.param(JUMP_SHIFT.psi_at(0.5), id="mech2-None"),
+    pytest.param(GAMMA_JUMPS, id="mech3-None"),
 ])
-def test_population_run_matches_the_vectorized_loop(monkeypatch, mech, gamma, cap, tail):
+def test_population_run_matches_the_vectorized_loop(monkeypatch, mech, cap, tail):
     # the Python tail draws what the vectorized loop draws, for every law,
     # and leaves the generator where the loop leaves it, whatever the state
-    # it enters at: 8 replicates or fewer start in the tail
+    # it enters at: 8 replicates or fewer start in the tail; only the law
+    # on {0, 2} thins
     if tail is not None:
         monkeypatch.setattr(sampler, "TAIL_REPLICATES", tail)
-    sch = GwScheme.build(mech, 20, gamma=gamma)
+    sch = GwScheme.build(mech, 20)
     if cap == "aligned":
         cap = 9 / sch.gamma  # an exact generation boundary
     for reps in (0, 1, 8, 9, 300):
         for init in (None, 0.3, np.linspace(0.05, 0.6, reps)):
-            for edge_survival in (1.0, 0.6):
+            for edge_survival in (1.0, 0.6) if mech.m == () else (1.0,):
                 for enter in ENTRY_DRAWS if reps <= 8 else ENTRY_DRAWS[:1]:
                     rng, ref = RngStream(97).replicate(reps), RngStream(97).replicate(reps)
                     enter(rng), enter(ref)
@@ -631,14 +623,18 @@ def test_population_run_matches_the_vectorized_loop(monkeypatch, mech, gamma, ca
 
 def test_counts_runs_off_the_binary_law_reject_other_bit_generators():
     # the tail of a law off {0, 2} skips the uniforms it drew past its need
-    for mech, gamma in ((JUMP_SHIFT.psi_at(0.5), None), (SUB, 60.0)):
-        sch = GwScheme.build(mech, 20, gamma=gamma)
+    for mech in (JUMP_SHIFT.psi_at(0.5), GAMMA_JUMPS):
+        sch = GwScheme.build(mech, 20)
         with pytest.raises(DomainError, match="Philox"):
             population_run(sch, np.random.default_rng(0), 5, height_cap=0.3)
-    # the binary law's scalar binomials and any thinned law need no skip
-    population_run(GwScheme.build(SUB, 20), np.random.default_rng(0), 5, height_cap=0.3)
-    population_run(GwScheme.build(GAMMA_JUMPS, 20), np.random.default_rng(0), 5,
-                   height_cap=0.3, edge_survival=0.6)
+        # and a law off {0, 2} is never thinned, whatever the generator
+        for rng in (np.random.default_rng(0), RngStream(0).replicate(0)):
+            with pytest.raises(DomainError, match="edge thinning"):
+                population_run(sch, rng, 5, height_cap=0.3, edge_survival=0.6)
+    # the binary law's scalar binomials need no skip, thinned or not
+    for edge_survival in (1.0, 0.6):
+        population_run(GwScheme.build(SUB, 20), np.random.default_rng(0), 5,
+                       height_cap=0.3, edge_survival=edge_survival)
 
 
 def test_caps_below_the_first_generation_stop_there():
@@ -664,16 +660,16 @@ def _forest_counts_by_root(par, offsets, n_roots, gen):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("mech, gamma, cap", [
-    (JUMP_SHIFT.psi_at(0.5), None, None),
-    (JUMP_SHIFT.psi_at(0.5), None, 0.3),
-    (JUMP_SHIFT.psi_at(0.0), None, 0.3),
-    (JUMP_SHIFT.psi_at(0.0), None, "aligned"),
-    (QUAD, 50.0, 0.3),  # above the minimal rate: a one-child term, not {0, 2}
+# the ids the suite has long given these cases
+@pytest.mark.parametrize("mech, cap", [
+    pytest.param(JUMP_SHIFT.psi_at(0.5), None, id="mech0-None-None"),
+    pytest.param(JUMP_SHIFT.psi_at(0.5), 0.3, id="mech1-None-0.3"),
+    pytest.param(JUMP_SHIFT.psi_at(0.0), 0.3, id="mech2-None-0.3"),
+    pytest.param(JUMP_SHIFT.psi_at(0.0), "aligned", id="mech3-None-aligned"),
 ])
-def test_population_counts_match_grown_forest(seed, mech, gamma, cap):
+def test_population_counts_match_grown_forest(seed, mech, cap):
     n, reps = 20, 200
-    sch = GwScheme.build(mech, n, gamma=gamma)
+    sch = GwScheme.build(mech, n)
     if cap == "aligned":
         cap = 9 / sch.gamma  # an exact generation boundary
     run = population_run(sch, RngStream(seed).replicate(1), reps, height_cap=cap)
