@@ -569,6 +569,8 @@ def invert_tail_reference(mech, a, lam=math.inf):
         if flo > 0:
             break
         lo -= 1.0
+        if eta + math.exp(lo) == eta:
+            return eta  # u is within eta's float resolution, as u_of reads it
         flo = f(lo)
     for _ in range(800):
         if fhi < 0:
@@ -628,14 +630,18 @@ def inversion_cases(draw):
 
 
 NEAR_ROOT = Mechanism(-0.7, 0.5, (PointMass(1.0, 1.0), PointMass(0.4, 2.0)))
+ONE_ATOM_SUPER = Mechanism(-3.0, 1.0, (PointMass(1.0, 1.0),))
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=inversion_cases())
-# u lies within 1e-5 of eta in both; in the first, a psi(eta + e^s) integrand
-# that does not use the conjugate warns, and so does the reference
+# u lies within 1e-5 of eta in the first two; in the first, a psi(eta + e^s)
+# integrand that does not use the conjugate warns, and so does the reference;
+# in the third, u - eta is about 2e-21 (a psi'(eta) is about 47.5), so u
+# rounds to eta, and the reference's bracket must not step below eta's ulp
 @example(case=(MIXED_SUPER, 4.0, MIXED_SUPER.eta + 1e-3))
 @example(case=(NEAR_ROOT, 17.59, 1.925))
+@example(case=(ONE_ATOM_SUPER, 17.78279410038923, 3.3811426857181446))
 def test_inversion_matches_bracket_reference(case):
     mech, a, lam = case
     eta = mech.eta
