@@ -604,14 +604,21 @@ class Mechanism:
         """Largest lam with psi(lam) = y."""
         if not math.isfinite(y):
             raise DomainError(f"psi_inverse needs finite y, got {y}")
-        if y < 0:
-            return self._psi_inverse_dip(y)
+        b, c = self.b, self.c
+        if y < 0 and b >= 0:
+            raise DomainError(f"psi >= 0 on [0, inf): no solution of psi = {y}")
         if y == 0.0:
             return self.eta
-        if not self.m and self.c > 0:
-            return (-self.b + math.sqrt(self.b * self.b + 4.0 * self.c * y)) / (
-                2.0 * self.c
-            )
+        if not self.m and c > 0:
+            # the larger root of c lam^2 + b lam - y; for b > 0 the product
+            # form, since -b + sqrt(b^2 + 4cy) cancels as y -> 0
+            disc = b * b + 4.0 * c * y
+            if disc < 0:
+                raise DomainError(f"{y} below the minimum {-b * b / (4.0 * c)} of psi")
+            root = math.sqrt(disc)
+            return 2.0 * y / (b + root) if b > 0 else (-b + root) / (2.0 * c)
+        if y < 0:
+            return self._psi_inverse_dip(y)
         eta = self.eta
         hi = max(eta, 1.0)
         for _ in range(2000):
@@ -629,8 +636,6 @@ class Mechanism:
 
     def _psi_inverse_dip(self, y):
         # supercritical psi dips below zero on (0, eta); take the larger branch
-        if self.b >= 0:
-            raise DomainError(f"psi >= 0 on [0, inf): no solution of psi = {y}")
         eta = self.eta
         lam_min = brentq(self.dpsi, 0.0, eta, xtol=1e-300, rtol=8.9e-16)
         if y < self.psi(lam_min):

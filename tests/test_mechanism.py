@@ -239,6 +239,28 @@ def test_eta_at_a_tiny_negative_drift():
     assert mech.v_of(1.0) > mech.eta
 
 
+@pytest.mark.parametrize("b, c, ys", [
+    (1.0, 1.0, (1e-12, 1e-10, 1e-6, 0.5, 50.0)),
+    (0.3, 2.5, (1e-12, 1e-10, 1e-6, 0.5, 50.0)),
+    (40.0, 0.01, (1e-12, 1e-10, 1e-6, 0.5, 50.0)),
+    (-1.0, 1.0, (-1e-12, -1e-6, -0.1, -0.2)),  # minimum -1/4
+    (-0.7, 0.4, (-1e-10, -0.05, -0.2)),  # minimum -0.30625
+])
+def test_quadratic_psi_inverse_against_mpmath(b, c, ys):
+    # the larger root of c lam^2 + b lam = y to 4e-16: -b + sqrt(b^2 + 4cy)
+    # cancels as y -> 0 when b > 0, and no branch of it may
+    mech = Mechanism(b, c)
+    with mpmath.workdps(50):
+        B, C = mpmath.mpf(b), mpmath.mpf(c)
+        for y in ys:
+            want = (-B + mpmath.sqrt(B * B + 4 * C * mpmath.mpf(y))) / (2 * C)
+            got = mech.psi_inverse(y)
+            assert type(got) is float and abs(got - want) <= 4e-16 * want, y
+    if b < 0:
+        with pytest.raises(DomainError, match="below the minimum"):
+            mech.psi_inverse(-b * b / (4.0 * c) * 1.001)
+
+
 def test_psi_inverse_roundtrip_mixed():
     for y in (0.0, 0.3, 5.0, 400.0):
         lam = MIXED.psi_inverse(y)
