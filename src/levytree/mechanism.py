@@ -611,12 +611,15 @@ class Mechanism:
             return self.eta
         if not self.m and c > 0:
             # the larger root of c lam^2 + b lam - y; for b > 0 the product
-            # form, since -b + sqrt(b^2 + 4cy) cancels as y -> 0
+            # form 2y / (b + root), since -b + root cancels as y -> 0, with
+            # the 2 moved to the denominator, where it cannot overflow
             disc = b * b + 4.0 * c * y
             if disc < 0:
                 raise DomainError(f"{y} below the minimum {-b * b / (4.0 * c)} of psi")
+            if disc == math.inf:
+                raise NumericError(f"b^2 + 4cy overflows at b = {b}, c = {c}, y = {y}")
             root = math.sqrt(disc)
-            return 2.0 * y / (b + root) if b > 0 else (-b + root) / (2.0 * c)
+            return y / (0.5 * (b + root)) if b > 0 else (-b + root) / (2.0 * c)
         if y < 0:
             return self._psi_inverse_dip(y)
         eta = self.eta

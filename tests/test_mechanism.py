@@ -261,6 +261,16 @@ def test_quadratic_psi_inverse_against_mpmath(b, c, ys):
             mech.psi_inverse(-b * b / (4.0 * c) * 1.001)
 
 
+def test_quadratic_psi_inverse_near_the_float_maximum():
+    # 2y overflows here, but not the root sqrt(y / c) = 1e154 * sqrt(10)
+    got = Mechanism(1.0, 0.1).psi_inverse(1e308)
+    assert got == pytest.approx(1e154 * math.sqrt(10.0), rel=1e-15)
+    # where b^2 + 4cy overflows, a typed error rather than inf, nan or 0
+    for b, c, y in ((1e200, 1.0, 1.0), (1.0, 1.0, 1e308), (-1e200, 1.0, -1.0)):
+        with pytest.raises(NumericError, match="overflows"):
+            Mechanism(b, c).psi_inverse(y)
+
+
 def test_psi_inverse_roundtrip_mixed():
     for y in (0.0, 0.3, 5.0, 400.0):
         lam = MIXED.psi_inverse(y)
