@@ -602,8 +602,7 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
     born from generation g + 1 on, the last generation reached and the
     count at the cap."""
     p2, binomial = scheme._binary_p2, rng.binomial
-    chunked = p2 is None
-    if chunked:
+    if p2 is None:
         start = rng.bit_generator.state
         # ks[pos:]: offspring of the uniforms drawn and not yet read; used:
         # the uniforms read since start
@@ -644,6 +643,6 @@ def _population_tail(scheme, rng, counts, g, stop, edge_survival):
                 last[j] = g
         live = alive
         g += 1
-    if chunked:
+    if p2 is None:
         _skip_uniforms(rng, start, used)
     return born, last, cap
