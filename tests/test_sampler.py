@@ -607,7 +607,7 @@ def test_population_run_matches_the_vectorized_loop(monkeypatch, mech, cap, tail
         cap = 9 / sch.gamma  # an exact generation boundary
     for reps in (0, 1, 8, 9, 300):
         for init in (None, 0.3, np.linspace(0.05, 0.6, reps)):
-            for edge_survival in (1.0, 0.6) if mech.m == () else (1.0,):
+            for edge_survival in (1.0, 0.6) if not mech.m else (1.0,):
                 for enter in ENTRY_DRAWS if reps <= 8 else ENTRY_DRAWS[:1]:
                     rng, ref = RngStream(97).replicate(reps), RngStream(97).replicate(reps)
                     enter(rng), enter(ref)
