@@ -38,13 +38,25 @@ other hook has a default, which a built-in family runs:
   ReflectedFamily;
 * _node_mark_time by root-finding and the trapezoid _mark_times:
   ReflectedFamily;
-* _qbar by root-finding on b: TruncationFamily.
+* _qbar by root-finding on b: TruncationFamily;
+* _grid and _pair_alphas, the admissibility report's data: ReflectedFamily.
+
+An admissibility report reads a family through two hooks.  _grid gives b
+and the weights W on the whole time grid in one call, as an array and a
+table with one row per time; the report builds its psi table, H1-H3 and
+the kernel residuals from them.  The default builds one mechanism per time
+with psi_at.  A constant-kernel family (shift, truncation, linear drift)
+instead calls its own b_at and weights_at once, on a column of times, and
+_pair_alphas gives beta (q - t) over every grid pair in one array
+operation.  Either way the values are psi_at's to the bit, and _grid
+checks the grid as psi_at checks a time.
 """
 
 import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -247,9 +259,45 @@ class AdmissibleFamily(ABC):
 
     def require_critical_origin(self):
         """The one psi_0-critical check: qbar, reflection and ascension laws."""
-        kind = self.psi_at(0.0).criticality()
+        kind = self._origin_kind
         if kind != "critical":
             raise DomainError(f"need psi_0 critical, got psi_0 {kind}")
+
+    @cached_property
+    def _origin_kind(self):
+        # psi_0 is built once per family: the exit-time and ascension laws
+        # check it on every call
+        return self.psi_at(0.0).criticality()
+
+    # -- the admissibility report's data ---------------------------------------
+
+    def _grid(self, ts):
+        """b_at(t) and weights_at(t) at every time of the array ts: an array b
+        and a table W with one row per time.  A time outside the window, a
+        non-finite drift or a negative or non-finite weight raises psi_at's
+        DomainError, at the first such time."""
+        mechs = [self.psi_at(t) for t in ts]
+        b = np.array([m.b for m in mechs], dtype=float)
+        weights = np.array([[p.w for p in m.m] for m in mechs], dtype=float)
+        return b, weights.reshape(len(ts), len(self.shapes))
+
+    def _pair_alphas(self, ts):
+        """alpha(t, q) over the pairs t < q of the sorted grid ts, in
+        row-major order of the upper triangle."""
+        return np.array([self.alpha(t, q) for i, t in enumerate(ts) for q in ts[i + 1:]],
+                        dtype=float)
+
+
+def _atom_sum(x):
+    """Sum over the atoms, the last axis of x: a float at one time, a column
+    at a column of times.  numpy reduces each row as it reduces a 1-D array,
+    so a row of the column is the float of its time to the bit."""
+    return float(np.sum(x)) if x.ndim == 1 else np.sum(x, axis=-1, keepdims=True)
+
+
+def _upper(n):
+    """Mask of the grid pairs i < j of an n-by-n table."""
+    return np.arange(n)[:, None] < np.arange(n)
 
 
 # -- built-in families ---------------------------------------------------------
@@ -271,6 +319,20 @@ class _ConstantKernelFamily(AdmissibleFamily):
 
     def _mark_times(self, t, q, rng, size):
         return t + (q - t) * rng.random(size)
+
+    def _grid(self, ts):
+        # b_at and weights_at take the column of times in one call each;
+        # what psi_at would refuse goes to the default, which raises it
+        if np.all((self._lo <= ts) & (ts <= self._hi)):
+            col = ts[:, None]
+            b, weights = self.b_at(col)[:, 0], self.weights_at(col)
+            if np.isfinite(b).all() and np.all(weights >= 0.0) and np.isfinite(weights).all():
+                return b, weights
+        return super()._grid(ts)
+
+    def _pair_alphas(self, ts):
+        # _alpha on every pair: the grid is inside the window once _grid passed
+        return self._beta * (ts[None, :] - ts[:, None])[_upper(len(ts))]
 
     def _to_dict(self, kind, **params):
         return {"type": kind, "window": _window_out(self.window), **params}
@@ -304,7 +366,7 @@ class ShiftFamily(_AtomicBaseFamily):
 
     def b_at(self, q):
         zq = self._z * q
-        return self.base.b + 2.0 * self.c * q + float(np.sum(self._w0 * self._z * -np.expm1(-zq)))
+        return self.base.b + 2.0 * self.c * q + _atom_sum(self._w0 * self._z * -np.expm1(-zq))
 
     def weights_at(self, q):
         return self._w0 * np.exp(-self._z * q)
@@ -343,7 +405,7 @@ class LinearDriftFamily(_ConstantKernelFamily):
         return self.b_rate * q
 
     def weights_at(self, q):
-        return np.zeros(0)
+        return np.zeros((*np.shape(q)[:-1], 0))
 
     def weight_rates_at(self, q):
         return np.zeros(0)
@@ -395,8 +457,10 @@ class TruncationFamily(_AtomicBaseFamily):
         return self.h0 - self.slope * q
 
     def b_at(self, q):
+        # a kept atom adds 0.0, which leaves the sum over the dropped ones
+        # as it was for a base of under 8 atoms, which numpy adds in order
         dropped = self._z > self.ceiling(q)
-        return self.base.b + self.g_rate * q + float(np.sum(self._w0[dropped] * self._z[dropped]))
+        return self.base.b + self.g_rate * q + _atom_sum(np.where(dropped, self._w0 * self._z, 0.0))
 
     def weights_at(self, q):
         return self._w0 * (self._z <= self.ceiling(q))
@@ -563,22 +627,34 @@ def _cocycle_condition(weights):
     return Condition(worst < 1e-12, worst, "" if live.all() else "degenerate triples skipped")
 
 
+def _psi_table(fam, b, weights, lams):
+    """psi_at(t).psi(lams) at every row (b, w) of the grid table, to the bit:
+    Mechanism.psi's operations, each shape's term taking its series where
+    psi takes it.  Shapes carry w = 1 and both primitives' terms end in
+    w * (...), so w_i times the unit term is the scaled primitive's term."""
+    tab = b[:, None] * lams + fam.c * lams * lams
+    for shape, w in zip(fam.shapes, weights.T):
+        term = shape.term(lams)
+        small = np.abs(lams) < shape.series_below
+        if small.any():
+            term = np.where(small, shape.small_term(np.where(small, lams, 0.0)), term)
+        tab = tab + w[:, None] * term
+    return tab
+
+
 def check_admissibility(fam, t_grid=None, lam_grid=None):
     """Grid verification of the defining properties; report-only."""
     if t_grid is None:
         t0, t1 = fam.window
         t_grid = np.linspace(t0 if math.isfinite(t0) else -3.0, t1 if math.isfinite(t1) else 3.0, 9)
     ts = np.sort(np.asarray(t_grid))
-    lams = np.asarray(lam_grid if lam_grid is not None else (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
+    lams = np.asarray(lam_grid if lam_grid is not None else (0.1, 0.5, 1.0, 2.0, 5.0, 10.0), dtype=float)
 
-    mechs = [fam.psi_at(t) for t in ts]
-    psi_tab = np.array([m.psi(lams) for m in mechs])
+    bs, weights = fam._grid(ts)
+    psi_tab = _psi_table(fam, bs, weights, lams)
     worst_mono = float(np.min(np.diff(psi_tab, axis=0), initial=0.0))
     monotone = Condition(worst_mono >= -1e-9, min(worst_mono, 0.0))
 
-    # psi_at scales unit-weight shapes, so these are b_at(t) and weights_at(t)
-    bs = np.array([m.b for m in mechs])
-    weights = np.array([[p.w for p in m.m] for m in mechs])
     if weights.size:
         growth = float(np.max(np.diff(weights, axis=0), initial=0.0))
         negative = float(np.min(weights))
@@ -589,13 +665,14 @@ def check_admissibility(fam, t_grid=None, lam_grid=None):
 
     h2 = _cocycle_condition(weights)
 
-    grey_fail = [t for t, m in zip(ts, mechs) if not m.is_grey]
-    h3 = Condition(not grey_fail, float(len(grey_fail)), "" if not grey_fail else f"fails at t={grey_fail[0]:g}")
+    # c is constant across a family: Grey holds at every grid time or at none
+    grey = fam.c > 0 or not len(ts)
+    h3 = Condition(grey, 0.0 if grey else float(len(ts)), "" if grey else f"fails at t={ts[0]:g}")
 
     # b_q - b_t = alpha(t, q) + sum_p m_p (w_p(t) - w_p(q)) over the grid pairs
     # t < q, in row-major order of the upper triangle [t, q]
-    upper = np.arange(len(ts))[:, None] < np.arange(len(ts))
-    rhs = np.array([fam.alpha(t, q) for i, t in enumerate(ts) for q in ts[i + 1:]], dtype=float)
+    upper = _upper(len(ts))
+    rhs = fam._pair_alphas(ts)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = (bs[None, :] - bs[:, None])[upper]
         if weights.size:

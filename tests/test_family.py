@@ -12,6 +12,7 @@ default is compared with an analytic twin.
 import inspect
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,9 +27,12 @@ from levytree.family import (
     ReflectedFamily,
     ShiftFamily,
     TruncationFamily,
+    _cocycle_condition,
+    _psi_table,
     check_admissibility,
     family_from_dict,
 )
+from levytree.laws import exit_time_laws, tree_at_ascension
 from levytree.mechanism import DomainError, GammaDensity, Mechanism, PointMass
 from levytree.prune import generate_marks
 from levytree.tree import FiniteTree
@@ -842,6 +846,169 @@ def test_kernel_integrals_equal_the_pair_loop(k):
         kernel = check_admissibility(fam, t_grid=ts).kernel_integrals
         worst = reference_kernel(fam, ts)
         assert (kernel.worst, kernel.passed) == (worst, worst < 1e-8), ts
+
+
+def reference_report(fam, t_grid=None, lam_grid=None):
+    """The report check_admissibility made before its grid table: one
+    mechanism per grid time from psi_at, its psi, b, weights and Grey flag,
+    and one alpha call per grid pair."""
+    if t_grid is None:
+        t0, t1 = fam.window
+        t_grid = np.linspace(t0 if math.isfinite(t0) else -3.0, t1 if math.isfinite(t1) else 3.0, 9)
+    ts = np.sort(np.asarray(t_grid))
+    lams = np.asarray(lam_grid if lam_grid is not None else (0.1, 0.5, 1.0, 2.0, 5.0, 10.0))
+    mechs = [fam.psi_at(t) for t in ts]
+    psi_tab = np.array([m.psi(lams) for m in mechs])
+    worst_mono = float(np.min(np.diff(psi_tab, axis=0), initial=0.0))
+    monotone = (worst_mono >= -1e-9, min(worst_mono, 0.0), "")
+    bs = np.array([m.b for m in mechs])
+    weights = np.array([[p.w for p in m.m] for m in mechs])
+    if weights.size:
+        growth = float(np.max(np.diff(weights, axis=0), initial=0.0))
+        negative = float(np.min(weights))
+        note = "a weight reaches zero" if np.any(weights == 0.0) else ""
+        h1 = (growth <= 1e-12 and negative >= 0.0, max(growth, -negative, 0.0), note)
+    else:
+        h1 = (True, 0.0, "no jump part")
+    h2 = _cocycle_condition(weights)
+    grey_fail = [t for t, m in zip(ts, mechs) if not m.is_grey]
+    h3 = (not grey_fail, float(len(grey_fail)), "" if not grey_fail else f"fails at t={grey_fail[0]:g}")
+    upper = np.arange(len(ts))[:, None] < np.arange(len(ts))
+    rhs = np.array([fam.alpha(t, q) for i, t in enumerate(ts) for q in ts[i + 1:]], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (bs[None, :] - bs[:, None])[upper]
+        if weights.size:
+            fm = np.array([s.unit_first_moment for s in fam.shapes])
+            rhs += np.sum(fm * (weights[:, None, :] - weights[None, :, :])[upper], axis=1)
+        worst_kernel = float(np.max(np.abs(lhs - rhs), initial=0.0))
+    if math.isnan(worst_kernel):
+        worst_kernel = math.inf
+    kernel = (worst_kernel < 1e-8, worst_kernel, "")
+    return [monotone, h1, (h2.passed, h2.worst, h2.note), h3, kernel], ts, lams, mechs
+
+
+def _random_family(rng, kind):
+    if kind == "lineardrift":
+        window = (-math.inf, math.inf) if rng.random() < 0.3 else (-rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0))
+        return LinearDriftFamily(rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), window)
+    atoms = tuple(PointMass(rng.uniform(0.2, 3.0), rng.uniform(0.05, 2.0))
+                  for _ in range(rng.integers(0 if kind == "shift" else 1, 4)))
+    c = 0.0 if rng.random() < 0.05 else rng.uniform(0.1, 2.0)
+    base = Mechanism(rng.uniform(-1.0, 1.0), c, atoms)
+    if kind == "shift":
+        return ShiftFamily(base, (-rng.uniform(0.1, 2.0), rng.uniform(0.1, 3.0)))
+    # a ceiling that crosses some atoms inside the window, so rows hold zero weights
+    t0, t1 = -rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5)
+    slope = rng.uniform(-1.5, 1.5)
+    h0 = max(slope * t1, slope * t0, 0.0) + rng.uniform(0.05, 3.0)
+    return TruncationFamily(base, h0, slope, rng.uniform(0.0, 1.0), (t0, t1))
+
+
+def _random_grid(rng, fam):
+    """None (the default grid) or an unsorted grid with repeated times."""
+    if rng.random() < 0.25:
+        return None
+    lo, hi = max(fam.window[0], -3.0), min(fam.window[1], 3.0)
+    ts = rng.uniform(lo, hi, rng.integers(1, 12))
+    ts = np.concatenate([ts, rng.choice(ts, rng.integers(0, 3)), [lo, hi][:rng.integers(0, 3)]])
+    rng.shuffle(ts)
+    return ts
+
+
+# the default, grids inside the series band of psi's jump terms (|lam| below
+# 1e-3 / z, z in [0.2, 3]), and grids holding 0
+LAM_GRIDS = [None, (0.0, 0.1, 1.0, 5.0), (1e-5, 2e-4, 9e-4, 0.5), (0.0,),
+             (0.0, 1e-7, 3e-4, 2e-3, 30.0), (4e-3, 1e-3, 3e-4)]
+
+
+@pytest.mark.parametrize("kind", ["shift", "truncation", "lineardrift"])
+def test_report_equals_the_per_mechanism_reference(kind):
+    # report equality cannot see the table's last bits (the monotone worst is
+    # min(diff, 0)), so each psi row is also compared with psi_at(t).psi bits
+    rng = np.random.default_rng({"shift": 3301, "truncation": 3302, "lineardrift": 3303}[kind])
+    zero_rows = 0
+    for _ in range(700):
+        fam = _random_family(rng, kind)
+        t_grid = _random_grid(rng, fam)
+        lam_grid = LAM_GRIDS[rng.integers(len(LAM_GRIDS))]
+        got = check_admissibility(fam, t_grid, lam_grid)
+        want, ts, lams, mechs = reference_report(fam, t_grid, lam_grid)
+        for f, w in zip(fields(AdmissibilityReport), want):
+            g = getattr(got, f.name)
+            assert (g.passed, g.worst.hex(), g.note) == (w[0], float(w[1]).hex(), w[2]), (fam.to_dict(), f.name)
+        b, weights = fam._grid(ts)
+        zero_rows += bool(np.any(weights == 0.0))
+        table = _psi_table(fam, b, weights, np.asarray(lams, dtype=float))
+        for row, mech in zip(table, mechs):
+            assert row.tobytes() == np.asarray(mech.psi(lams), dtype=float).tobytes(), fam.to_dict()
+    if kind == "truncation":
+        assert zero_rows > 100
+
+
+def test_grid_rows_are_b_at_and_weights_at_bits():
+    ts = np.array([-1.0, -0.3, 0.0, 0.49, 0.5, 0.51, 1.2])
+    for fam in (SHIFT_TWIN, TRUNC, LD_FIN, REFL, CUSTOM):
+        inside = ts[(ts >= fam.window[0]) & (ts <= fam.window[1])]
+        b, weights = fam._grid(inside)
+        assert b.tobytes() == np.array([fam.b_at(t) for t in inside]).tobytes()
+        want = np.array([fam.weights_at(t) for t in inside]).reshape(len(inside), len(fam.shapes))
+        assert weights.tobytes() == want.tobytes()
+
+
+def test_a_bad_grid_raises_psi_at_errors():
+    with pytest.raises(DomainError, match="outside window"):
+        check_admissibility(TRUNC, t_grid=[0.0, 1.5])
+    with pytest.raises(DomainError, match="outside window"):
+        check_admissibility(SHIFT, t_grid=[0.0, math.nan])
+
+    class Edge(ShiftFamily):
+        def __init__(self, db=0.0, dw=0.0, sign=1.0):
+            super().__init__(SHIFT_BASE, window=(-0.5, 1.0))
+            self.db, self.dw, self.sign = db, dw, sign
+
+        def b_at(self, q):
+            return super().b_at(q) + self.db
+
+        def weights_at(self, q):
+            return self.sign * super().weights_at(q) + self.dw
+
+    with pytest.raises(DomainError, match="finite b"):
+        check_admissibility(Edge(db=math.inf))
+    for fam in (Edge(sign=-1.0), Edge(dw=math.inf), Edge(dw=math.nan)):
+        with pytest.raises(DomainError, match="w >= 0"):
+            check_admissibility(fam)
+
+
+def test_reflected_report_root_finds_one_mirror_per_time(monkeypatch):
+    # the default grid hook keeps one mirror root-find per positive time
+    calls = []
+    real = mechanism.brentq
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mechanism, "brentq", counting)
+    assert check_admissibility(REFL).passed
+    assert len(calls) == 36
+
+
+def test_require_critical_origin_builds_psi_0_once(monkeypatch):
+    built = []
+    real = AdmissibleFamily.psi_at
+    monkeypatch.setattr(AdmissibleFamily, "psi_at", lambda self, q: built.append(q) or real(self, q))
+    fam = ShiftFamily(SHIFT_BASE, window=(-0.5, 3.0))
+    for _ in range(3):
+        fam.require_critical_origin()
+        exit_time_laws(fam, -0.3, -0.2, 1.0)
+        tree_at_ascension(fam, -0.3, 1.0)
+    assert built.count(0.0) == 1
+    # a non-critical origin raises on every call, from the one psi_0 it built
+    sub = ShiftFamily(Mechanism(0.3, 1.0, ()), window=(-1.0, 0.5))
+    for _ in range(3):
+        with pytest.raises(DomainError, match="need psi_0 critical, got psi_0 subcritical"):
+            sub.require_critical_origin()
+    assert built.count(0.0) == 2
 
 
 # -- construction errors --------------------------------------------------------------------
