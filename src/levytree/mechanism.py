@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -109,6 +110,7 @@ _EPSABS, _EPSREL = 1e-13, 1e-12  # the tolerances the package gave quadpack
 _PANEL_BUDGET = 400  # quadpack's limit on subintervals
 _EPS = float(np.finfo(float).eps)
 _UFLOW = float(np.finfo(float).tiny)
+_SUBNORMAL_MIN = 5e-324
 
 
 def _over_x(fn, x):
@@ -119,6 +121,20 @@ def _over_x(fn, x):
     underflow to needs the series.
     """
     return fn(x) / x if x else 1.0
+
+
+def _scaled_exp_neg(scale, a, b):
+    """scale * e^{-ab}, for a quadratic flow whose closed form overflows or
+    falls below the normal range.  ab is the exact product hi + lo of the
+    floats a and b, since hi alone errs by up to 6e-14 relative near 710,
+    and e^{-hi/2}, normal below 1416, comes in twice, so that only the last
+    product rounds to a subnormal: the value is within 2 ulps."""
+    hi = a * b
+    if not hi < 1500.0:  # under 5e-324 whatever the finite scale
+        return 0.0
+    lo = float(Fraction(a) * Fraction(b) - Fraction(hi))
+    half = math.exp(-0.5 * hi)
+    return scale * math.exp(-lo) * half * half
 
 
 # below this size the jump terms' e^y - 1 - y and r - log1p(r) are summed
@@ -266,6 +282,13 @@ def _quad(f, lo, hi):
                 + [(0.5 * (a + b), b) for *_, a, b in split])
     raise NumericError(f"quadrature on [{lo}, {hi}] needs over {_PANEL_BUDGET} panels "
                        f"(value {total}, error {error})")
+
+
+def _quiet():
+    """numpy's floating-point warnings off, for one oracle call on the charts:
+    where psi(eta + e^s) underflows to 0 or overflows, the integrand is not
+    finite, and the quadrature or the Newton step raises NumericError."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
 
 
 def _newton_chart(g, s, value, start, target, edge=math.inf):
@@ -659,7 +682,8 @@ class Mechanism:
                 raise DomainError(f"tail integral needs v > eta = {self.eta}")
             cv = self.c * v  # log1p(b/(c v)) / b
             return _over_x(math.log1p, self.b / cv) / cv
-        return _tail_time_quad(self, v, power)
+        with _quiet():
+            return _tail_time_quad(self, v, power)
 
     @cached_property
     def _at_root(self):
@@ -685,13 +709,25 @@ class Mechanism:
         self._require_grey("v_of")
         if not a > 0:
             raise DomainError(f"v_of needs a > 0, got {a}")
-        proxy = float(1.0 / (self.c * a * _over_x(math.expm1, a * self.b)))
+        ab = a * self.b
+        try:
+            proxy = float(1.0 / (self.c * a * _over_x(math.expm1, ab)))
+        except OverflowError:
+            proxy = 0.0
+        if ab > 1.0 and not proxy >= _UFLOW:
+            # e^{ab} overflowed, or v is subnormal, where a rounded ab moves
+            # it by many ulps: b e^{-ab} / (c (1 - e^{-ab})) instead
+            proxy = _scaled_exp_neg(self.b / (self.c * -math.expm1(-ab)), a, self.b)
         if not self.m:
             return proxy
         eta, b = self.eta, self._at_root.b  # first guess: the form for psi(eta + .)
         s = math.log(max(proxy - eta, proxy * 1e-3, 1e-290))
-        start = -math.log(self.c * a * _over_x(math.expm1, a * b))
-        s = _newton_chart(self._rate, s, self.tail_time(eta + math.exp(s)), start, a)
+        try:
+            start = -math.log(self.c * a * _over_x(math.expm1, a * b))
+        except OverflowError:
+            start = math.log(b / self.c) - a * b
+        with _quiet():
+            s = _newton_chart(self._rate, s, self.tail_time(eta + math.exp(s)), start, a)
         return float(eta + math.exp(s))
 
     def u_of(self, a, lam):
@@ -713,12 +749,21 @@ class Mechanism:
         if not self.m or lam > eta:
             # x b / (e^{ab}(b + c x) - c x), the flow of b x + c x^2 without the
             # cancelling pair: exact without jumps, else a first guess on psi(eta + .)
-            x, ab = (lam - eta, a * self._at_root.b) if self.m else (lam, a * self.b)
-            flow = float(x / (math.exp(ab) + self.c * a * x * _over_x(math.expm1, ab)))
+            x, b = (lam - eta, self._at_root.b) if self.m else (lam, self.b)
+            ab = a * b
+            try:
+                flow = float(x / (math.exp(ab) + self.c * a * x * _over_x(math.expm1, ab)))
+            except OverflowError:
+                flow = 0.0
+            if ab > 1.0 and not flow >= _UFLOW:  # as in v_of: x e^{-ab} / (1 + c x (1 - e^{-ab}) / b)
+                flow = _scaled_exp_neg(x / (1.0 + self.c * x * -math.expm1(-ab) / b), a, b)
             if not self.m:
                 return flow
-            tail = self.tail_time(lam)
-            s = _newton_chart(self._rate, math.log(x), tail, math.log(flow), a + tail)
+            with _quiet():
+                tail = self.tail_time(lam)
+                # a first guess that underflows starts from the least subnormal
+                start = math.log(max(flow, _SUBNORMAL_MIN))
+                s = _newton_chart(self._rate, math.log(x), tail, start, a + tail)
             return float(eta + math.exp(s))
         # pole at t = ln(eta) (psi(0) = 0); h rises from 1/psi'(eta) to h(t_lam)
         # so t moves by at most a psi'(eta): where that rounds away, u is lam
@@ -726,10 +771,12 @@ class Mechanism:
         t_lam = math.log(eta - lam)
         if t_lam - a * self._at_root.b == t_lam:
             return float(lam)
-        # Newton on log F needs F(start) > 0: start at least a float below t_lam
-        start = min(t_lam - a / max(float(h(t_lam)), 1.0 / self._at_root.b),
-                    math.nextafter(t_lam, -math.inf))
-        return float(eta - math.exp(_newton_chart(h, t_lam, 0.0, start, a, math.log(eta))))
+        with _quiet():
+            # Newton on log F needs F(start) > 0: start at least a float below t_lam
+            start = min(t_lam - a / max(float(h(t_lam)), 1.0 / self._at_root.b),
+                        math.nextafter(t_lam, -math.inf))
+            t = _newton_chart(h, t_lam, 0.0, start, a, math.log(eta))
+        return float(eta - math.exp(t))
 
     # ------------------------------------------------------------- conjugation
 

@@ -509,9 +509,21 @@ def test_numeric_edge_cases_exit_three(capsys):
                        "m": [{"type": "point", "w": 5e-324, "z": 1.93}]})
     assert run(["mech", "invert", "--mech", mech, "--", "1.1125369292536007e-308"]) == 3
     assert "root finding" in capsys.readouterr().err
-    # e^{a b} overflows in the quadratic Laplace flow
-    assert run(["mech", "u", "--mech", json.dumps({"b": 8.0, "c": 1.0}), "3e5", "1"]) == 3
+    # psi(e^s) underflows to 0 on the chart of a critical jump mechanism
+    assert run(["mech", "v", "--mech", json.dumps(CRITICAL_POINT), "2.5e299"]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+CRITICAL_POINT = {"b": 0.0, "c": 1.0, "m": [{"type": "point", "z": 1.0, "w": 1.0}]}
+
+
+def test_quadratic_flows_past_the_exp_range_print_their_value(capsys):
+    # e^{ab} overflows: the flows print b e^{-ab} / c and its u, down to 0
+    quadratic = json.dumps({"b": 1.0, "c": 1.0, "m": []})
+    for argv, want in ((["v", "710"], "4.47628622568e-309"), (["u", "710", "1.0"], "2.23814311284e-309"),
+                       (["u", "3e5", "1"], "0")):
+        assert run(["mech", argv[0], "--mech", quadratic, *argv[1:]]) == 0
+        assert capsys.readouterr().out == want + "\n"
 
 
 # ------------------------------------------------------- exit-code contract

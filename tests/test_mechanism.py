@@ -271,6 +271,54 @@ def test_quadratic_psi_inverse_near_the_float_maximum():
             Mechanism(b, c).psi_inverse(y)
 
 
+@pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+def test_quadratic_flows_past_the_exp_range_against_mpmath(b):
+    # v = b / (c (e^{ab} - 1)) and u = x b / (e^{ab} (b + c x) - c x): e^{ab}
+    # overflows past ab = 709.78, and the values fall below the normal range
+    # near there; the exact a and b are the floats, whose product rounds
+    mech, lam = Mechanism(b, 1.0), 1.0
+    with mpmath.workdps(50):
+        for ab in (709.0, 709.78, 709.8, 710.0, 745.0, 1000.0, 1e300):
+            a = ab / b
+            e = mpmath.exp(mpmath.mpf(a) * b)
+            for got, want in ((mech.v_of(a), b / (e - 1)),
+                              (mech.u_of(a, lam), lam * b / (e * (b + lam) - lam))):
+                assert type(got) is float
+                if want >= np.finfo(float).tiny:
+                    assert abs(got - want) <= 1e-12 * want, (ab, got)
+                elif want > mpmath.mpf(2) ** -1075:  # subnormal: 2 ulps of 2^-1074
+                    assert abs(got - want) <= 2 * 5e-324, (ab, got)
+                else:  # rounds to 0
+                    assert got == 0.0, (ab, got)
+
+
+def test_jump_flows_past_the_exp_range_raise_no_overflow():
+    # the same closed forms are first guesses here: no OverflowError or
+    # ValueError from them, a value or a NumericError from the chart
+    mech = Mechanism(1.0, 1.0, (PointMass(1.0, 1.0),))
+    for call in (lambda: mech.v_of(710.0), lambda: mech.u_of(710.0, 1.0),
+                 lambda: mech.u_of(700.0, 1e-20)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = call()
+            except NumericError:
+                continue
+        assert 0.0 <= got < 1e-300
+
+
+def test_charts_warn_nothing_where_psi_underflows():
+    # psi(e^s) of a critical mechanism underflows to 0 once v < 1e-154 or so:
+    # a NumericError, not a numpy warning (an error under -W error)
+    mech = Mechanism(0.0, 1.0, (PointMass(1.0, 1.0),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: mech.v_of(2.5e299), lambda: mech.tail_time(1e-200),
+                     lambda: mech.u_of(2.5e299, 1.0)):
+            with pytest.raises(NumericError):
+                call()
+
+
 def test_psi_inverse_roundtrip_mixed():
     for y in (0.0, 0.3, 5.0, 400.0):
         lam = MIXED.psi_inverse(y)
