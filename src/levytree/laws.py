@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .mechanism import DomainError
+from .mechanism import DomainError, NumericError
 
 
 def _check_lam(lam):
@@ -111,7 +111,9 @@ def exit_time_laws(fam, q, q0, h):
     share the factor psi-tilde(v-tilde(h)) * integral_{v-tilde(h)}^inf
     dr / psi-tilde(r)^2, where psi-tilde is psi_q conjugated at its largest
     root; they differ only in the slope factor in front (psi_{q0}' versus
-    psi_q', both at eta_q), so they sum to one as q0 -> q.
+    psi_q', both at eta_q), so they sum to one as q0 -> q.  Where v-tilde(h)
+    rounds to 0 or the shared factor is not finite (psi-tilde overflowing
+    against a tail that underflows) it raises NumericError.
     """
     fam.require_critical_origin()
     if not fam.window[0] < q < q0 < 0.0:
@@ -122,7 +124,11 @@ def exit_time_laws(fam, q, q0, h):
     eta_q = mech_q.eta
     conj = mech_q.conjugate(eta_q)
     v_h = conj.v_of(h)
+    if not v_h > 0.0:
+        raise NumericError(f"v-tilde({h}) = {v_h}: the height is past the float range")
     shared = conj.psi(v_h) * conj.tail_time(v_h, power=2)
+    if not math.isfinite(shared):
+        raise NumericError(f"psi-tilde(v) * tail integral at h = {h} is {shared}")
     at_asc = mech_q.dpsi(eta_q) * shared
     beyond = 1.0 - fam.psi_at(q0).dpsi(eta_q) * shared
     return ExitTimeLaw(beyond, at_asc, lambda qp: fam.psi_at(qp).v_of(h))

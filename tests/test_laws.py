@@ -1,6 +1,7 @@
 """Closed-form law oracles: frozen values, invariants, domain fences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from levytree.laws import (
     special_markov_intensity,
     tree_at_ascension,
 )
-from levytree.mechanism import DomainError, Mechanism, PointMass
+from levytree.mechanism import DomainError, Mechanism, NumericError, PointMass
 
 CRIT = Mechanism(0.0, 1.0)  # lam^2
 SUB = Mechanism(1.0, 1.0)  # lam + lam^2
@@ -177,6 +178,22 @@ def test_exit_time_domain():
     supercritical_origin = ShiftFamily(Mechanism(-0.5, 1.0), (-0.25, 1.0))
     with pytest.raises(DomainError, match="need psi_0 critical, got psi_0 supercritical"):
         exit_time_laws(supercritical_origin, -0.2, -0.1, 1.0)
+
+
+@pytest.mark.parametrize("fam, q, h", [
+    (LD, -2.0, 1e-300),     # psi-tilde(v_h) overflows, its tail integral underflows
+    (LD, -2.0, 1e300),      # e^{ab} overflows in v-tilde
+    (SHIFT, -0.2, 1e-300),  # psi-tilde overflows on the chart
+])
+def test_exit_time_laws_at_extreme_heights(fam, q, h):
+    # finite probabilities or a NumericError, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            law = exit_time_laws(fam, q, q + 1e-8, h)
+        except NumericError:
+            return
+    assert 0.0 <= law.at_ascension <= 1.0 and 0.0 <= law.beyond <= 1.0
 
 
 # ----------------------------------------------- size bias and reweighting
