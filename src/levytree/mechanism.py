@@ -726,8 +726,8 @@ class Mechanism:
             start = -math.log(self.c * a * _over_x(math.expm1, a * b))
         except OverflowError:
             start = math.log(b / self.c) - a * b
-        with _quiet():
-            s = _newton_chart(self._rate, s, self.tail_time(eta + math.exp(s)), start, a)
+        with _quiet():  # one per call: the chart's own tail integral is _tail_time_quad
+            s = _newton_chart(self._rate, s, _tail_time_quad(self, eta + math.exp(s)), start, a)
         return float(eta + math.exp(s))
 
     def u_of(self, a, lam):
@@ -760,7 +760,7 @@ class Mechanism:
             if not self.m:
                 return flow
             with _quiet():
-                tail = self.tail_time(lam)
+                tail = _tail_time_quad(self, lam)
                 # a first guess that underflows starts from the least subnormal
                 start = math.log(max(flow, _SUBNORMAL_MIN))
                 s = _newton_chart(self._rate, math.log(x), tail, start, a + tail)
