@@ -714,7 +714,7 @@ class Mechanism:
             proxy = float(1.0 / (self.c * a * _over_x(math.expm1, ab)))
         except OverflowError:
             proxy = 0.0
-        if ab > 1.0 and not proxy >= _UFLOW:
+        if not proxy >= _UFLOW and ab > 1.0:
             # e^{ab} overflowed, or v is subnormal, where a rounded ab moves
             # it by many ulps: b e^{-ab} / (c (1 - e^{-ab})) instead
             proxy = _scaled_exp_neg(self.b / (self.c * -math.expm1(-ab)), a, self.b)
@@ -755,7 +755,7 @@ class Mechanism:
                 flow = float(x / (math.exp(ab) + self.c * a * x * _over_x(math.expm1, ab)))
             except OverflowError:
                 flow = 0.0
-            if ab > 1.0 and not flow >= _UFLOW:  # as in v_of: x e^{-ab} / (1 + c x (1 - e^{-ab}) / b)
+            if not flow >= _UFLOW and ab > 1.0:  # as in v_of: x e^{-ab} / (1 + c x (1 - e^{-ab}) / b)
                 flow = _scaled_exp_neg(x / (1.0 + self.c * x * -math.expm1(-ab) / b), a, b)
             if not self.m:
                 return flow
