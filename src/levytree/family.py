@@ -41,15 +41,14 @@ other hook has a default, which a built-in family runs:
 * _qbar by root-finding on b: TruncationFamily;
 * _grid and _pair_alphas, the admissibility report's data: ReflectedFamily.
 
-An admissibility report reads a family through two hooks.  _grid gives b
-and the weights W on the whole time grid in one call, as an array and a
-table with one row per time; the report builds its psi table, H1-H3 and
-the kernel residuals from them.  The default builds one mechanism per time
-with psi_at.  A constant-kernel family (shift, truncation, linear drift)
-instead calls its own b_at and weights_at once, on a column of times, and
-_pair_alphas gives beta (q - t) over every grid pair in one array
-operation.  Either way the values are psi_at's to the bit, and _grid
-checks the grid as psi_at checks a time.
+An admissibility report reads b and the weights W on its whole time grid
+from one _grid call, as an array and a table with one row per time, and
+builds its psi table, H1-H3 and kernel residuals from them.  The default
+builds one mechanism per time with psi_at; a constant-kernel family (shift,
+truncation, linear drift) calls b_at and weights_at once on a column of
+times, and its _pair_alphas gives beta (q - t) over all grid pairs in one
+array operation.  The values are psi_at's to the bit, and _grid checks the
+grid as psi_at checks a time.
 """
 
 import math
